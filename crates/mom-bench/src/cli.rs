@@ -554,6 +554,42 @@ OPTIONS (any command):
       the command.
 ";
 
+/// The subcommands that talk to a running daemon and share its client
+/// flags (`--retries`, `--backoff`, `--timeout`).
+const CLIENT_COMMANDS: [&str; 5] = ["submit", "status", "report", "shutdown", "stats"];
+
+/// The usage of one subcommand (`momsim <command> --help`): its entries
+/// from [`USAGE`], plus the client-flag note for the daemon clients.
+/// `None` for an unknown command.
+pub fn command_usage(command: &str) -> Option<String> {
+    let mut text = String::from("USAGE:\n");
+    let mut found = false;
+    let mut inside = false;
+    for line in USAGE.lines() {
+        if let Some(rest) = line.strip_prefix("  momsim ") {
+            inside = rest.split_whitespace().next() == Some(command);
+        } else if !line.starts_with("    ") {
+            inside = false;
+        }
+        if inside {
+            found = true;
+            text.push_str(line);
+            text.push('\n');
+        }
+    }
+    if !found {
+        return None;
+    }
+    if CLIENT_COMMANDS.contains(&command) {
+        let note = &USAGE[USAGE.find("\n  Every client command").expect("client note")..];
+        text.push_str(&note[..note.find("\n\n").expect("note ends in a blank line") + 1]);
+    }
+    text.push_str(
+        "\nGlobal options (--store DIR, --cold, --trace-out FILE, --stats): see `momsim help`.\n",
+    );
+    Some(text)
+}
+
 fn list() {
     println!("registered experiments (momsim run <name>):");
     for e in registry() {

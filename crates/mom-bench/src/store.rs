@@ -631,6 +631,25 @@ mod tests {
     }
 
     #[test]
+    fn result_key_bytes_are_pinned() {
+        let key = result_key(
+            KernelId::Idct,
+            IsaKind::Mom,
+            EXPERIMENT_SEED,
+            &PipelineConfig::way(4),
+            4000,
+            None,
+        );
+        assert_eq!(
+            key.to_hex(),
+            "9d491ce83ca956d9ce9a9249bd9bd745",
+            "the result-key byte stream changed: this cold-starts every user's \
+             artifact store, so it must ship with an ENGINE_VERSION bump or a \
+             deliberate codec decision, not as a side effect"
+        );
+    }
+
+    #[test]
     fn engine_version_bump_invalidates_results_but_not_traces() {
         let config = PipelineConfig::way(4);
         let current = result_key_versioned(

@@ -226,7 +226,7 @@ pub fn run_phase_with_sink<S: TraceSink + ?Sized>(
     for iteration in 0..iterations {
         let mut tee = (&mut stats, &mut *sink);
         run_one_iteration(
-            &*spec, &program, machine, kernel, isa, seed, iteration, &mut tee,
+            &*spec, program, machine, kernel, isa, seed, iteration, &mut tee,
         )?;
     }
     Ok(stats)
@@ -254,7 +254,7 @@ pub fn run_kernel(
             let mut tee = (&mut stats, &mut trace);
             run_one_iteration(
                 &*spec,
-                &program,
+                program,
                 &mut machine,
                 kernel,
                 isa,
@@ -265,7 +265,7 @@ pub fn run_kernel(
         } else {
             run_one_iteration(
                 &*spec,
-                &program,
+                program,
                 &mut machine,
                 kernel,
                 isa,
@@ -290,7 +290,7 @@ fn setup(
     kernel: KernelId,
     isa: IsaKind,
     seed: u64,
-) -> Result<(Box<dyn KernelSpec>, Program, Machine), KernelError> {
+) -> Result<(Box<dyn KernelSpec>, &'static Program, Machine), KernelError> {
     let mut machine = app_machine();
     let (spec, program) = prepare_phase(&mut machine, kernel, isa, seed)?;
     Ok((spec, program, machine))
@@ -304,9 +304,9 @@ fn prepare_phase(
     kernel: KernelId,
     isa: IsaKind,
     seed: u64,
-) -> Result<(Box<dyn KernelSpec>, Program), KernelError> {
+) -> Result<(Box<dyn KernelSpec>, &'static Program), KernelError> {
     let spec = kernel.spec();
-    let program = spec.program(isa);
+    let program = crate::trace_cache::shared_program(kernel, isa);
     program
         .validate()
         .map_err(|detail| KernelError::InvalidProgram {

@@ -74,15 +74,46 @@ fn table() -> &'static Table {
     TABLE.get_or_init(|| RwLock::new(HashMap::new()))
 }
 
+/// One (kernel, ISA) entry of the process-wide program table: the built
+/// program and the content-key hasher state right after its
+/// program-dependent prefix (`"momsim trace"` and the disassembled text).
+struct CompiledProgram {
+    program: Program,
+    key_prefix: Hasher,
+}
+
+/// Builds, disassembles and hashes each (kernel, ISA) program **once per
+/// process**.  Sound because programs are pure functions of (kernel, ISA):
+/// the generators read no statics, no environment and no seed.
+fn compiled(kernel: KernelId, isa: IsaKind) -> &'static CompiledProgram {
+    const ISAS: usize = IsaKind::ALL.len();
+    static PROGRAMS: [[OnceLock<CompiledProgram>; ISAS]; KernelId::ALL.len()] =
+        [const { [const { OnceLock::new() }; ISAS] }; KernelId::ALL.len()];
+    PROGRAMS[kernel as usize][isa as usize].get_or_init(|| {
+        let program = kernel.program(isa);
+        let mut key_prefix = Hasher::new();
+        key_prefix.write_str("momsim trace");
+        key_prefix.write_str(&mom_isa::disassemble(&program));
+        CompiledProgram {
+            program,
+            key_prefix,
+        }
+    })
+}
+
+/// The program of `(kernel, isa)`, built once per process and shared by
+/// every functional run and trace verification.
+pub(crate) fn shared_program(kernel: KernelId, isa: IsaKind) -> &'static Program {
+    &compiled(kernel, isa).program
+}
+
 /// The content hash addressing `(kernel, isa, seed)`'s trace in the
 /// persistent store: disassembled program text, kernel name, ISA name,
 /// seed, and the workload-layout fingerprint.  Pure — computing it never
-/// executes the kernel.
+/// executes the kernel — and cheap: the program-dependent prefix is hashed
+/// once per process, so a lookup only hashes the few bytes after it.
 pub fn trace_content_key(kernel: KernelId, isa: IsaKind, seed: u64) -> Key {
-    let program = kernel.program(isa);
-    let mut h = Hasher::new();
-    h.write_str("momsim trace");
-    h.write_str(&mom_isa::disassemble(&program));
+    let mut h = compiled(kernel, isa).key_prefix.clone();
     h.write_str(kernel.name());
     h.write_str(&isa.to_string());
     h.write_u64(seed);
@@ -128,8 +159,7 @@ fn load_from_store(
     if trace.stats() != stats {
         return None;
     }
-    let program = kernel.program(isa);
-    if !trace_matches_program(&trace, &program) {
+    if !trace_matches_program(&trace, shared_program(kernel, isa)) {
         return None;
     }
     Some(Arc::new(KernelRun {
@@ -294,6 +324,34 @@ mod tests {
         assert_ne!(base, trace_content_key(KernelId::Idct, IsaKind::Mmx, 7));
         assert_ne!(base, trace_content_key(KernelId::Motion1, IsaKind::Mom, 7));
         assert_ne!(base, trace_content_key(KernelId::Idct, IsaKind::Mom, 8));
+    }
+
+    #[test]
+    fn memoised_content_keys_equal_the_from_scratch_formula() {
+        for kernel in KernelId::ALL {
+            for isa in IsaKind::ALL {
+                let program = kernel.program(isa);
+                assert_eq!(
+                    shared_program(kernel, isa).instructions(),
+                    program.instructions(),
+                    "{kernel:?}/{isa:?}: the shared program must be the built one"
+                );
+                for seed in [0, 0x5C99] {
+                    let mut h = Hasher::new();
+                    h.write_str("momsim trace");
+                    h.write_str(&mom_isa::disassemble(&program));
+                    h.write_str(kernel.name());
+                    h.write_str(&isa.to_string());
+                    h.write_u64(seed);
+                    layout::fingerprint(&mut h);
+                    assert_eq!(
+                        trace_content_key(kernel, isa, seed),
+                        h.finish(),
+                        "{kernel:?}/{isa:?} seed {seed}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The TCP listener and request router of `momsim serve`.
 //!
-//! One thread accepts connections (non-blocking, so the stop flag is
-//! honoured promptly), one short-lived thread handles each connection
+//! One thread accepts connections (a blocking `accept`; `POST /shutdown`
+//! sets the stop flag and wakes it with one loopback connection to the
+//! listener's own address), one short-lived thread handles each connection
 //! (`Connection: close`; submissions are small and the worker pool does
 //! the real work), and the routes map directly onto [`crate::queue`]:
 //!
@@ -24,7 +25,7 @@ use mom_bench::json::Json;
 use mom_bench::{find_experiment, Report};
 use mom_store::faults::{self, FaultSite};
 use std::io::BufReader;
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -163,9 +164,8 @@ pub fn serve_with_timeout(
     read_timeout: Duration,
 ) -> std::io::Result<Server> {
     let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
+    let stop = Arc::new(Stop::new(addr));
     let accept = {
         let daemon = Arc::clone(&daemon);
         let stop = Arc::clone(&stop);
@@ -181,15 +181,53 @@ pub fn serve_with_timeout(
     })
 }
 
+/// The accept loop's stop signal: a flag, plus the address a wake-up
+/// connection reaches the blocked `accept` on.
+struct Stop {
+    flag: AtomicBool,
+    wake: SocketAddr,
+}
+
+impl Stop {
+    fn new(listening: SocketAddr) -> Stop {
+        // A wildcard bind is reachable over loopback of the same family.
+        let mut wake = listening;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake.ip() {
+                IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            });
+        }
+        Stop {
+            flag: AtomicBool::new(false),
+            wake,
+        }
+    }
+
+    fn is_set(&self) -> bool {
+        self.flag.load(Ordering::SeqCst)
+    }
+
+    /// Sets the flag, then unblocks the accept loop with one connection.
+    fn trigger(&self) {
+        self.flag.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect_timeout(&self.wake, Duration::from_secs(1));
+    }
+}
+
 fn accept_loop(
     listener: TcpListener,
     daemon: Arc<Daemon>,
-    stop: Arc<AtomicBool>,
+    stop: Arc<Stop>,
     read_timeout: Duration,
 ) {
     let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if stop.is_set() {
+            break;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 if faults::should_inject(FaultSite::HttpAccept) {
                     // An injected accept fault: drop the connection on the
@@ -206,9 +244,6 @@ fn accept_loop(
                         .spawn(move || handle_connection(stream, &daemon, &stop, read_timeout))
                         .expect("spawn connection handler"),
                 );
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
             }
             Err(_) => break,
         }
@@ -257,12 +292,7 @@ fn record_request(method: &str, path: &str, status: u16, elapsed: Duration) {
     );
 }
 
-fn handle_connection(
-    stream: TcpStream,
-    daemon: &Daemon,
-    stop: &AtomicBool,
-    read_timeout: Duration,
-) {
+fn handle_connection(stream: TcpStream, daemon: &Daemon, stop: &Stop, read_timeout: Duration) {
     if faults::should_inject(FaultSite::HttpRead) {
         // An injected read fault: the peer sees the connection reset
         // mid-request, exactly what a daemon crash looks like on the wire.
@@ -316,7 +346,7 @@ fn handle_connection(
     let _ = response.write_to(&mut stream);
 }
 
-fn route(method: &str, path: &str, body: &[u8], daemon: &Daemon, stop: &AtomicBool) -> Response {
+fn route(method: &str, path: &str, body: &[u8], daemon: &Daemon, stop: &Stop) -> Response {
     match (method, path) {
         ("GET", "/healthz") => {
             let recovery = daemon.recovery().unwrap_or_default();
@@ -359,7 +389,7 @@ fn route(method: &str, path: &str, body: &[u8], daemon: &Daemon, stop: &AtomicBo
                 // A clean drain leaves nothing to recover.
                 journal.truncate();
             }
-            stop.store(true, Ordering::SeqCst);
+            stop.trigger();
             Response::json(
                 200,
                 &Json::obj([

@@ -1,8 +1,9 @@
 //! Fault-tolerance suite: supervised workers retry injected panics to
 //! success, exhausted retries fail the job with unit coordinates, the
 //! crash journal re-admits unfinished jobs recomputing only lost units,
-//! slow clients get 408, and injected accept faults are ridden out by the
-//! client's retry policy.
+//! slow clients get 408, injected accept faults are ridden out by the
+//! client's retry policy, and the blocking accept loop neither delays
+//! requests nor outlives `POST /shutdown`.
 //!
 //! The fault plane and the artifact store are process-global, so every
 //! test serialises on one mutex and clears its fault plan before
@@ -253,4 +254,60 @@ fn injected_accept_faults_are_ridden_out_by_client_retries() {
     let (status, doc) = result.expect("the retry must get through");
     assert_eq!(status, 200, "{doc}");
     assert_eq!(injected, 1, "exactly the budgeted accept fault fired");
+}
+
+#[test]
+fn join_returns_promptly_after_shutdown() {
+    let _serial = serial();
+    // The accept loop blocks in `accept`; the shutdown route must wake it,
+    // also when the daemon listens on the wildcard address.
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let server = serve_with(Daemon::new(0, 1), bind).expect("bind an ephemeral port");
+        let addr = format!("127.0.0.1:{}", server.addr().port());
+        let policy = RetryPolicy::default();
+        let (status, _) = request_json_with(&addr, "POST", "/shutdown", None, &policy)
+            .expect("shutdown must answer");
+        assert_eq!(status, 200);
+        let (done, joined) = std::sync::mpsc::channel();
+        let start = std::time::Instant::now();
+        std::thread::spawn(move || {
+            server.join();
+            let _ = done.send(());
+        });
+        joined
+            .recv_timeout(Duration::from_secs(5))
+            .unwrap_or_else(|_| panic!("join on {bind} must return after POST /shutdown"));
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "join on {bind} took {:?}",
+            start.elapsed()
+        );
+    }
+}
+
+#[test]
+fn idle_round_trips_do_not_wait_for_a_poll_tick() {
+    let _serial = serial();
+    let server = serve_with(Daemon::new(0, 1), "127.0.0.1:0").expect("bind an ephemeral port");
+    let addr = server.addr().to_string();
+    let policy = RetryPolicy::default();
+    let mut rtts: Vec<Duration> = (0..20)
+        .map(|_| {
+            let start = std::time::Instant::now();
+            let (status, _) = request_json_with(&addr, "GET", "/healthz", None, &policy)
+                .expect("healthz must answer");
+            assert_eq!(status, 200);
+            start.elapsed()
+        })
+        .collect();
+    rtts.sort();
+    let median = rtts[rtts.len() / 2];
+    assert!(
+        median < Duration::from_millis(5),
+        "median GET /healthz round trip on an idle daemon is {median:?} (sorted: {rtts:?})"
+    );
+    let (status, _) =
+        request_json_with(&addr, "POST", "/shutdown", None, &policy).expect("shutdown");
+    assert_eq!(status, 200);
+    server.join();
 }

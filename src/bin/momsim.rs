@@ -42,7 +42,15 @@ fn subcommand(args: &[String]) -> Option<&str> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let code = match subcommand(&args) {
+    let command = subcommand(&args);
+    // `momsim <command> --help` (or `-h`) prints that command's usage.
+    if args.iter().any(|arg| arg == "--help" || arg == "-h") {
+        if let Some(usage) = command.and_then(mom_bench::cli::command_usage) {
+            print!("{usage}");
+            std::process::exit(0);
+        }
+    }
+    let code = match command {
         Some("serve" | "submit" | "status" | "report" | "shutdown" | "stats") => {
             momsim::serve::cli::cli_main()
         }

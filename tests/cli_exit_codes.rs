@@ -56,6 +56,32 @@ fn successes_exit_0() {
 }
 
 #[test]
+fn every_subcommand_prints_its_usage_on_help() {
+    for command in [
+        "list", "run", "sweep", "bench", "cache", "serve", "submit", "status", "report",
+        "shutdown", "stats",
+    ] {
+        for flag in ["--help", "-h"] {
+            let out = momsim(&[command, flag]);
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert_eq!(
+                code(&out),
+                0,
+                "momsim {command} {flag}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            assert!(
+                stdout.contains(&format!("momsim {command}")),
+                "momsim {command} {flag} prints its usage: {stdout}"
+            );
+        }
+    }
+    // The client commands also document the shared retry flags.
+    let out = momsim(&["submit", "--help"]);
+    assert!(String::from_utf8_lossy(&out.stdout).contains("--retries"));
+}
+
+#[test]
 fn runtime_failures_exit_1() {
     // A client pointed at a dead port fails at runtime, not usage.
     // Port 1 (tcpmux) is privileged and nothing in this container binds it.
