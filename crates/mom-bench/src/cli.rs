@@ -1,6 +1,4 @@
-//! The `momsim` command-line front end, and the shared argument parsing of
-//! the thin report binaries (`fig4`, `fig5`, `tables`, `ablations`,
-//! `sweep`).
+//! The `momsim` command-line front end.
 //!
 //! One binary runs any experiment:
 //!
@@ -15,12 +13,12 @@
 //! Axis values are parsed with the `FromStr` implementations of
 //! [`KernelId`], [`IsaKind`] and [`MemoryModel`], so a typo produces an
 //! error listing the valid names instead of a panic.  All parsing returns
-//! [`Result`]; the binaries map errors to exit status 2 (usage) or 1
-//! (runtime failure).
+//! [`Result`]; `momsim` maps errors to exit status 2 (usage, including an
+//! invalid experiment grid) or 1 (runtime failure).
 
 use crate::json::Json;
-use crate::spec::{find_experiment, registry, ExperimentError, ExperimentSpec};
-use crate::{full_sweep_with_jobs, Report};
+use crate::spec::{find_experiment, registry, union_spec, ExperimentError, ExperimentSpec};
+use crate::{fig4_from, fig5_from, tables_from, Report};
 use mom_isa::IsaKind;
 use mom_kernels::KernelId;
 use mom_pipeline::{MemoryModel, PipelineConfig, SamplingConfig};
@@ -57,10 +55,11 @@ impl From<ExperimentError> for CliError {
 }
 
 impl CliError {
-    /// The conventional exit status: 2 for usage errors, 1 otherwise.
+    /// The conventional exit status: 2 for usage errors (an invalid
+    /// experiment grid is one), 1 otherwise.
     pub fn exit_code(&self) -> i32 {
         match self {
-            CliError::Usage(_) => 2,
+            CliError::Usage(_) | CliError::Experiment(ExperimentError::Spec(_)) => 2,
             _ => 1,
         }
     }
@@ -75,31 +74,6 @@ fn finish(result: Result<(), CliError>) -> i32 {
             e.exit_code()
         }
     }
-}
-
-/// Parses the `--json PATH` option shared by the report binaries from an
-/// argument iterator (without the program name).
-///
-/// Unlike the former per-binary copies, bad arguments are returned as
-/// [`CliError::Usage`] values instead of terminating the process.
-pub fn json_path_arg(args: impl IntoIterator<Item = String>) -> Result<Option<PathBuf>, CliError> {
-    let mut path = None;
-    let mut args = args.into_iter();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--json" if path.is_none() => match args.next() {
-                Some(p) => path = Some(PathBuf::from(p)),
-                None => return Err(CliError::Usage("--json needs a path argument".into())),
-            },
-            "--json" => return Err(CliError::Usage("--json given twice".into())),
-            other => {
-                return Err(CliError::Usage(format!(
-                    "unknown argument {other} (expected --json PATH)"
-                )))
-            }
-        }
-    }
-    Ok(path)
 }
 
 fn write_report(path: &Path, doc: &Json) -> Result<(), CliError> {
@@ -120,40 +94,8 @@ fn run_registered(name: &str, json: Option<PathBuf>, jobs: Option<usize>) -> Res
     Ok(())
 }
 
-/// Entry point of the thin report aliases (`fig4`, `fig5`, `tables`): runs
-/// the named registered experiment with the shared `--json PATH` option and
-/// returns the process exit code.
-pub fn alias_main(name: &str) -> i32 {
-    finish(
-        json_path_arg(std::env::args().skip(1)).and_then(|json| run_registered(name, json, None)),
-    )
-}
-
-/// Entry point of the `ablations` alias: runs both registered ablations
-/// (`--json PATH` writes one document holding both series) and returns the
-/// process exit code.
-pub fn ablations_main() -> i32 {
-    finish((|| {
-        let json = json_path_arg(std::env::args().skip(1))?;
-        let lanes = find_experiment("ablation-lanes")
-            .map_err(CliError::Usage)?
-            .run()?;
-        let rob = find_experiment("ablation-rob")
-            .map_err(CliError::Usage)?
-            .run()?;
-        print!("{}", lanes.text());
-        println!();
-        print!("{}", rob.text());
-        if let Some(path) = json {
-            let series = [("ablation-lanes", lanes), ("ablation-rob", rob)];
-            write_report(&path, &ablations_doc(&series))?;
-        }
-        Ok(())
-    })())
-}
-
-/// The combined document of the registered ablation series (what the
-/// `ablations` alias and `BENCH_ablations.json` hold, and what the daemon's
+/// The combined document of the registered ablation series (what
+/// `BENCH_ablations.json` holds, and what the daemon's
 /// `GET /reports/ablations` replays): one top-level key per series, named
 /// by the experiment with its `ablation-` prefix stripped (`lanes`, `rob`,
 /// ...).
@@ -331,34 +273,41 @@ fn print_sweep_store_summary() {
     }
 }
 
+/// The three registered experiments whose reports [`sweep_documents`]
+/// derives from the one shared [`union_spec`] grid.
+const UNION_GRID_EXPERIMENTS: [&str; 3] = ["fig4", "fig5", "tables"];
+
 /// Computes every document `momsim sweep` writes, without touching the
 /// filesystem: `(file name, document, points)` in write order. Split from
-/// [`run_sweep`] so the incremental-sweep tests can byte-compare the exact
-/// documents a cold and a warm sweep would emit.
-pub fn sweep_documents(jobs: Option<usize>) -> Result<Vec<(&'static str, Json, usize)>, CliError> {
+/// `run_sweep` so `momsim bench` can time it ([`crate::perf::time_full_set`])
+/// and the incremental-sweep tests can byte-compare the exact documents a
+/// cold and a warm sweep would emit.
+pub fn sweep_documents(
+    jobs: Option<usize>,
+) -> Result<Vec<(&'static str, Json, usize)>, ExperimentError> {
     // The full registered-experiment set in one process: one measured pass
-    // per (kernel, ISA) pair feeds the three union-grid reports, and every
-    // *other* registered experiment (the application scenario layer, the
-    // ablations, anything registered later) runs on its own — all of them
-    // replaying the same memoised functional traces, so no kernel executes
-    // functionally more than once.  `jobs` picks the schedule: `None` fans
-    // out per (kernel, ISA) pair, `Some(n)` shards individual grid points
-    // over `n` threads; both emit byte-identical documents.
-    let results = {
+    // per (kernel, ISA) pair over the union grid feeds the three paper
+    // reports, and every *other* registered experiment (the application
+    // scenario layer, the ablations, anything registered later) runs on its
+    // own — all of them replaying the same memoised functional traces, so
+    // no kernel executes functionally more than once.  `jobs` sets the
+    // thread count of each grid run; the documents never depend on it.
+    let union = {
         let _span = mom_obs::span("sweep", "union-grids");
-        full_sweep_with_jobs(jobs)?
+        let grid = union_spec().run_with_jobs(jobs)?;
+        [
+            ("BENCH_fig4.json", Report::Fig4(fig4_from(&grid))),
+            ("BENCH_fig5.json", Report::Fig5(fig5_from(&grid))),
+            ("BENCH_tables.json", Report::Tables(tables_from(&grid))),
+        ]
     };
-    let mut files = vec![
-        ("BENCH_fig4.json", Report::Fig4(results.fig4)),
-        ("BENCH_fig5.json", Report::Fig5(results.fig5)),
-        ("BENCH_tables.json", Report::Tables(results.tables)),
-    ]
-    .into_iter()
-    .map(|(name, report)| (name, report.json(), report.points()))
-    .collect::<Vec<_>>();
+    let mut files: Vec<_> = union
+        .into_iter()
+        .map(|(name, report)| (name, report.json(), report.points()))
+        .collect();
     let mut ablations: Vec<(&'static str, Report)> = Vec::new();
     for experiment in crate::spec::registry() {
-        if crate::perf::UNION_GRID_EXPERIMENTS.contains(&experiment.name) {
+        if UNION_GRID_EXPERIMENTS.contains(&experiment.name) {
             continue;
         }
         let report = {
@@ -433,20 +382,6 @@ fn sweep_args(
     Ok((out_dir, jobs))
 }
 
-/// Entry point of the `sweep` alias: regenerates every `BENCH_*.json` from
-/// one shared grid run and returns the process exit code.
-pub fn sweep_main() -> i32 {
-    finish((|| {
-        let mut args: Vec<String> = std::env::args().skip(1).collect();
-        configure_store(extract_store_args(&mut args)?)?;
-        let obs = extract_obs_args(&mut args)?;
-        configure_obs(&obs);
-        let (dir, jobs) = sweep_args(args)?;
-        run_sweep(&dir, jobs)?;
-        finish_obs(&obs)
-    })())
-}
-
 const USAGE: &str = "\
 momsim — declarative experiment runner for the MOM (SC'99) reproduction
 
@@ -456,7 +391,8 @@ USAGE:
   momsim run <experiment> [--json PATH] [--jobs N]
       Run a registered experiment (fig4, fig5, tables, app-speedups,
       ablation-lanes, ablation-rob); print the text report and optionally
-      write the JSON.
+      write the JSON. --jobs N runs the (kernel, ISA) pairs on N worker
+      threads (default: one per core); the report never depends on it.
   momsim run [AXES] [--json PATH] [--jobs N]
       Run an ad-hoc scenario grid assembled from axis flags:
         --kernels K,K,..       kernel names, or 'all' (default: all)
@@ -478,9 +414,9 @@ USAGE:
       BENCH_ablations.json, with every kernel executed functionally at most
       once (shared trace cache). Finished grid points persist in the
       artifact store, so a repeated sweep is incremental: unchanged points
-      are read back instead of re-simulated. --jobs N shards individual
-      grid points over N worker threads; the reports are byte-identical at
-      any worker count.
+      are read back instead of re-simulated. --jobs N runs the (kernel,
+      ISA) pairs on N worker threads (default: one per core); the reports
+      are byte-identical at any worker count.
   momsim bench [--quick] [--json PATH] [--check PATH]
       Measure engine throughput (optimized vs the retained naive reference),
       the wall time of the full registered-experiment set, and the sampled
@@ -955,23 +891,6 @@ mod tests {
 
     fn strs(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn json_path_parsing_returns_errors_not_exits() {
-        assert_eq!(json_path_arg(strs(&[])).unwrap(), None);
-        assert_eq!(
-            json_path_arg(strs(&["--json", "out.json"])).unwrap(),
-            Some(PathBuf::from("out.json"))
-        );
-        for bad in [
-            strs(&["--json"]),
-            strs(&["--json", "a", "--json", "b"]),
-            strs(&["--frobnicate"]),
-        ] {
-            let err = json_path_arg(bad).unwrap_err();
-            assert_eq!(err.exit_code(), 2, "{err}");
-        }
     }
 
     #[test]

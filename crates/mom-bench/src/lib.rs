@@ -26,19 +26,17 @@
 //! The runner is built on the workspace's **streaming architecture**: one
 //! functional run of a kernel drives a [`PipelineFanout`] over every machine
 //! configuration of the experiment, so a grid executes each (kernel, ISA)
-//! pair exactly once, and the pairs run concurrently on a thread pool
-//! ([`sweep`]).  Every report is available both as an aligned text table
-//! and as a machine-readable JSON document ([`Report::text`] /
-//! [`Report::json`]) for `BENCH_fig4.json`-style perf tracking.
+//! pair exactly once ([`simulate_configs`]), and the pairs run concurrently
+//! on a thread pool ([`sweep`]) whose size `--jobs N` sets.  Every report is
+//! available both as an aligned text table and as a machine-readable JSON
+//! document ([`Report::text`] / [`Report::json`]) for `BENCH_fig4.json`-style
+//! perf tracking.
 //!
 //! The **`momsim`** binary ([`cli`]) is the front end: `momsim list` shows
 //! the registered experiments and axes, `momsim run fig5 --json PATH` runs
-//! a registered spec, and `momsim run --kernels idct,motion1 --isas mom,mdmx
+//! a registered spec, `momsim run --kernels idct,motion1 --isas mom,mdmx
 //! --widths 1,2,4,8 --memory l1l2` assembles an ad-hoc grid from named axis
-//! values.  The `fig4`, `fig5`, `tables`, `ablations` and `sweep` binaries
-//! are thin aliases over the same code paths, and the Criterion benches
-//! under `benches/` wrap the same drivers so `cargo bench` regenerates
-//! every figure and table.
+//! values, and `momsim sweep` regenerates every `BENCH_*.json` report.
 
 #![warn(missing_docs)]
 
@@ -71,7 +69,7 @@ pub const EXPERIMENT_SEED: u64 = 0x5C99;
 pub const STEADY_STATE_INSTRUCTIONS: usize = 4000;
 
 /// Minimum number of complete measurement intervals a stream must be
-/// able to hold before [`simulate_configs_sampled`] actually
+/// able to hold before a sampled [`simulate_configs`] actually
 /// fast-forwards; shorter streams (a few long invocations) run fully
 /// detailed and report exact timing.
 pub const MIN_SAMPLED_INTERVALS: u64 = 3;
@@ -132,7 +130,7 @@ impl ExperimentPoint {
 /// cache) replicated [`steady_invocations`] times.
 ///
 /// Only for benchmarks and diagnostics that need a reusable in-memory trace;
-/// the experiment drivers stream through [`simulate_configs`] instead.
+/// the grid streams through [`simulate_configs`] instead.
 pub fn steady_state_trace(
     kernel: KernelId,
     isa: IsaKind,
@@ -149,84 +147,35 @@ pub fn steady_state_trace(
 
 /// Runs one kernel/ISA pair to steady state **once** and times the stream on
 /// every given machine configuration simultaneously (fan-out), returning one
-/// point per configuration, in order.
+/// point per configuration, in order.  The arguments are the coordinates of
+/// [`store::result_key`]; this is the only simulation entry point of the
+/// grid, behind both [`ExperimentSpec::run`] and
+/// [`schedule::PointJob::compute`].
 ///
-/// One kernel invocation is executed functionally and verified against the
-/// golden reference; its trace is then replayed [`steady_invocations`] times
-/// into the consumers (invocations are identical instruction streams — see
-/// [`mom_kernels::KernelRun`]), so the stream is never materialised beyond
-/// one invocation.
+/// Every requested configuration is first looked up in the result store;
+/// only the **missing** configurations are fanned out over the stream, and
+/// their fresh points are written back.  With a fully warm store no
+/// functional execution and no timing simulation happens at all.
+/// Subsetting the fan-out is sound because consumers are independent
+/// (lockstep batching is a performance device, and a sampled run's schedule
+/// derives from the sampling config and the stream alone, not from the
+/// consumer set).
+///
+/// The stream is one verified kernel invocation from the process-wide trace
+/// cache ([`shared_kernel_run`]), replayed **by reference** until it is at
+/// least `replication` instructions long (see [`invocations_for`]), so it is
+/// never materialised beyond one invocation.  With `sampling` set, the
+/// stream is timed by **systematic sampling** instead: detailed intervals
+/// with cache-only fast-forward between them, an extrapolated cycle count
+/// and a confidence interval in [`SimResult::sampled`].  Architectural
+/// counters stay exact.  The schedule is
+/// [aligned](SamplingConfig::aligned_to) to the kernel's invocation length,
+/// and a stream too short to hold [`MIN_SAMPLED_INTERVALS`] measurement
+/// intervals runs fully detailed (its points report the exact cycle count
+/// with a zero-width interval): extrapolating from a single measurement
+/// dominated by the cold-start head of the stream is exactly the bias
+/// sampling must avoid.
 pub fn simulate_configs(
-    kernel: KernelId,
-    isa: IsaKind,
-    configs: &[PipelineConfig],
-    seed: u64,
-) -> Result<Vec<ExperimentPoint>, KernelError> {
-    simulate_configs_replicated(kernel, isa, configs, seed, STEADY_STATE_INSTRUCTIONS)
-}
-
-/// [`simulate_configs`] with an explicit steady-state target: the kernel
-/// invocation is replicated until the measured stream is at least
-/// `replication` instructions long (the [`ExperimentSpec::replication`]
-/// axis).
-///
-/// The functional run comes from the process-wide trace cache
-/// ([`shared_kernel_run`]): each (kernel, ISA, seed) triple is executed and
-/// verified once, and every experiment replays the memoised
-/// single-invocation trace **by reference** — one `Copy` per retired entry
-/// into the fan-out, no per-replication re-clone of the trace.
-pub fn simulate_configs_replicated(
-    kernel: KernelId,
-    isa: IsaKind,
-    configs: &[PipelineConfig],
-    seed: u64,
-    replication: usize,
-) -> Result<Vec<ExperimentPoint>, KernelError> {
-    simulate_configs_stored(kernel, isa, configs, seed, replication, None)
-}
-
-fn simulate_configs_replicated_uncached(
-    kernel: KernelId,
-    isa: IsaKind,
-    configs: &[PipelineConfig],
-    seed: u64,
-    replication: usize,
-) -> Result<Vec<ExperimentPoint>, KernelError> {
-    let run = shared_kernel_run(kernel, isa, seed)?;
-    let invocations = invocations_for(replication, run.trace.len());
-
-    let mut stats = TraceStats::default();
-    let mut fanout = PipelineFanout::new(configs.iter().cloned());
-    let mut sinks = (&mut stats, &mut fanout);
-    run.trace.replay_into(invocations, &mut sinks);
-
-    let results = fanout.finish();
-    Ok(results
-        .into_iter()
-        .zip(configs)
-        .map(|(result, config)| ExperimentPoint {
-            kernel,
-            isa,
-            width: config.width,
-            mem_latency: config.memory.base_latency(),
-            memory: config.memory.label(),
-            invocations,
-            result,
-            stats,
-        })
-        .collect())
-}
-
-/// The persistent-store front shared by the exact and sampled grid drivers:
-/// every requested configuration is first looked up in the result store
-/// ([`store::result_key`]); only the **missing** configurations are fanned
-/// out over the stream, and their fresh points are written back.  With a
-/// fully warm store no functional execution and no timing simulation
-/// happens at all.  Subsetting the fan-out is sound because consumers are
-/// independent (lockstep batching is a performance device, and a sampled
-/// run's schedule derives from the sampling config and the stream alone,
-/// not from the consumer set).
-fn simulate_configs_stored(
     kernel: KernelId,
     isa: IsaKind,
     configs: &[PipelineConfig],
@@ -234,15 +183,9 @@ fn simulate_configs_stored(
     replication: usize,
     sampling: Option<SamplingConfig>,
 ) -> Result<Vec<ExperimentPoint>, KernelError> {
-    let uncached = |subset: &[PipelineConfig]| match sampling {
-        None => simulate_configs_replicated_uncached(kernel, isa, subset, seed, replication),
-        Some(schedule) => {
-            simulate_configs_sampled_uncached(kernel, isa, subset, seed, replication, schedule)
-        }
-    };
     let persistent = mom_store::global();
     if !persistent.is_active() {
-        return uncached(configs);
+        return simulate_uncached(kernel, isa, configs, seed, replication, sampling);
     }
     let keys: Vec<mom_store::Key> = configs
         .iter()
@@ -264,7 +207,7 @@ fn simulate_configs_stored(
         let _span = mom_obs::span_fmt("simulate", || {
             format!("simulate {kernel:?}/{isa:?} x{}", subset.len())
         });
-        let fresh = uncached(&subset)?;
+        let fresh = simulate_uncached(kernel, isa, &subset, seed, replication, sampling)?;
         for (&index, point) in missing.iter().zip(fresh) {
             persistent.put(
                 mom_store::NS_RESULT,
@@ -280,11 +223,75 @@ fn simulate_configs_stored(
         .collect())
 }
 
+/// The fill path of [`simulate_configs`]: one replay of the pair's stream
+/// into a [`PipelineFanout`] (exact) or an invocation-aligned
+/// [`SampledFanout`] over `configs`.
+fn simulate_uncached(
+    kernel: KernelId,
+    isa: IsaKind,
+    configs: &[PipelineConfig],
+    seed: u64,
+    replication: usize,
+    sampling: Option<SamplingConfig>,
+) -> Result<Vec<ExperimentPoint>, KernelError> {
+    let run = shared_kernel_run(kernel, isa, seed)?;
+    let invocations = invocations_for(replication, run.trace.len());
+    let mut stats = TraceStats::default();
+    let results = match sampling {
+        None => {
+            let mut fanout = PipelineFanout::new(configs.iter().cloned());
+            run.trace
+                .replay_into(invocations, &mut (&mut stats, &mut fanout));
+            fanout.finish()
+        }
+        Some(sampling) => {
+            // Align the schedule to whole invocations: the stream is one
+            // kernel invocation replayed, and invocation-aligned intervals
+            // measure whole loop iterations at a fixed phase instead of
+            // aliasing against it.
+            let entries = run.trace.len() as u64;
+            let total = entries * invocations as u64;
+            let mut sampling = sampling.aligned_to(entries);
+            // Completing k measurement intervals takes (k - 1) periods plus
+            // one final warm-up + detailed span; streams that cannot hold
+            // MIN_SAMPLED_INTERVALS of them run fully detailed instead.
+            let min_stream = (MIN_SAMPLED_INTERVALS - 1) * sampling.period()
+                + sampling.warmup
+                + sampling.detailed;
+            if total < min_stream {
+                sampling = SamplingConfig {
+                    detailed: total,
+                    fastforward: sampling.fastforward,
+                    warmup: 0,
+                };
+            }
+            let mut fanout = SampledFanout::new(configs.iter().cloned(), sampling);
+            run.trace
+                .replay_into(invocations, &mut (&mut stats, &mut fanout));
+            fanout.finish()
+        }
+    };
+    Ok(results
+        .into_iter()
+        .zip(configs)
+        .map(|(result, config)| ExperimentPoint {
+            kernel,
+            isa,
+            width: config.width,
+            mem_latency: config.memory.base_latency(),
+            memory: config.memory.label(),
+            invocations,
+            result,
+            stats,
+        })
+        .collect())
+}
+
 /// Looks one finished grid point up in the persistent store — **no** fill
 /// path, no functional run, no simulation.  `None` when the store is
 /// inactive, the blob is missing or damaged, or the decoded point does not
 /// describe exactly this coordinate (a hash collision would be the only
-/// path to the latter).  Shared by [`simulate_configs_stored`] and the
+/// path to the latter).  Shared by [`simulate_configs`] and the
 /// submit-time dedup of [`schedule::PointJob::cached`].
 pub(crate) fn stored_point_lookup(
     kernel: KernelId,
@@ -304,107 +311,6 @@ pub(crate) fn stored_point_lookup(
         && decoded.width == config.width
         && decoded.memory == config.memory.label())
     .then_some(decoded)
-}
-
-/// [`simulate_configs_replicated`] with **systematic sampling**: the stream
-/// is timed by a [`SampledFanout`] that simulates detailed intervals and
-/// fast-forwards (cache model only) between them, so each point's
-/// [`SimResult`] carries an extrapolated cycle count and a confidence
-/// interval in [`SimResult::sampled`] instead of an exact timing.
-///
-/// Architectural counters (instructions, operations, cache hit/miss) stay
-/// exact; all consumers share the schedule, so the per-configuration
-/// estimates cover the same stream positions and remain directly
-/// comparable.
-///
-/// The requested schedule is [aligned](SamplingConfig::aligned_to) to the
-/// kernel's invocation length, and a stream too short to hold
-/// [`MIN_SAMPLED_INTERVALS`] measurement intervals is run fully detailed
-/// instead (its points then report the exact cycle count with a
-/// zero-width interval): a couple of long invocations have nothing worth
-/// skipping, and extrapolating from a single measurement dominated by the
-/// cold-start head of the stream is exactly the bias sampling must avoid.
-pub fn simulate_configs_sampled(
-    kernel: KernelId,
-    isa: IsaKind,
-    configs: &[PipelineConfig],
-    seed: u64,
-    replication: usize,
-    sampling: SamplingConfig,
-) -> Result<Vec<ExperimentPoint>, KernelError> {
-    simulate_configs_stored(kernel, isa, configs, seed, replication, Some(sampling))
-}
-
-fn simulate_configs_sampled_uncached(
-    kernel: KernelId,
-    isa: IsaKind,
-    configs: &[PipelineConfig],
-    seed: u64,
-    replication: usize,
-    sampling: SamplingConfig,
-) -> Result<Vec<ExperimentPoint>, KernelError> {
-    let run = shared_kernel_run(kernel, isa, seed)?;
-    let invocations = invocations_for(replication, run.trace.len());
-    // Align the schedule to whole invocations: the stream is one kernel
-    // invocation replayed, and invocation-aligned intervals measure whole
-    // loop iterations at a fixed phase instead of aliasing against it.
-    let entries = run.trace.len() as u64;
-    let total = entries * invocations as u64;
-    let mut sampling = sampling.aligned_to(entries);
-    // Completing k measurement intervals takes (k - 1) periods plus one
-    // final warm-up + detailed span; streams that cannot hold
-    // MIN_SAMPLED_INTERVALS of them run fully detailed instead.
-    let min_stream =
-        (MIN_SAMPLED_INTERVALS - 1) * sampling.period() + sampling.warmup + sampling.detailed;
-    if total < min_stream {
-        sampling = SamplingConfig {
-            detailed: total,
-            fastforward: sampling.fastforward,
-            warmup: 0,
-        };
-    }
-
-    let mut stats = TraceStats::default();
-    let mut fanout = SampledFanout::new(configs.iter().cloned(), sampling);
-    let mut sinks = (&mut stats, &mut fanout);
-    run.trace.replay_into(invocations, &mut sinks);
-
-    let results = fanout.finish();
-    Ok(results
-        .into_iter()
-        .zip(configs)
-        .map(|(result, config)| ExperimentPoint {
-            kernel,
-            isa,
-            width: config.width,
-            mem_latency: config.memory.base_latency(),
-            memory: config.memory.label(),
-            invocations,
-            result,
-            stats,
-        })
-        .collect())
-}
-
-/// Simulates one kernel/ISA pair on a core of the given width and memory
-/// latency.
-pub fn simulate(
-    kernel: KernelId,
-    isa: IsaKind,
-    width: usize,
-    memory: MemoryModel,
-    seed: u64,
-) -> Result<ExperimentPoint, KernelError> {
-    let points = simulate_configs(
-        kernel,
-        isa,
-        &[PipelineConfig::way_with_memory(width, memory)],
-        seed,
-    )?;
-    Ok(points
-        .into_iter()
-        .next()
-        .expect("one config in, one point out"))
 }
 
 // ---------------------------------------------------------------------------
@@ -427,69 +333,6 @@ pub struct Figure4Point {
 
 /// The issue widths of Figure 4.
 pub const FIG4_WIDTHS: [usize; 4] = [1, 2, 4, 8];
-
-/// The union of machine configurations the three paper experiments need,
-/// measured once per (kernel, ISA) pair: Figure 4's four widths at 1-cycle
-/// memory (Tables 1–9 reuse the 4-way point), the 4-way core at the two
-/// slower Figure 5 latencies (the 1-cycle point is Figure 4's), and the
-/// 4-way core behind the simulated L1/L2 cache hierarchy (the "real cache"
-/// variant of Figure 5).
-fn union_spec() -> ExperimentSpec {
-    let mut configs: Vec<PipelineConfig> = FIG4_WIDTHS
-        .iter()
-        .map(|w| PipelineConfig::way(*w))
-        .collect();
-    configs.push(PipelineConfig::way_with_memory(4, MemoryModel::L2));
-    configs.push(PipelineConfig::way_with_memory(4, MemoryModel::MAIN_MEMORY));
-    configs.push(PipelineConfig::way_with_memory(4, MemoryModel::CACHE));
-    ExperimentSpec {
-        configs,
-        ..ExperimentSpec::default()
-    }
-}
-
-/// All three reports of the paper's evaluation, computed from one grid run
-/// of [`union_spec`].
-#[derive(Debug, Clone)]
-pub struct SweepResults {
-    /// The Figure 4 speed-up bars.
-    pub fig4: Vec<Figure4Point>,
-    /// The Figure 5 latency series.
-    pub fig5: Vec<Figure5Point>,
-    /// The Tables 1–9 rows.
-    pub tables: Vec<TableRow>,
-}
-
-/// Runs the complete evaluation — every kernel × ISA × machine
-/// configuration — with each (kernel, ISA) functional run executed exactly
-/// once and shared by all three reports.
-pub fn full_sweep() -> Result<SweepResults, ExperimentError> {
-    full_sweep_with_jobs(None)
-}
-
-/// [`full_sweep`] with an explicit worker count: `Some(n)` schedules the
-/// union grid **point by point** over `n` threads through [`schedule`] (the
-/// same unit of work the `momsim serve` daemon shards), instead of the
-/// default (kernel, ISA)-pair fan-out.  Results are identical either way —
-/// `momsim sweep --jobs N` is byte-identical to the single-threaded sweep.
-pub fn full_sweep_with_jobs(jobs: Option<usize>) -> Result<SweepResults, ExperimentError> {
-    let grid = union_spec().run_with_jobs(jobs)?;
-    Ok(SweepResults {
-        fig4: fig4_from(&grid),
-        fig5: fig5_from(&grid),
-        tables: tables_from(&grid),
-    })
-}
-
-/// Reproduces Figure 4: speed-up of each multimedia ISA over Alpha code for
-/// every kernel and issue width, with a 1-cycle memory.
-///
-/// Runs the registered `fig4` grid: every (kernel, ISA) pair runs once (all
-/// widths share the functional run through the fan-out) and the pairs run
-/// concurrently.
-pub fn figure4() -> Result<Vec<Figure4Point>, ExperimentError> {
-    Ok(fig4_from(&spec::fig4_spec().run()?))
-}
 
 /// Derives the Figure 4 speed-up bars from a measured grid: every
 /// perfect-memory configuration is a width point, and each multimedia ISA
@@ -547,15 +390,6 @@ pub struct Figure5Point {
     /// L2 misses (main-memory accesses) per thousand committed instructions
     /// (cache point only).
     pub l2_mpki: f64,
-}
-
-/// Reproduces Figure 5 — the impact of the memory system on each kernel and
-/// ISA, on the 4-way core — extended with a "real cache" point: the L1/L2
-/// hierarchy whose per-access latencies replace the paper's fixed 1/12/50
-/// sweep.  Runs the registered `fig5` grid: one functional run per
-/// (kernel, ISA) drives all four memory models; pairs run concurrently.
-pub fn figure5() -> Result<Vec<Figure5Point>, ExperimentError> {
-    Ok(fig5_from(&spec::fig5_spec().run()?))
 }
 
 /// Derives the Figure 5 memory series from a measured grid: every 4-way
@@ -619,13 +453,6 @@ pub struct TableRow {
     pub vlx: f64,
     /// Average dimension-Y vector length.
     pub vly: f64,
-}
-
-/// Reproduces Tables 1–9: the IPC / OPI / R / S / F / VLx / VLy breakdown for
-/// every kernel on the 4-way, 1-cycle-memory core, with kernels measured
-/// concurrently (the registered `tables` grid).
-pub fn tables() -> Result<Vec<TableRow>, ExperimentError> {
-    Ok(tables_from(&spec::tables_spec().run()?))
 }
 
 /// Derives the Tables 1–9 rows from a measured grid, at its 4-way
@@ -1299,16 +1126,25 @@ mod tests {
         assert!(run.trace.len() * steady_invocations(run.trace.len()) >= STEADY_STATE_INSTRUCTIONS);
     }
 
+    /// One point through the grid's entry point at the standard
+    /// replication, exact timing.
+    fn point(kernel: KernelId, isa: IsaKind, width: usize, memory: MemoryModel) -> ExperimentPoint {
+        let config = PipelineConfig::way_with_memory(width, memory);
+        simulate_configs(
+            kernel,
+            isa,
+            &[config],
+            EXPERIMENT_SEED,
+            STEADY_STATE_INSTRUCTIONS,
+            None,
+        )
+        .unwrap()
+        .remove(0)
+    }
+
     #[test]
     fn simulate_produces_nonzero_results() {
-        let p = simulate(
-            KernelId::AddBlock,
-            IsaKind::Mom,
-            4,
-            MemoryModel::PERFECT,
-            EXPERIMENT_SEED,
-        )
-        .unwrap();
+        let p = point(KernelId::AddBlock, IsaKind::Mom, 4, MemoryModel::PERFECT);
         assert!(p.result.cycles > 0);
         assert!(p.result.opi() > 1.0);
         assert!(p.stats.avg_vly() > 1.0);
@@ -1317,22 +1153,28 @@ mod tests {
 
     #[test]
     fn fanout_sweep_matches_individual_simulations() {
+        let _cold = mom_store::bypass_guard();
         let configs = [PipelineConfig::way(1), PipelineConfig::way(8)];
-        let fanned =
-            simulate_configs(KernelId::AddBlock, IsaKind::Mmx, &configs, EXPERIMENT_SEED).unwrap();
+        let fanned = simulate_configs(
+            KernelId::AddBlock,
+            IsaKind::Mmx,
+            &configs,
+            EXPERIMENT_SEED,
+            STEADY_STATE_INSTRUCTIONS,
+            None,
+        )
+        .unwrap();
         assert_eq!(fanned.len(), 2);
-        for (point, width) in fanned.iter().zip([1usize, 8]) {
-            let alone = simulate(
+        for (fanned, width) in fanned.iter().zip([1usize, 8]) {
+            let alone = point(
                 KernelId::AddBlock,
                 IsaKind::Mmx,
                 width,
                 MemoryModel::PERFECT,
-                EXPERIMENT_SEED,
-            )
-            .unwrap();
-            assert_eq!(point.width, width);
-            assert_eq!(point.result.cycles, alone.result.cycles, "width {width}");
-            assert_eq!(point.result.instructions, alone.result.instructions);
+            );
+            assert_eq!(fanned.width, width);
+            assert_eq!(fanned.result.cycles, alone.result.cycles, "width {width}");
+            assert_eq!(fanned.result.instructions, alone.result.instructions);
         }
     }
 
@@ -1342,47 +1184,19 @@ mod tests {
         // the integration test `mom_keeps_its_advantage_under_real_caches`
         // (tests/paper_claims.rs); here we only check the experiment
         // plumbing: the cache point carries its label and live counters.
-        let p = simulate(
-            KernelId::AddBlock,
-            IsaKind::Mom,
-            4,
-            MemoryModel::CACHE,
-            EXPERIMENT_SEED,
-        )
-        .unwrap();
+        let p = point(KernelId::AddBlock, IsaKind::Mom, 4, MemoryModel::CACHE);
         assert_eq!(p.memory, "cache");
         assert_eq!(p.mem_latency, 1, "base latency is the L1 hit");
         assert!(p.result.cache.l1_accesses() > 0);
-        let fixed = simulate(
-            KernelId::AddBlock,
-            IsaKind::Mom,
-            4,
-            MemoryModel::PERFECT,
-            EXPERIMENT_SEED,
-        )
-        .unwrap();
+        let fixed = point(KernelId::AddBlock, IsaKind::Mom, 4, MemoryModel::PERFECT);
         assert_eq!(fixed.memory, "1");
         assert_eq!(fixed.result.cache, Default::default());
     }
 
     #[test]
     fn mom_beats_mmx_on_a_motion_kernel_at_4_way() {
-        let mmx = simulate(
-            KernelId::Motion1,
-            IsaKind::Mmx,
-            4,
-            MemoryModel::PERFECT,
-            EXPERIMENT_SEED,
-        )
-        .unwrap();
-        let mom = simulate(
-            KernelId::Motion1,
-            IsaKind::Mom,
-            4,
-            MemoryModel::PERFECT,
-            EXPERIMENT_SEED,
-        )
-        .unwrap();
+        let mmx = point(KernelId::Motion1, IsaKind::Mmx, 4, MemoryModel::PERFECT);
+        let mom = point(KernelId::Motion1, IsaKind::Mom, 4, MemoryModel::PERFECT);
         assert!(
             mom.cycles_per_invocation() < mmx.cycles_per_invocation(),
             "MOM ({:.0} cycles) must beat MMX ({:.0} cycles)",

@@ -21,7 +21,7 @@
 //! `momsim bench --json BENCH_perf.json`.
 
 use crate::json::Json;
-use crate::{full_sweep, steady_state_trace, ExperimentError, EXPERIMENT_SEED};
+use crate::{steady_state_trace, ExperimentError, EXPERIMENT_SEED};
 use mom_isa::IsaKind;
 use mom_kernels::KernelId;
 use mom_pipeline::{
@@ -266,12 +266,6 @@ pub fn engine_benchmarks(quick: bool) -> Result<Vec<EngineMeasurement>, Experime
     Ok(out)
 }
 
-/// The three registered experiments whose reports derive from the one
-/// shared union grid of [`full_sweep`] (everything else in the registry
-/// runs on its own); the sweep measurement and `momsim sweep` share this
-/// split.
-pub const UNION_GRID_EXPERIMENTS: [&str; 3] = ["fig4", "fig5", "tables"];
-
 /// Names of every registered experiment the sweep measurement covers —
 /// the whole registry, by construction, so a newly registered experiment
 /// is covered automatically.
@@ -280,21 +274,13 @@ pub fn sweep_experiment_names() -> Vec<&'static str> {
 }
 
 /// Times one in-process regeneration of the full registered-experiment set
-/// (shared functional-trace cache, no file I/O), returning
+/// — exactly the documents `momsim sweep` writes
+/// ([`crate::cli::sweep_documents`]), without the file I/O — returning
 /// (total points, wall seconds).
 pub fn time_full_set() -> Result<(usize, f64), ExperimentError> {
     let start = Instant::now();
-    // The three kernel-level reports come from one shared union grid, just
-    // as `momsim sweep` computes them; every other registered experiment
-    // runs on its own.
-    let results = full_sweep()?;
-    let mut points = results.fig4.len() + results.fig5.len() + results.tables.len();
-    for experiment in crate::registry() {
-        if UNION_GRID_EXPERIMENTS.contains(&experiment.name) {
-            continue;
-        }
-        points += experiment.run()?.points();
-    }
+    let documents = crate::cli::sweep_documents(None)?;
+    let points = documents.iter().map(|(_, _, points)| points).sum();
     Ok((points, start.elapsed().as_secs_f64()))
 }
 

@@ -1,25 +1,22 @@
-//! Point-level scheduling: one grid point as a self-contained unit of work.
+//! Point-level work units for the `momsim serve` daemon.
 //!
-//! [`ExperimentSpec::run`] fans each (kernel, ISA) pair's functional run out
-//! over every configuration at once — ideal for a batch sweep, but the wrong
-//! unit for a job queue: a daemon deduplicating work across submissions
-//! needs to address, look up and compute **individual points**.  A
-//! [`PointJob`] is that unit: it knows its content key in the persistent
-//! store ([`PointJob::key`]), can answer "is this already done?" without
-//! computing anything ([`PointJob::cached`]), and computes through the same
-//! store-fronted fill path the batch sweep uses ([`PointJob::compute`]), so
-//! a point computed by either side is served to the other for free.
+//! A grid runs one way: [`ExperimentSpec::run`] fans each (kernel, ISA)
+//! pair's functional run out over every configuration at once, on as many
+//! threads as `--jobs N` asks for.  A job queue deduplicating work across
+//! submissions needs a finer handle — it must address, look up and compute
+//! **individual points**.  A [`PointJob`] is that handle: it knows its
+//! content key in the persistent store ([`PointJob::key`]), can answer "is
+//! this already done?" without computing anything ([`PointJob::cached`]),
+//! and computes through the same store-fronted [`crate::simulate_configs`]
+//! the grid uses ([`PointJob::compute`]), so a point computed by either side
+//! is served to the other for free.  [`plan`] decomposes a spec into jobs
+//! in grid order; the daemon's workers compute them one at a time.
 //!
-//! [`plan`] decomposes a spec into jobs in grid order and [`run_points`]
-//! shards them over a thread pool — the execution path of both
-//! `momsim sweep --jobs N` and the `momsim serve` worker pool.  Per-point
-//! timing equals fanned-out timing (consumers are independent; pinned by
-//! `fanout_sweep_matches_individual_simulations`), and the shared functional
-//! trace cache keeps the per-pair functional run from repeating, so the two
-//! schedules produce byte-identical reports.
+//! Per-point timing equals fanned-out timing — exact and sampled alike,
+//! since consumers are independent and a sampled schedule derives from the
+//! stream alone — pinned by `point_jobs_match_the_grid_run`.
 
 use crate::spec::ExperimentSpec;
-use crate::sweep::parallel_map_with;
 use crate::{store, ExperimentPoint};
 use mom_isa::IsaKind;
 use mom_kernels::{KernelError, KernelId};
@@ -68,7 +65,7 @@ impl PointJob {
     /// lands in the store), sharing the process-wide functional trace cache
     /// with every other job of the same (kernel, ISA, seed).
     pub fn compute(&self) -> Result<ExperimentPoint, KernelError> {
-        let points = crate::simulate_configs_stored(
+        let points = crate::simulate_configs(
             self.kernel,
             self.isa,
             std::slice::from_ref(&self.config),
@@ -104,19 +101,6 @@ pub fn plan(spec: &ExperimentSpec) -> Vec<PointJob> {
         }
     }
     jobs
-}
-
-/// Computes a list of point jobs on `threads` workers, preserving input
-/// order in the output; the first failure wins.  This is the execution path
-/// of `momsim sweep --jobs N` and the in-process half of the `momsim serve`
-/// worker pool.
-pub fn run_points(
-    points: Vec<PointJob>,
-    threads: usize,
-) -> Result<Vec<ExperimentPoint>, KernelError> {
-    parallel_map_with(points, threads.max(1), |job| job.compute())
-        .into_iter()
-        .collect()
 }
 
 #[cfg(test)]
@@ -165,19 +149,38 @@ mod tests {
     }
 
     #[test]
-    fn point_schedule_matches_pair_fanout() {
-        // Byte-level equivalence of the two schedules over full sweeps is
-        // pinned by tests/sweep_jobs.rs; this is the cheap in-crate check.
+    fn point_jobs_match_the_grid_run() {
+        // The daemon computes every submission one point at a time; each
+        // point must equal the pair fan-out's, exact and sampled alike.
+        // Standard replication, so sampled streams really fast-forward.
         let _cold = mom_store::bypass_guard();
-        let spec = small_spec();
-        let fanned = spec.run().unwrap();
-        let pointwise = run_points(plan(&spec), 3).unwrap();
-        assert_eq!(fanned.points.len(), pointwise.len());
-        for (a, b) in fanned.points.iter().zip(&pointwise) {
-            assert_eq!((a.kernel, a.isa, a.width), (b.kernel, b.isa, b.width));
-            assert_eq!(a.result, b.result);
-            assert_eq!(a.stats, b.stats);
-            assert_eq!(a.invocations, b.invocations);
+        for sampling in [None, Some(SamplingConfig::DEFAULT)] {
+            let spec = ExperimentSpec {
+                sampling,
+                replication: crate::STEADY_STATE_INSTRUCTIONS,
+                ..small_spec()
+            };
+            let grid = spec.run().unwrap();
+            let jobs = plan(&spec);
+            assert_eq!(grid.points.len(), jobs.len());
+            for (want, job) in grid.points.iter().zip(&jobs) {
+                let got = job.compute().unwrap();
+                let what = format!("{:?}/{:?}/{}", job.kernel, job.isa, want.width);
+                assert_eq!(
+                    (got.kernel, got.isa, got.width),
+                    (want.kernel, want.isa, want.width)
+                );
+                assert_eq!(got.result, want.result, "{what} {sampling:?}");
+                assert_eq!(got.stats, want.stats, "{what} {sampling:?}");
+                assert_eq!(got.invocations, want.invocations, "{what} {sampling:?}");
+            }
+            let skipped = grid.points.iter().any(|p| {
+                p.result
+                    .sampled
+                    .as_ref()
+                    .is_some_and(|e| e.detailed_instructions < p.result.instructions)
+            });
+            assert_eq!(skipped, sampling.is_some(), "sampling fast-forwards");
         }
     }
 }

@@ -15,10 +15,10 @@
 //! (cache sizes, ROB depths, lane counts, new kernels) is a one-line
 //! scenario description instead of a new driver binary.
 
-use crate::sweep::parallel_map;
+use crate::sweep::{parallel_map_with, worker_count};
 use crate::{
-    simulate_configs_replicated, simulate_configs_sampled, ExperimentPoint, Report,
-    EXPERIMENT_SEED, FIG4_WIDTHS, STEADY_STATE_INSTRUCTIONS,
+    simulate_configs, ExperimentPoint, Report, EXPERIMENT_SEED, FIG4_WIDTHS,
+    STEADY_STATE_INSTRUCTIONS,
 };
 use mom_isa::IsaKind;
 use mom_kernels::{KernelError, KernelId};
@@ -93,8 +93,9 @@ impl ExperimentSpec {
         self.kernels.len() * self.isas.len() * self.configs.len()
     }
 
-    /// Validates the spec: every axis non-empty and duplicate-free, every
-    /// configuration valid, replication at least one instruction.
+    /// Validates the spec: every axis non-empty and duplicate-free (two
+    /// equal machine configurations would measure the same points twice),
+    /// every configuration valid, replication at least one instruction.
     pub fn validate(&self) -> Result<(), String> {
         fn unique<T: PartialEq>(items: &[T]) -> bool {
             items
@@ -122,6 +123,12 @@ impl ExperimentSpec {
         }
         for (i, config) in self.configs.iter().enumerate() {
             config.validate().map_err(|e| format!("config {i}: {e}"))?;
+            if let Some(first) = self.configs[..i].iter().position(|c| c == config) {
+                return Err(format!(
+                    "duplicate machine configuration in the experiment grid: \
+                     config {i} repeats config {first}"
+                ));
+            }
         }
         if let Some(sampling) = &self.sampling {
             sampling.validate()?;
@@ -137,48 +144,32 @@ impl ExperimentSpec {
         self.run_with_jobs(None)
     }
 
-    /// [`run`](ExperimentSpec::run) with an explicit worker count:
-    /// `Some(n)` schedules the grid **point by point** over `n` threads
-    /// through [`crate::schedule`] — the same unit of work the
-    /// `momsim serve` daemon shards — instead of the default (kernel,
-    /// ISA)-pair fan-out.  Per-point timing equals fanned-out timing
-    /// (consumers are independent) and the shared functional trace cache
-    /// keeps each pair's functional run from repeating, so both schedules
-    /// produce identical grids at any thread count.
+    /// [`run`](ExperimentSpec::run) on an explicit number of worker
+    /// threads (`momsim run|sweep --jobs N`); `None` uses one per core,
+    /// capped by the number of (kernel, ISA) pairs.  The thread count only
+    /// changes how many pairs run at once, never the grid.
     pub fn run_with_jobs(&self, jobs: Option<usize>) -> Result<GridResult, ExperimentError> {
         self.validate().map_err(ExperimentError::Spec)?;
-        let points = match jobs {
-            Some(threads) => crate::schedule::run_points(crate::schedule::plan(self), threads)?,
-            None => {
-                let pairs: Vec<(KernelId, IsaKind)> = self
-                    .kernels
-                    .iter()
-                    .flat_map(|&k| self.isas.iter().map(move |&i| (k, i)))
-                    .collect();
-                let measured = parallel_map(pairs, |(kernel, isa)| match self.sampling {
-                    Some(sampling) => simulate_configs_sampled(
-                        kernel,
-                        isa,
-                        &self.configs,
-                        self.seed,
-                        self.replication,
-                        sampling,
-                    ),
-                    None => simulate_configs_replicated(
-                        kernel,
-                        isa,
-                        &self.configs,
-                        self.seed,
-                        self.replication,
-                    ),
-                });
-                let mut points = Vec::with_capacity(self.points());
-                for pair_points in measured {
-                    points.extend(pair_points?);
-                }
-                points
-            }
-        };
+        let pairs: Vec<(KernelId, IsaKind)> = self
+            .kernels
+            .iter()
+            .flat_map(|&k| self.isas.iter().map(move |&i| (k, i)))
+            .collect();
+        let threads = jobs.unwrap_or_else(|| worker_count(pairs.len()));
+        let measured = parallel_map_with(pairs, threads, |(kernel, isa)| {
+            simulate_configs(
+                kernel,
+                isa,
+                &self.configs,
+                self.seed,
+                self.replication,
+                self.sampling,
+            )
+        });
+        let mut points = Vec::with_capacity(self.points());
+        for pair_points in measured {
+            points.extend(pair_points?);
+        }
         Ok(GridResult {
             spec: self.clone(),
             points,
@@ -320,7 +311,7 @@ impl NamedExperiment {
     }
 }
 
-pub(crate) fn fig4_spec() -> ExperimentSpec {
+fn fig4_spec() -> ExperimentSpec {
     ExperimentSpec {
         configs: FIG4_WIDTHS
             .iter()
@@ -330,7 +321,7 @@ pub(crate) fn fig4_spec() -> ExperimentSpec {
     }
 }
 
-pub(crate) fn fig5_spec() -> ExperimentSpec {
+fn fig5_spec() -> ExperimentSpec {
     ExperimentSpec {
         configs: [
             MemoryModel::PERFECT,
@@ -347,6 +338,29 @@ pub(crate) fn fig5_spec() -> ExperimentSpec {
 
 pub(crate) fn tables_spec() -> ExperimentSpec {
     ExperimentSpec::default()
+}
+
+/// The union of machine configurations the three paper experiments need,
+/// measured once per (kernel, ISA) pair by `momsim sweep`: Figure 4's four
+/// widths at 1-cycle memory (Tables 1–9 reuse the 4-way point), the 4-way
+/// core at the two slower Figure 5 latencies (the 1-cycle point is Figure
+/// 4's), and the 4-way core behind the simulated L1/L2 cache hierarchy (the
+/// "real cache" variant of Figure 5).
+pub(crate) fn union_spec() -> ExperimentSpec {
+    let mut configs = fig4_spec().configs;
+    configs.extend(
+        [
+            MemoryModel::L2,
+            MemoryModel::MAIN_MEMORY,
+            MemoryModel::CACHE,
+        ]
+        .into_iter()
+        .map(|m| PipelineConfig::way_with_memory(4, m)),
+    );
+    ExperimentSpec {
+        configs,
+        ..ExperimentSpec::default()
+    }
 }
 
 fn ablation_lanes_spec() -> ExperimentSpec {
@@ -548,6 +562,17 @@ mod tests {
             ..ExperimentSpec::default()
         };
         assert!(none.validate().is_err());
+        // `--memory 1,perfect` spells one configuration twice.
+        let twice = ExperimentSpec {
+            configs: vec![
+                PipelineConfig::way(2),
+                PipelineConfig::way(4),
+                PipelineConfig::way_with_memory(4, MemoryModel::Fixed { latency: 1 }),
+            ],
+            ..ExperimentSpec::default()
+        };
+        let err = twice.validate().unwrap_err();
+        assert!(err.contains("config 2 repeats config 1"), "{err}");
         let zero = ExperimentSpec {
             replication: 0,
             ..ExperimentSpec::default()

@@ -25,7 +25,7 @@ pub fn worker_count(work_items: usize) -> usize {
 /// Applies `f` to every item on a pool of `threads` workers, preserving
 /// input order in the output.
 ///
-/// Panics in `f` are propagated: if any worker panics, `parallel_map`
+/// Panics in `f` are propagated: if any worker panics, `parallel_map_with`
 /// panics after all workers have stopped.
 pub fn parallel_map_with<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
 where
@@ -84,17 +84,6 @@ where
     out.into_iter().map(|(_, value)| value).collect()
 }
 
-/// [`parallel_map_with`] using [`worker_count`] threads.
-pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let threads = worker_count(items.len());
-    parallel_map_with(items, threads, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,7 +98,7 @@ mod tests {
     #[test]
     fn runs_every_item_exactly_once() {
         let counter = AtomicUsize::new(0);
-        let out = parallel_map((0..257).collect::<Vec<_>>(), |i| {
+        let out = parallel_map_with((0..257).collect::<Vec<_>>(), worker_count(257), |i| {
             counter.fetch_add(1, Ordering::Relaxed);
             i
         });

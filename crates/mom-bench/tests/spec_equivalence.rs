@@ -3,16 +3,21 @@
 //! drivers they replaced measured.
 
 use mom_apps::AppId;
-use mom_bench::{fig5_from, find_experiment, simulate, Report, EXPERIMENT_SEED};
+use mom_bench::{
+    fig5_from, find_experiment, simulate_configs, Report, EXPERIMENT_SEED,
+    STEADY_STATE_INSTRUCTIONS,
+};
 use mom_isa::IsaKind;
 use mom_kernels::KernelId;
-use mom_pipeline::MemoryModel;
+use mom_pipeline::{MemoryModel, PipelineConfig};
 
-/// The registered `fig5` spec measures the same `SimResult`s as the
-/// driver's single-point path (`simulate` on the 4-way core), for every
+/// The registered `fig5` spec measures the same `SimResult`s as a
+/// single-point simulation of each coordinate on the 4-way core, for every
 /// memory model of the figure.
 #[test]
 fn registered_fig5_spec_reproduces_the_driver_simresults() {
+    // Both sides compute; neither is served from the other's store fills.
+    let _cold = mom_store::bypass_guard();
     let grid = find_experiment("fig5")
         .expect("fig5 is registered")
         .spec()
@@ -37,8 +42,16 @@ fn registered_fig5_spec_reproduces_the_driver_simresults() {
         for isa in IsaKind::ALL {
             for (ci, memory) in memories.into_iter().enumerate() {
                 let point = grid.point(kernel, isa, ci).expect("inside the grid");
-                let alone =
-                    simulate(kernel, isa, 4, memory, EXPERIMENT_SEED).expect("the kernel verifies");
+                let alone = simulate_configs(
+                    kernel,
+                    isa,
+                    &[PipelineConfig::way_with_memory(4, memory)],
+                    EXPERIMENT_SEED,
+                    STEADY_STATE_INSTRUCTIONS,
+                    None,
+                )
+                .expect("the kernel verifies")
+                .remove(0);
                 let label = format!("{kernel}/{isa}/{memory}");
                 assert_eq!(point.result.cycles, alone.result.cycles, "{label}");
                 assert_eq!(

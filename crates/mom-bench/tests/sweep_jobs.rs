@@ -1,7 +1,8 @@
 //! Threaded-sweep determinism: `momsim sweep --jobs N` must emit every
-//! report document byte-identically to the single-threaded sweep, for any
-//! worker count.  The store is bypassed so every run actually computes —
-//! this pins the scheduler's result ordering, not the store's replay.
+//! report document byte-identically to the default sweep, for any worker
+//! count — one thread included.  The store is bypassed so every run
+//! actually computes — this pins the pair fan-out's result ordering, not
+//! the store's replay.
 
 use mom_bench::cli::sweep_documents;
 
@@ -18,7 +19,7 @@ fn threaded_sweeps_emit_identical_bytes() {
     let _bypass = mom_store::bypass_guard();
     let single = rendered_sweep(None);
     assert!(!single.is_empty(), "the sweep emits documents");
-    for jobs in [2, 3] {
+    for jobs in [1, 2, 3] {
         let threaded = rendered_sweep(Some(jobs));
         assert_eq!(
             single.len(),

@@ -79,6 +79,18 @@ fn daemon_round_trip_dedup_and_shutdown() {
     assert_eq!(status, 400, "unknown experiments are rejected: {doc}");
     let (status, _) = post(&addr, "/jobs", "not json {{{");
     assert_eq!(status, 400);
+    // A configuration listed twice would admit a second copy of every
+    // point as a "shared" unit of its own job.
+    let (status, doc) = post(
+        &addr,
+        "/jobs",
+        "{\"kernels\": [\"idct\"], \"widths\": [4, 4]}",
+    );
+    assert_eq!(status, 400, "duplicate configurations are rejected: {doc}");
+    assert!(
+        doc.pretty().contains("config 1 repeats config 0"),
+        "the error names both configs: {doc}"
+    );
 
     // --- Submit fig4 over HTTP and wait for it. ---
     let fig4 = mom_bench::find_experiment("fig4").expect("registered");

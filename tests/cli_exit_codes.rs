@@ -29,6 +29,25 @@ fn usage_errors_exit_2() {
         "the error lists the valid kernels: {stderr}"
     );
 
+    // `1` and `perfect` are one memory model: the grid would measure the
+    // same configuration twice.
+    let out = momsim(&[
+        "--cold",
+        "run",
+        "--kernels",
+        "idct",
+        "--isas",
+        "mom",
+        "--memory",
+        "1,perfect",
+    ]);
+    assert_eq!(code(&out), 2, "a duplicate configuration is a usage error");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("config 1 repeats config 0"),
+        "the error names both configs: {stderr}"
+    );
+
     let out = momsim(&["serve", "--workers", "0"]);
     assert_eq!(code(&out), 2, "a zero-sized worker pool is a usage error");
 
