@@ -70,12 +70,13 @@ impl Json {
     }
 
     /// The numeric payload as an exact non-negative integer, when the value
-    /// is a number holding one.
+    /// is a number holding one below 2^53.  From 2^53 on, neighbouring
+    /// integers share one `f64` (2^53 + 1 parses as 2^53), so a larger
+    /// number cannot be trusted to be the integer that was written.
     pub fn as_u64(&self) -> Option<u64> {
+        const EXACT: f64 = (1u64 << 53) as f64;
         match self {
-            Json::Num(n) if *n >= 0.0 && *n == n.trunc() && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
+            Json::Num(n) if *n >= 0.0 && *n == n.trunc() && *n < EXACT => Some(*n as u64),
             _ => None,
         }
     }
@@ -242,6 +243,13 @@ mod tests {
         assert_eq!(doc.get("count").and_then(Json::as_u64), Some(42));
         assert_eq!(doc.get("ratio").and_then(Json::as_f64), Some(2.5));
         assert_eq!(doc.get("ratio").and_then(Json::as_u64), None);
+        let max_exact = (1u64 << 53) - 1;
+        assert_eq!(Json::Num(max_exact as f64).as_u64(), Some(max_exact));
+        assert_eq!(
+            Json::Num((1u64 << 53) as f64).as_u64(),
+            None,
+            "may be 2^53 + 1"
+        );
         assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(true));
         assert_eq!(
             doc.get("rows").and_then(Json::as_arr).map(<[Json]>::len),

@@ -15,6 +15,7 @@
 //! (cache sizes, ROB depths, lane counts, new kernels) is a one-line
 //! scenario description instead of a new driver binary.
 
+use crate::json::Json;
 use crate::sweep::{parallel_map_with, worker_count};
 use crate::{
     simulate_configs, ExperimentPoint, Report, EXPERIMENT_SEED, FIG4_WIDTHS,
@@ -23,6 +24,8 @@ use crate::{
 use mom_isa::IsaKind;
 use mom_kernels::{KernelError, KernelId};
 use mom_pipeline::{MemoryModel, PipelineConfig, SamplingConfig};
+use std::collections::BTreeMap;
+use std::str::FromStr;
 
 /// A declarative experiment: the grid of scenarios to measure.
 ///
@@ -174,6 +177,195 @@ impl ExperimentSpec {
             spec: self.clone(),
             points,
         })
+    }
+}
+
+/// The ad-hoc grid vocabulary shared by `momsim run`, `momsim submit` and
+/// `POST /jobs`: the axes a user gave, their JSON form, and the one cross
+/// product that turns them into an [`ExperimentSpec`].
+///
+/// Each axis has one name: the JSON key of a submission and, behind `--`,
+/// the command-line flag.  Its operand is the same in both places — a
+/// comma-separated list (`--widths 2,4`, `"widths": "2,4"`) or, in JSON,
+/// an array of the same items (`"widths": [2, 4]`).  [`GridAxes::spec`]
+/// parses every item with the `FromStr` implementation of its domain
+/// type, so a typo produces an error listing the valid names.  Unset axes
+/// keep the [`ExperimentSpec::default`] values on a 4-way, 1-cycle
+/// machine.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct GridAxes {
+    /// The operand items of each axis given, by name.
+    given: BTreeMap<&'static str, Vec<String>>,
+}
+
+impl GridAxes {
+    /// The axis names.
+    const NAMES: [&'static str; 9] = [
+        "kernels",
+        "isas",
+        "widths",
+        "memory",
+        "rob",
+        "lanes",
+        "replication",
+        "seed",
+        "sampled",
+    ];
+
+    /// Parses axis flags (`--kernels idct,motion1 --widths 2,4`).  The
+    /// schedule of `--sampled` is optional: a following flag is not taken
+    /// as its operand.
+    pub fn from_flags(args: &[String]) -> Result<GridAxes, String> {
+        let mut axes = GridAxes::default();
+        let mut args = args.iter().peekable();
+        while let Some(flag) = args.next() {
+            let Some(name) = flag.strip_prefix("--").filter(|n| Self::NAMES.contains(n)) else {
+                return Err(format!("unknown argument {flag} (see `momsim help`)"));
+            };
+            // The operand is the JSON string form of the same key.
+            let value = match args.next_if(|next| !next.starts_with("--")) {
+                Some(operand) => Json::str(operand.as_str()),
+                None if name == "sampled" => Json::Bool(true),
+                None => return Err(format!("{flag} needs a value")),
+            };
+            axes.apply_json(name, &value)?;
+        }
+        Ok(axes)
+    }
+
+    /// Sets axis `name` from its JSON value: a string is the command-line
+    /// operand, an array holds its items (strings, or integers below 2^53
+    /// — send larger ones, like big seeds, as decimal strings), and
+    /// `"sampled"` also takes `true` (the default schedule) or `false`
+    /// (exact timing).
+    pub fn apply_json(&mut self, name: &str, value: &Json) -> Result<(), String> {
+        let Some(&name) = Self::NAMES.iter().find(|&&n| n == name) else {
+            return Err(format!(
+                "unknown key \"{name}\" (expected experiment, or label and any of: {})",
+                Self::NAMES.join(", ")
+            ));
+        };
+        let item = |value: &Json| match value {
+            Json::Str(text) => Ok(text.trim().to_string()),
+            Json::Num(n) => value.as_u64().map(|n| n.to_string()).ok_or_else(|| {
+                format!("{name}: {n} is not an integer below 2^53 (send it as a decimal string)")
+            }),
+            _ => Err(format!("{name}: expected strings or integers")),
+        };
+        let items = match value {
+            Json::Bool(false) if name == "sampled" => {
+                self.given.remove(name);
+                return Ok(());
+            }
+            Json::Bool(true) if name == "sampled" => Vec::new(),
+            Json::Str(operand) => operand
+                .split(',')
+                .map(str::trim)
+                .filter(|item| !item.is_empty())
+                .map(String::from)
+                .collect(),
+            Json::Arr(values) => values.iter().map(item).collect::<Result<_, _>>()?,
+            other => vec![item(other)?],
+        };
+        self.given.insert(name, items);
+        Ok(())
+    }
+
+    /// The JSON form of the given axes (each an array of its items, which
+    /// keeps a seed above 2^53 exact): what `momsim submit` sends, and what
+    /// [`GridAxes::apply_json`] reads back to the same axes.
+    pub fn to_json(&self) -> Vec<(&'static str, Json)> {
+        self.given
+            .iter()
+            .map(|(&name, items)| (name, Json::Arr(items.iter().map(Json::str).collect())))
+            .collect()
+    }
+
+    fn list<T: FromStr>(&self, name: &str) -> Result<Option<Vec<T>>, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        match self.given.get(name) {
+            None => Ok(None),
+            Some(items) if items.is_empty() => Err(format!("{name} needs at least one value")),
+            Some(items) => items
+                .iter()
+                .map(|item| item.parse().map_err(|e| format!("{name}: {e}")))
+                .collect::<Result<_, _>>()
+                .map(Some),
+        }
+    }
+
+    fn one<T: FromStr>(&self, name: &str) -> Result<Option<T>, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        match self.given.get(name).map(Vec::as_slice) {
+            None => Ok(None),
+            Some([item]) => item.parse().map(Some).map_err(|e| format!("{name}: {e}")),
+            Some(_) => Err(format!("{name} takes exactly one value")),
+        }
+    }
+
+    /// The validated spec: every item parsed, and the cross product of the
+    /// width, memory, ROB and lane axes (each configuration built and
+    /// checked by [`PipelineConfig::builder`]) over the kernel and ISA
+    /// axes.
+    pub fn spec(&self) -> Result<ExperimentSpec, String> {
+        let whole = |name| match self.given.get(name).map(Vec::as_slice) {
+            Some([set]) => set.as_str(),
+            _ => "",
+        };
+        let defaults = ExperimentSpec::default();
+        let kernels = match whole("kernels") {
+            "all" => KernelId::ALL.to_vec(),
+            _ => self.list("kernels")?.unwrap_or(defaults.kernels),
+        };
+        let isas = match whole("isas") {
+            "all" => IsaKind::ALL.to_vec(),
+            "media" => IsaKind::MEDIA.to_vec(),
+            _ => self.list("isas")?.unwrap_or(defaults.isas),
+        };
+        let sampling = match self.given.get("sampled") {
+            Some(items) if items.is_empty() => Some(SamplingConfig::DEFAULT),
+            _ => self.one("sampled")?,
+        };
+        let optional = |values: Option<Vec<usize>>| -> Vec<Option<usize>> {
+            match values {
+                Some(values) => values.into_iter().map(Some).collect(),
+                None => vec![None],
+            }
+        };
+        let memory = self.list("memory")?.unwrap_or(vec![MemoryModel::PERFECT]);
+        let (robs, lanes) = (optional(self.list("rob")?), optional(self.list("lanes")?));
+        let mut configs = Vec::new();
+        for width in self.list("widths")?.unwrap_or(vec![4]) {
+            for &memory in &memory {
+                for &rob in &robs {
+                    for &lanes in &lanes {
+                        let mut builder =
+                            PipelineConfig::builder().issue_width(width).memory(memory);
+                        if let Some(rob) = rob {
+                            builder = builder.rob(rob);
+                        }
+                        if let Some(lanes) = lanes {
+                            builder = builder.lanes(lanes);
+                        }
+                        configs.push(builder.build()?);
+                    }
+                }
+            }
+        }
+        let spec = ExperimentSpec {
+            kernels,
+            isas,
+            configs,
+            replication: self.one("replication")?.unwrap_or(defaults.replication),
+            seed: self.one("seed")?.unwrap_or(defaults.seed),
+            sampling,
+        };
+        spec.validate()?;
+        Ok(spec)
     }
 }
 

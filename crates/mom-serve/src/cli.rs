@@ -1,14 +1,16 @@
-//! The service half of the `momsim` command line: `serve` runs the
-//! daemon, `submit` / `status` / `report` / `shutdown` talk to one over
-//! HTTP.  Argument conventions (and the `--store DIR` / `--cold` globals)
-//! are shared with the batch commands in `mom_bench::cli`; exit codes
-//! follow the same contract (0 success, 2 usage, 1 runtime failure).
+//! The service commands of `momsim`: `serve` runs the daemon, and the
+//! five clients `submit` / `status` / `report` / `shutdown` / `stats` talk
+//! to one over HTTP.  The `momsim` binary dispatches to these beside the
+//! batch commands of `mom_bench::cli`, whose [`CliError`] exit-code
+//! contract (0 success, 2 usage, 1 runtime failure) they share.  `submit`
+//! takes exactly `momsim run`'s axis flags, parsed by the same
+//! [`mom_bench::spec::GridAxes`], and validates the submission locally —
+//! with the daemon's own [`parse_submit`] — before sending it.
 
 use crate::client::{request_json_with, request_raw_with, RetryPolicy};
 use crate::serve::ServeConfig;
-use mom_bench::cli::{
-    configure_obs, configure_store, extract_obs_args, extract_store_args, finish_obs, CliError,
-};
+use crate::wire::parse_submit;
+use mom_bench::cli::{experiment_or_axes, positive, take_flag, take_switch, CliError};
 use mom_bench::json::Json;
 use std::time::Duration;
 
@@ -18,113 +20,34 @@ const DEFAULT_ADDR: &str = "127.0.0.1:5099";
 /// restart takes a few seconds; the job is journalled, so it comes back).
 const WAIT_POLL_TOLERANCE: u32 = 10;
 
-fn finish(result: Result<(), CliError>) -> i32 {
-    match result {
-        Ok(()) => 0,
-        Err(e) => {
-            eprintln!("error: {e}");
-            e.exit_code()
-        }
-    }
-}
-
-/// Entry point of the service subcommands; `args` starts at the
-/// subcommand name.  Returns the process exit code.
-pub fn cli_main() -> i32 {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    finish((|| {
-        let store = extract_store_args(&mut args)?;
-        let obs = extract_obs_args(&mut args)?;
-        configure_obs(&obs);
-        let command = args.first().cloned().unwrap_or_default();
-        let rest = &args[1..];
-        // The daemon owns a store; the clients never touch one, so only
-        // `serve` installs the configuration.
-        match command.as_str() {
-            "serve" => {
-                configure_store(store)?;
-                run_serve(rest)?;
-            }
-            "submit" => run_submit(rest)?,
-            "status" => run_status(rest)?,
-            "report" => run_report(rest)?,
-            "shutdown" => run_shutdown(rest)?,
-            "stats" => run_stats(rest)?,
-            other => {
-                return Err(CliError::Usage(format!(
-                "unknown service command '{other}' (expected serve, submit, status, report, shutdown, stats)"
-            )))
-            }
-        }
-        finish_obs(&obs)
-    })())
-}
-
-/// Pops `--addr HOST:PORT` out of an argument list (any position).
-fn extract_addr(args: &mut Vec<String>) -> Result<String, CliError> {
-    let mut addr = DEFAULT_ADDR.to_string();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--addr" {
-            if i + 1 >= args.len() {
-                return Err(CliError::Usage("--addr needs a host:port argument".into()));
-            }
-            addr = args.remove(i + 1);
-            args.remove(i);
-        } else {
-            i += 1;
-        }
-    }
-    Ok(addr)
-}
-
-fn positive(flag: &str, value: &str) -> Result<usize, CliError> {
-    let n: usize = value
-        .parse()
-        .map_err(|e| CliError::Usage(format!("{flag}: {e}")))?;
-    if n == 0 {
-        return Err(CliError::Usage(format!("{flag} needs a positive count")));
-    }
-    Ok(n)
-}
-
 fn count(flag: &str, value: &str) -> Result<u32, CliError> {
     value
         .parse()
         .map_err(|e| CliError::Usage(format!("{flag}: {e}")))
 }
 
-/// Pops the client resilience flags (`--retries N`, `--timeout SECS`,
-/// `--backoff MS`) out of an argument list (any position).
-fn extract_retry_args(args: &mut Vec<String>) -> Result<RetryPolicy, CliError> {
+/// Pops the flags every client command takes (any position): `--addr
+/// HOST:PORT` and the resilience flags `--retries N`, `--timeout SECS`,
+/// `--backoff MS`.  Returns them with the remaining arguments.
+fn client_args(args: &[String]) -> Result<(String, RetryPolicy, Vec<String>), CliError> {
+    let mut args = args.to_vec();
+    let addr = take_flag(&mut args, "--addr")?.unwrap_or_else(|| DEFAULT_ADDR.to_string());
     let mut policy = RetryPolicy::default();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].clone();
-        let take = |args: &mut Vec<String>, i: usize| -> Result<String, CliError> {
-            if i + 1 >= args.len() {
-                return Err(CliError::Usage(format!("{flag} needs a value")));
-            }
-            let value = args.remove(i + 1);
-            args.remove(i);
-            Ok(value)
-        };
-        match flag.as_str() {
-            "--retries" => policy.retries = count("--retries", &take(args, i)?)?,
-            "--timeout" => {
-                policy.timeout = Duration::from_secs(positive("--timeout", &take(args, i)?)? as u64)
-            }
-            "--backoff" => {
-                policy.backoff =
-                    Duration::from_millis(positive("--backoff", &take(args, i)?)? as u64)
-            }
-            _ => i += 1,
-        }
+    if let Some(n) = take_flag(&mut args, "--retries")? {
+        policy.retries = count("--retries", &n)?;
     }
-    Ok(policy)
+    if let Some(secs) = take_flag(&mut args, "--timeout")? {
+        policy.timeout = Duration::from_secs(positive("--timeout", &secs)? as u64);
+    }
+    if let Some(ms) = take_flag(&mut args, "--backoff")? {
+        policy.backoff = Duration::from_millis(positive("--backoff", &ms)? as u64);
+    }
+    Ok((addr, policy, args))
 }
 
-fn run_serve(args: &[String]) -> Result<(), CliError> {
+/// `momsim serve`: binds the daemon and runs it until `POST /shutdown`
+/// drains it.
+pub fn serve_command(args: &[String]) -> Result<(), CliError> {
     let mut config = ServeConfig::default();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
@@ -204,11 +127,9 @@ fn run_serve(args: &[String]) -> Result<(), CliError> {
 /// `momsim stats [--addr HOST:PORT]`: with `--addr`, fetches and prints a
 /// running daemon's `/metrics` exposition; without, prints this process's
 /// own registry (useful after batch commands run in-process).
-fn run_stats(args: &[String]) -> Result<(), CliError> {
-    let mut args = args.to_vec();
+pub fn stats_command(args: &[String]) -> Result<(), CliError> {
     let remote = args.iter().any(|arg| arg == "--addr");
-    let addr = extract_addr(&mut args)?;
-    let policy = extract_retry_args(&mut args)?;
+    let (addr, policy, args) = client_args(args)?;
     if !args.is_empty() {
         return Err(CliError::Usage(
             "momsim stats takes only --addr HOST:PORT and the retry flags".into(),
@@ -230,134 +151,43 @@ fn run_stats(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Builds the submission document from `momsim submit` arguments.
-/// A leading bare word is a registered experiment name; otherwise the
-/// axis flags mirror `momsim run` and are shipped as the wire axes object
-/// (the daemon validates values and reports the vocabulary on a typo).
-fn submit_body(args: &[String]) -> Result<(Json, Vec<String>), CliError> {
-    let mut pairs: Vec<(&'static str, Json)> = Vec::new();
-    let mut passthrough = Vec::new();
-    let mut it = args.iter().peekable();
-    if let Some(first) = it.peek() {
-        if !first.starts_with("--") {
-            let name = it.next().expect("peeked").clone();
-            passthrough.extend(it.cloned());
-            return Ok((Json::obj([("experiment", Json::str(name))]), passthrough));
-        }
-    }
-    let int_list = |flag: &str, value: &str| -> Result<Json, CliError> {
-        let items: Result<Vec<Json>, CliError> = value
-            .split(',')
-            .filter(|s| !s.is_empty())
-            .map(|s| {
-                s.trim()
-                    .parse::<u64>()
-                    .map(|n| Json::Num(n as f64))
-                    .map_err(|e| CliError::Usage(format!("{flag}: {e}")))
-            })
-            .collect();
-        Ok(Json::Arr(items?))
-    };
-    let str_list = |value: &str| -> Json {
-        Json::Arr(
-            value
-                .split(',')
-                .filter(|s| !s.is_empty())
-                .map(|s| Json::str(s.trim()))
-                .collect(),
-        )
-    };
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--wait" | "--json" => {
-                passthrough.push(flag.clone());
-                if flag == "--json" {
-                    match it.next() {
-                        Some(path) => passthrough.push(path.clone()),
-                        None => return Err(CliError::Usage("--json needs a path argument".into())),
-                    }
-                }
-                continue;
-            }
-            _ => {}
-        }
-        let value = it
-            .next()
-            .ok_or_else(|| CliError::Usage(format!("{flag} needs a value")))?;
-        match flag.as_str() {
-            "--label" => pairs.push(("label", Json::str(value.clone()))),
-            "--kernels" => pairs.push((
-                "kernels",
-                if value == "all" {
-                    Json::str("all")
-                } else {
-                    str_list(value)
-                },
-            )),
-            "--isas" => pairs.push((
-                "isas",
-                if value == "all" || value == "media" {
-                    Json::str(value.clone())
-                } else {
-                    str_list(value)
-                },
-            )),
-            "--widths" => pairs.push(("widths", int_list("--widths", value)?)),
-            "--memory" => pairs.push(("memory", str_list(value))),
-            "--rob" => pairs.push(("rob", int_list("--rob", value)?)),
-            "--lanes" => pairs.push(("lanes", int_list("--lanes", value)?)),
-            "--replication" => pairs.push((
-                "replication",
-                Json::Num(positive("--replication", value)? as f64),
-            )),
-            "--seed" => pairs.push((
-                "seed",
-                Json::Num(
-                    value
-                        .parse::<u64>()
-                        .map_err(|e| CliError::Usage(format!("--seed: {e}")))?
-                        as f64,
-                ),
-            )),
-            "--sampled" => pairs.push(("sampled", Json::str(value.clone()))),
-            other => {
-                return Err(CliError::Usage(format!(
-                    "unknown argument {other} (see `momsim help`)"
-                )))
-            }
-        }
-    }
+/// Parses `momsim submit` arguments into the submission body, `--wait`
+/// and `--json PATH`.  The operands are `momsim run`'s
+/// ([`mom_bench::cli::experiment_or_axes`]),
+/// plus `--label` for an ad-hoc grid.  The body is checked with the
+/// daemon's own [`parse_submit`], so a bad axis, grid or experiment name
+/// is a usage error here rather than a rejected request.
+pub(crate) fn submit_args(args: &[String]) -> Result<(Json, bool, Option<String>), CliError> {
+    let mut args = args.to_vec();
+    let wait = take_switch(&mut args, "--wait");
+    let json = take_flag(&mut args, "--json")?;
+    let label = take_flag(&mut args, "--label")?;
+    let (experiment, axes) = experiment_or_axes(&args, "submit")?;
+    let pairs: Vec<_> = experiment
+        .map(|name| ("experiment", Json::str(name)))
+        .into_iter()
+        .chain(label.map(|label| ("label", Json::str(label))))
+        .chain(axes.to_json())
+        .collect();
     if pairs.is_empty() {
         return Err(CliError::Usage(
             "momsim submit needs an experiment name or axis flags (see `momsim help`)".into(),
         ));
     }
-    Ok((Json::obj(pairs), passthrough))
+    let body = Json::obj(pairs);
+    parse_submit(&body).map_err(CliError::Usage)?;
+    Ok((body, wait, json))
 }
 
 fn get_u64(doc: &Json, key: &str) -> u64 {
     doc.get(key).and_then(Json::as_u64).unwrap_or(0)
 }
 
-fn run_submit(args: &[String]) -> Result<(), CliError> {
-    let mut args = args.to_vec();
-    let addr = extract_addr(&mut args)?;
-    let policy = extract_retry_args(&mut args)?;
-    let (body, options) = submit_body(&args)?;
-    let mut wait = false;
-    let mut json_path = None;
-    let mut it = options.into_iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--wait" => wait = true,
-            "--json" => json_path = it.next(),
-            other => {
-                return Err(CliError::Usage(format!(
-                    "unknown argument {other} (expected --wait, --json PATH)"
-                )))
-            }
-        }
-    }
+/// `momsim submit`: posts the submission and, with `--wait`, polls the
+/// job to completion.
+pub fn submit_command(args: &[String]) -> Result<(), CliError> {
+    let (addr, policy, args) = client_args(args)?;
+    let (body, wait, json_path) = submit_args(&args)?;
     let (status, doc) = request_json_with(
         &addr,
         "POST",
@@ -442,10 +272,9 @@ fn run_submit(args: &[String]) -> Result<(), CliError> {
     }
 }
 
-fn run_status(args: &[String]) -> Result<(), CliError> {
-    let mut args = args.to_vec();
-    let addr = extract_addr(&mut args)?;
-    let policy = extract_retry_args(&mut args)?;
+/// `momsim status [JOB]`: the job table, or one job's document.
+pub fn status_command(args: &[String]) -> Result<(), CliError> {
+    let (addr, policy, args) = client_args(args)?;
     match args.first() {
         None => {
             let (status, doc) = request_json_with(&addr, "GET", "/jobs", None, &policy)
@@ -498,10 +327,10 @@ fn run_status(args: &[String]) -> Result<(), CliError> {
     }
 }
 
-fn run_report(args: &[String]) -> Result<(), CliError> {
-    let mut args = args.to_vec();
-    let addr = extract_addr(&mut args)?;
-    let policy = extract_retry_args(&mut args)?;
+/// `momsim report <name> [--out PATH]`: replays a committed report from
+/// the daemon's store.
+pub fn report_command(args: &[String]) -> Result<(), CliError> {
+    let (addr, policy, args) = client_args(args)?;
     let mut name = None;
     let mut out = None;
     let mut it = args.iter();
@@ -550,10 +379,9 @@ fn run_report(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn run_shutdown(args: &[String]) -> Result<(), CliError> {
-    let mut args = args.to_vec();
-    let addr = extract_addr(&mut args)?;
-    let policy = extract_retry_args(&mut args)?;
+/// `momsim shutdown`: drains the daemon.
+pub fn shutdown_command(args: &[String]) -> Result<(), CliError> {
+    let (addr, policy, args) = client_args(args)?;
     if !args.is_empty() {
         return Err(CliError::Usage(
             "momsim shutdown takes only --addr and the retry flags".into(),
@@ -576,55 +404,72 @@ fn run_shutdown(args: &[String]) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::JobRequest;
 
-    fn strs(args: &[&str]) -> Vec<String> {
-        args.iter().map(|s| s.to_string()).collect()
+    /// A command line, split at whitespace.
+    fn words(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
     }
 
     #[test]
     fn addr_extracts_from_any_position() {
-        let mut args = strs(&["fig4", "--addr", "127.0.0.1:7000", "--wait"]);
-        assert_eq!(extract_addr(&mut args).unwrap(), "127.0.0.1:7000");
-        assert_eq!(args, strs(&["fig4", "--wait"]));
-        let mut args = strs(&["fig4"]);
-        assert_eq!(extract_addr(&mut args).unwrap(), DEFAULT_ADDR);
-        let err = extract_addr(&mut strs(&["--addr"])).unwrap_err();
-        assert_eq!(err.exit_code(), 2, "{err}");
+        let args = words("fig4 --addr 127.0.0.1:7000 --retries 5 --wait");
+        let (addr, policy, rest) = client_args(&args).unwrap();
+        assert_eq!(addr, "127.0.0.1:7000");
+        assert_eq!(policy.retries, 5);
+        assert_eq!(rest, words("fig4 --wait"));
+        assert_eq!(client_args(&words("fig4")).unwrap().0, DEFAULT_ADDR);
+        for bad in ["--addr", "--timeout 0", "--retries x"] {
+            let err = client_args(&words(bad)).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{bad}: {err}");
+        }
     }
 
     #[test]
     fn submit_bodies_cover_both_shapes() {
-        let (body, rest) = submit_body(&strs(&["fig4", "--wait"])).unwrap();
-        assert_eq!(body.get("experiment").and_then(Json::as_str), Some("fig4"));
-        assert_eq!(rest, strs(&["--wait"]));
+        let (body, wait, json) = submit_args(&words("fig4 --wait")).unwrap();
+        assert_eq!(body, Json::obj([("experiment", Json::str("fig4"))]));
+        assert!(wait);
+        assert_eq!(json, None);
 
-        let (body, rest) = submit_body(&strs(&[
-            "--kernels",
-            "idct",
-            "--widths",
-            "2,4",
-            "--isas",
-            "media",
+        let line = "--kernels idct --widths 2,4 --isas media --label mine --json o.json";
+        let (body, wait, json) = submit_args(&words(line)).unwrap();
+        assert!(!wait);
+        assert_eq!(json.as_deref(), Some("o.json"));
+        assert_eq!(body.get("label").and_then(Json::as_str), Some("mine"));
+        let items = |key| body.get(key).and_then(Json::as_arr).map(<[Json]>::len);
+        // The operands' items, as given: `media` stays one word.
+        assert_eq!(
+            (items("kernels"), items("isas"), items("widths")),
+            (Some(1), Some(1), Some(2))
+        );
+
+        // Rejected before anything is sent: bad usage, and everything the
+        // daemon would reject.
+        for bad in [
+            "",
+            "--wait",
             "--json",
-            "o.json",
-        ]))
-        .unwrap();
-        assert_eq!(rest, strs(&["--json", "o.json"]));
-        assert_eq!(
-            body.get("kernels")
-                .and_then(Json::as_arr)
-                .map(<[Json]>::len),
-            Some(1)
-        );
-        assert_eq!(body.get("isas").and_then(Json::as_str), Some("media"));
-        assert_eq!(
-            body.get("widths").and_then(Json::as_arr).map(<[Json]>::len),
-            Some(2)
-        );
+            "--frobnicate x",
+            "fig4 --widths 2",
+            "fig4 --label x",
+            "fig9000",
+            "--kernels fft",
+            "--kernels idct --widths 4,4",
+        ] {
+            let err = submit_args(&words(bad)).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{bad}: {err}");
+        }
+    }
 
-        let err = submit_body(&strs(&[])).unwrap_err();
-        assert_eq!(err.exit_code(), 2, "{err}");
-        let err = submit_body(&strs(&["--frobnicate", "x"])).unwrap_err();
-        assert_eq!(err.exit_code(), 2, "{err}");
+    #[test]
+    fn sampled_without_a_schedule_keeps_the_next_flag() {
+        let (body, wait, _) =
+            submit_args(&words("--kernels idct --isas mom --sampled --wait")).unwrap();
+        assert!(wait, "--wait is not the sampling schedule");
+        let Ok(JobRequest::Grid { spec, .. }) = parse_submit(&body) else {
+            panic!("{body} is a grid");
+        };
+        assert_eq!(spec.sampling, Some(mom_pipeline::SamplingConfig::DEFAULT));
     }
 }

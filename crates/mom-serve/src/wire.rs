@@ -1,21 +1,24 @@
 //! The wire vocabulary: JSON submissions in, JSON job documents out.
 //!
 //! A submission is either a registered experiment by name
-//! (`{"experiment": "fig4"}`) or an ad-hoc grid assembled from the same
-//! axis vocabulary `momsim run` parses on the command line — every axis
-//! value goes through the `FromStr` implementations of the domain types,
-//! so a typo produces an error listing the valid names.  Job documents are
-//! built from queue snapshots with the same row emitters the batch
-//! reports use ([`mom_bench::point_json`] / [`mom_bench::app_point_json`]),
-//! so a streamed row is field-identical to the committed `BENCH_*.json`
-//! row of the same point.
+//! (`{"experiment": "fig4"}`) or an ad-hoc grid: an optional `"label"`
+//! plus axis keys, which [`GridAxes`] parses exactly as it parses `momsim
+//! run`'s flags — a key is a flag without its `--`, and a string value is
+//! that flag's operand (`{"widths": "2,4"}` is `--widths 2,4`; an array
+//! such as `[2, 4]` holds the same items).  Every value goes through the
+//! `FromStr` implementations of the domain types, so a typo produces an
+//! error listing the valid names.  From 2^53 up, JSON numbers lose
+//! integer precision (2^53 + 1 parses as 2^53), so such numbers are
+//! rejected and large seeds travel as decimal strings.  Job documents are
+//! built from queue snapshots with the
+//! same row emitters the batch reports use ([`mom_bench::point_json`] /
+//! [`mom_bench::app_point_json`]), so a streamed row is field-identical to
+//! the committed `BENCH_*.json` row of the same point.
 
 use crate::queue::{JobKind, JobSnapshot, UnitResult};
 use mom_bench::json::Json;
+use mom_bench::spec::GridAxes;
 use mom_bench::{find_experiment, ExperimentSpec};
-use mom_isa::IsaKind;
-use mom_kernels::KernelId;
-use mom_pipeline::{MemoryModel, PipelineConfig, SamplingConfig};
 
 /// A validated submission, ready for the queue.
 #[derive(Debug, Clone)]
@@ -32,50 +35,6 @@ pub enum JobRequest {
         /// Display label.
         label: String,
     },
-}
-
-const AXIS_KEYS: &str =
-    "label, kernels, isas, widths, memory, rob, lanes, replication, seed, sampled";
-
-fn str_items<'a>(key: &str, value: &'a Json) -> Result<Vec<&'a str>, String> {
-    let items = value
-        .as_arr()
-        .ok_or_else(|| format!("\"{key}\" must be an array of strings"))?;
-    items
-        .iter()
-        .map(|v| {
-            v.as_str()
-                .ok_or_else(|| format!("\"{key}\" must be an array of strings"))
-        })
-        .collect()
-}
-
-fn usize_items(key: &str, value: &Json) -> Result<Vec<usize>, String> {
-    let items = value
-        .as_arr()
-        .ok_or_else(|| format!("\"{key}\" must be an array of non-negative integers"))?;
-    items
-        .iter()
-        .map(|v| {
-            v.as_u64()
-                .map(|n| n as usize)
-                .ok_or_else(|| format!("\"{key}\" must be an array of non-negative integers"))
-        })
-        .collect()
-}
-
-fn parsed_list<T>(key: &str, names: &[&str]) -> Result<Vec<T>, String>
-where
-    T: std::str::FromStr,
-    T::Err: std::fmt::Display,
-{
-    if names.is_empty() {
-        return Err(format!("\"{key}\" needs at least one value"));
-    }
-    names
-        .iter()
-        .map(|name| name.parse().map_err(|e: T::Err| format!("{key}: {e}")))
-        .collect()
 }
 
 /// Parses a submission document into a [`JobRequest`].
@@ -99,11 +58,7 @@ pub fn parse_submit(doc: &Json) -> Result<JobRequest, String> {
     }
 
     let mut label = "ad-hoc".to_string();
-    let mut spec = ExperimentSpec::default();
-    let mut widths = vec![4usize];
-    let mut memory = vec![MemoryModel::PERFECT];
-    let mut rob: Vec<Option<usize>> = vec![None];
-    let mut lanes: Vec<Option<usize>> = vec![None];
+    let mut axes = GridAxes::default();
     for (key, value) in pairs {
         match key.as_str() {
             "label" => {
@@ -112,118 +67,13 @@ pub fn parse_submit(doc: &Json) -> Result<JobRequest, String> {
                     .ok_or("\"label\" must be a string")?
                     .to_string();
             }
-            "kernels" => {
-                spec.kernels = match value.as_str() {
-                    Some("all") => KernelId::ALL.to_vec(),
-                    Some(other) => return Err(format!("kernels: unknown set '{other}'")),
-                    None => parsed_list("kernels", &str_items("kernels", value)?)?,
-                };
-            }
-            "isas" => {
-                spec.isas = match value.as_str() {
-                    Some("all") => IsaKind::ALL.to_vec(),
-                    Some("media") => IsaKind::MEDIA.to_vec(),
-                    Some(other) => return Err(format!("isas: unknown set '{other}'")),
-                    None => parsed_list("isas", &str_items("isas", value)?)?,
-                };
-            }
-            "widths" => {
-                widths = usize_items("widths", value)?;
-                if widths.is_empty() {
-                    return Err("\"widths\" needs at least one value".into());
-                }
-            }
-            "memory" => {
-                let items = value
-                    .as_arr()
-                    .ok_or("\"memory\" must be an array of model names or latencies")?;
-                memory = items
-                    .iter()
-                    .map(|v| {
-                        let text = match (v.as_str(), v.as_u64()) {
-                            (Some(name), _) => name.to_string(),
-                            (None, Some(latency)) => latency.to_string(),
-                            _ => {
-                                return Err(
-                                    "\"memory\" entries must be strings or integers".to_string()
-                                )
-                            }
-                        };
-                        text.parse::<MemoryModel>()
-                            .map_err(|e| format!("memory: {e}"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                if memory.is_empty() {
-                    return Err("\"memory\" needs at least one value".into());
-                }
-            }
-            "rob" => {
-                rob = usize_items("rob", value)?.into_iter().map(Some).collect();
-                if rob.is_empty() {
-                    return Err("\"rob\" needs at least one value".into());
-                }
-            }
-            "lanes" => {
-                lanes = usize_items("lanes", value)?.into_iter().map(Some).collect();
-                if lanes.is_empty() {
-                    return Err("\"lanes\" needs at least one value".into());
-                }
-            }
-            "replication" => {
-                spec.replication = value
-                    .as_u64()
-                    .ok_or("\"replication\" must be a non-negative integer")?
-                    as usize;
-            }
-            "seed" => {
-                spec.seed = value
-                    .as_u64()
-                    .ok_or("\"seed\" must be a non-negative integer")?;
-            }
-            "sampled" => {
-                spec.sampling = Some(match (value.as_str(), value.as_bool()) {
-                    (Some(schedule), _) => schedule
-                        .parse::<SamplingConfig>()
-                        .map_err(|e| format!("sampled: {e}"))?,
-                    (None, Some(true)) => SamplingConfig::DEFAULT,
-                    (None, Some(false)) => {
-                        spec.sampling = None;
-                        continue;
-                    }
-                    _ => {
-                        return Err(
-                            "\"sampled\" must be a D:F:W schedule string or a boolean".into()
-                        )
-                    }
-                });
-            }
-            other => {
-                return Err(format!(
-                    "unknown key \"{other}\" (expected experiment, or any of: {AXIS_KEYS})"
-                ));
-            }
+            axis => axes.apply_json(axis, value)?,
         }
     }
-    let mut configs = Vec::new();
-    for &width in &widths {
-        for &mem in &memory {
-            for &rob in &rob {
-                for &lanes in &lanes {
-                    let mut builder = PipelineConfig::builder().issue_width(width).memory(mem);
-                    if let Some(rob) = rob {
-                        builder = builder.rob(rob);
-                    }
-                    if let Some(lanes) = lanes {
-                        builder = builder.lanes(lanes);
-                    }
-                    configs.push(builder.build()?);
-                }
-            }
-        }
-    }
-    spec.configs = configs;
-    spec.validate()?;
-    Ok(JobRequest::Grid { label, spec })
+    Ok(JobRequest::Grid {
+        label,
+        spec: axes.spec()?,
+    })
 }
 
 /// Renders a queue snapshot as the `GET /jobs/<id>` document: counters,
@@ -288,6 +138,9 @@ pub fn job_entry(snapshot: &JobSnapshot) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mom_isa::IsaKind;
+    use mom_kernels::KernelId;
+    use mom_pipeline::{MemoryModel, PipelineConfig, SamplingConfig};
 
     /// The grid variant's parts, as a `Result` so tests can `?`/`unwrap`
     /// with a real error message instead of panicking in a match arm.
@@ -314,24 +167,64 @@ mod tests {
         assert!(err.contains("fig4"), "lists the registry: {err}");
     }
 
+    fn parse_text(body: &str) -> Result<(String, ExperimentSpec), String> {
+        as_grid(parse_submit(
+            &crate::json::parse(body).map_err(|e| e.to_string())?,
+        )?)
+    }
+
+    /// The body shapes clients (and the journal, which replays stored
+    /// bodies) have always sent keep their spec.
     #[test]
     fn axes_assemble_the_cross_product() {
-        let doc = Json::obj([
+        let config = PipelineConfig::way_with_memory;
+        let latency12 = MemoryModel::Fixed { latency: 12 };
+        let cases = [
             (
-                "kernels",
-                Json::Arr(vec![Json::str("idct"), Json::str("motion1")]),
+                r#"{"kernels": ["idct", "motion1"], "isas": "media", "widths": [2, 4],
+                    "memory": ["l1l2", 12], "replication": 128, "sampled": false}"#,
+                ExperimentSpec {
+                    kernels: vec![KernelId::Idct, KernelId::Motion1],
+                    isas: IsaKind::MEDIA.to_vec(),
+                    configs: vec![
+                        config(2, MemoryModel::CACHE),
+                        config(2, latency12),
+                        config(4, MemoryModel::CACHE),
+                        config(4, latency12),
+                    ],
+                    replication: 128,
+                    ..ExperimentSpec::default()
+                },
             ),
-            ("isas", Json::str("media")),
-            ("widths", Json::Arr(vec![Json::int(2), Json::int(4)])),
-            ("memory", Json::Arr(vec![Json::str("l1l2"), Json::int(12)])),
-            ("replication", Json::int(128)),
-        ]);
-        let (label, spec) = as_grid(parse_submit(&doc).unwrap()).unwrap();
-        assert_eq!(label, "ad-hoc");
-        assert_eq!(spec.kernels, vec![KernelId::Idct, KernelId::Motion1]);
-        assert_eq!(spec.isas, IsaKind::MEDIA.to_vec());
-        assert_eq!(spec.configs.len(), 4, "2 widths x 2 memories");
-        assert_eq!(spec.replication, 128);
+            (
+                r#"{"kernels": "all", "isas": "all", "seed": 7, "sampled": true}"#,
+                ExperimentSpec {
+                    configs: vec![config(4, MemoryModel::PERFECT)],
+                    seed: 7,
+                    sampling: Some(SamplingConfig::DEFAULT),
+                    ..ExperimentSpec::default()
+                },
+            ),
+            (
+                r#"{"kernels": ["addblock"], "isas": ["mom"], "rob": [32], "lanes": [2],
+                    "sampled": "100:900:20"}"#,
+                ExperimentSpec {
+                    kernels: vec![KernelId::AddBlock],
+                    isas: vec![IsaKind::Mom],
+                    configs: vec![PipelineConfig::builder()
+                        .issue_width(4)
+                        .rob(32)
+                        .lanes(2)
+                        .build()
+                        .unwrap()],
+                    sampling: Some("100:900:20".parse().unwrap()),
+                    ..ExperimentSpec::default()
+                },
+            ),
+        ];
+        for (body, expected) in cases {
+            assert_eq!(parse_text(body), Ok(("ad-hoc".into(), expected)), "{body}");
+        }
     }
 
     #[test]
@@ -349,5 +242,39 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.contains("no other keys"), "{err}");
+    }
+
+    #[test]
+    fn seeds_above_2_53_travel_as_strings() {
+        let (_, spec) = parse_text(r#"{"seed": "9007199254740993"}"#).unwrap();
+        assert_eq!(spec.seed, 9_007_199_254_740_993);
+        // As a number it parses as 2^53 and would alias that seed.
+        let err = parse_text(r#"{"seed": 9007199254740993}"#).unwrap_err();
+        assert!(
+            err.contains("decimal string"),
+            "names the string form: {err}"
+        );
+        let (_, spec) = parse_text(r#"{"seed": 7}"#).unwrap();
+        assert_eq!(spec.seed, 7);
+    }
+
+    /// `momsim submit` and `momsim run` given the same axis flags: the spec
+    /// the daemon derives from the submitted JSON is the spec `run` builds.
+    #[test]
+    fn submit_and_run_build_the_same_spec() {
+        for line in [
+            "--kernels all --isas media",
+            "--kernels idct,motion1 --isas all --memory 12,l1l2",
+            "--kernels idct --isas mom --sampled",
+            "--isas mom --sampled 100:900:20 --widths 2,4",
+            "--isas mmx --seed 9007199254740993 --replication 64",
+            "--kernels idct --isas mom --rob 16,32 --lanes 1,2",
+        ] {
+            let flags: Vec<String> = line.split_whitespace().map(String::from).collect();
+            let (_, axes) = mom_bench::cli::experiment_or_axes(&flags, "run").unwrap();
+            let (body, _, _) = crate::cli::submit_args(&flags).unwrap();
+            let submitted = parse_text(&body.pretty()).unwrap();
+            assert_eq!(submitted, ("ad-hoc".into(), axes.spec().unwrap()), "{line}");
+        }
     }
 }

@@ -56,6 +56,22 @@ fn usage_errors_exit_2() {
 
     let out = momsim(&["submit"]);
     assert_eq!(code(&out), 2, "submit needs a name or axes");
+
+    // `submit` checks its submission before connecting: nothing listens on
+    // port 1, yet these fail as usage errors naming the vocabulary.
+    for (args, expected) in [
+        (&["--kernels", "fft"][..], "idct"),
+        (
+            &["--kernels", "idct", "--isas", "mom", "--widths", "4,4"],
+            "config 1 repeats config 0",
+        ),
+        (&["fig9000"], "fig4"),
+    ] {
+        let out = momsim(&[&["submit", "--addr", "127.0.0.1:1"][..], args].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(code(&out), 2, "submit {args:?}: {stderr}");
+        assert!(stderr.contains(expected), "submit {args:?}: {stderr}");
+    }
 }
 
 #[test]
@@ -105,6 +121,20 @@ fn runtime_failures_exit_1() {
     // A client pointed at a dead port fails at runtime, not usage.
     // Port 1 (tcpmux) is privileged and nothing in this container binds it.
     let out = momsim(&["submit", "fig4", "--addr", "127.0.0.1:1"]);
+    assert_eq!(code(&out), 1, "{}", String::from_utf8_lossy(&out.stderr));
+    // A bare `--sampled` leaves `--wait` a flag: the submission parses,
+    // then cannot connect.
+    let out = momsim(&[
+        "submit",
+        "--addr",
+        "127.0.0.1:1",
+        "--kernels",
+        "idct",
+        "--isas",
+        "mom",
+        "--sampled",
+        "--wait",
+    ]);
     assert_eq!(code(&out), 1, "{}", String::from_utf8_lossy(&out.stderr));
 
     let out = momsim(&["shutdown", "--addr", "127.0.0.1:1"]);
