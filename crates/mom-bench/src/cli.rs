@@ -18,8 +18,10 @@
 //! vocabulary `momsim submit` and the daemon's `POST /jobs` use.
 
 use crate::json::Json;
-use crate::spec::{find_experiment, registry, union_spec, ExperimentError, GridAxes};
-use crate::{fig4_from, fig5_from, tables_from, Report};
+use crate::spec::{
+    find_experiment, registry, union_spec, ExperimentError, GridAxes, UNION_EXPERIMENTS,
+};
+use crate::Report;
 use mom_isa::IsaKind;
 use mom_kernels::KernelId;
 use std::path::{Path, PathBuf};
@@ -89,6 +91,54 @@ pub fn ablations_doc(series: &[(&'static str, Report)]) -> Json {
         ));
     }
     Json::obj(doc)
+}
+
+/// The catalogue of committed reports, in `momsim sweep` write order:
+/// `(name, file, experiments)` — the name `GET /reports/<name>` and
+/// `momsim report` take, the file `momsim sweep` writes, and the registered
+/// experiments it is rendered from ([`committed_doc`]).  Every registered
+/// experiment belongs to exactly one of them.
+pub static COMMITTED_REPORTS: [(&str, &str, &[&str]); 5] = [
+    ("fig4", "BENCH_fig4.json", &["fig4"]),
+    ("fig5", "BENCH_fig5.json", &["fig5"]),
+    ("tables", "BENCH_tables.json", &["tables"]),
+    ("apps", "BENCH_apps.json", &["app-speedups"]),
+    (
+        "ablations",
+        "BENCH_ablations.json",
+        &["ablation-lanes", "ablation-rob"],
+    ),
+];
+
+/// Renders a committed document from its experiments' reports: the one
+/// report's own JSON, or the combined [`ablations_doc`] of several.
+pub fn committed_doc(series: &[(&'static str, Report)]) -> Json {
+    match series {
+        [(_, report)] => report.json(),
+        several => ablations_doc(several),
+    }
+}
+
+/// The committed report names, comma-separated.
+pub fn report_names() -> String {
+    COMMITTED_REPORTS.map(|(name, ..)| name).join(", ")
+}
+
+/// The experiments report `name` is rendered from: a committed report's,
+/// or a registered experiment on its own.  The error names every
+/// committed report.
+pub fn report_experiments(name: &str) -> Result<&'static [&'static str], String> {
+    if let Some((_, _, experiments)) = COMMITTED_REPORTS.iter().find(|(n, ..)| *n == name) {
+        return Ok(experiments);
+    }
+    find_experiment(name)
+        .map(|experiment| std::slice::from_ref(&experiment.name))
+        .map_err(|_| {
+            format!(
+                "no such report '{name}' (expected {} or a registered experiment)",
+                report_names()
+            )
+        })
 }
 
 /// Removes every `flag VALUE` pair from `args`, in any position, and
@@ -240,61 +290,45 @@ fn print_sweep_store_summary() {
     }
 }
 
-/// The three registered experiments whose reports [`sweep_documents`]
-/// derives from the one shared [`union_spec`] grid.
-const UNION_GRID_EXPERIMENTS: [&str; 3] = ["fig4", "fig5", "tables"];
-
 /// Computes every document `momsim sweep` writes, without touching the
-/// filesystem: `(file name, document, points)` in write order. Split from
-/// `run_sweep` so `momsim bench` can time it ([`crate::perf::time_full_set`])
-/// and the incremental-sweep tests can byte-compare the exact documents a
-/// cold and a warm sweep would emit.
+/// filesystem: `(file name, document, points)` in [`COMMITTED_REPORTS`]
+/// order. Split from `run_sweep` so `momsim bench` can time it
+/// ([`crate::perf::time_full_set`]) and the incremental-sweep tests can
+/// byte-compare the exact documents a cold and a warm sweep would emit.
 pub fn sweep_documents(
     jobs: Option<usize>,
 ) -> Result<Vec<(&'static str, Json, usize)>, ExperimentError> {
     // The full registered-experiment set in one process: one measured pass
-    // per (kernel, ISA) pair over the union grid feeds the three paper
-    // reports, and every *other* registered experiment (the application
-    // scenario layer, the ablations, anything registered later) runs on its
-    // own — all of them replaying the same memoised functional traces, so
-    // no kernel executes functionally more than once.  `jobs` sets the
-    // thread count of each grid run; the documents never depend on it.
+    // per (kernel, ISA) pair over the union grid feeds the paper reports,
+    // and every other experiment runs on its own — all of them replaying
+    // the same memoised functional traces, so no kernel executes
+    // functionally more than once.  `jobs` sets the thread count of each
+    // grid run; the documents never depend on it.
     let union = {
         let _span = mom_obs::span("sweep", "union-grids");
-        let grid = union_spec().run_with_jobs(jobs)?;
-        [
-            ("BENCH_fig4.json", Report::Fig4(fig4_from(&grid))),
-            ("BENCH_fig5.json", Report::Fig5(fig5_from(&grid))),
-            ("BENCH_tables.json", Report::Tables(tables_from(&grid))),
-        ]
+        union_spec().run_with_jobs(jobs)?
     };
-    let mut files: Vec<_> = union
-        .into_iter()
-        .map(|(name, report)| (name, report.json(), report.points()))
-        .collect();
-    let mut ablations: Vec<(&'static str, Report)> = Vec::new();
-    for experiment in crate::spec::registry() {
-        if UNION_GRID_EXPERIMENTS.contains(&experiment.name) {
-            continue;
+    let run = |name: &'static str| -> Result<Report, ExperimentError> {
+        let experiment = find_experiment(name).expect("the catalogue names registered experiments");
+        if UNION_EXPERIMENTS.contains(&name) {
+            return Ok(experiment
+                .derive(&union)
+                .expect("union experiments are grids"));
         }
-        let report = {
-            let _span = mom_obs::span_fmt("sweep", || format!("experiment {}", experiment.name));
-            experiment.run_with_jobs(jobs)?
-        };
-        if experiment.name == "app-speedups" {
-            let points = report.points();
-            files.push(("BENCH_apps.json", report.json(), points));
-        } else {
-            ablations.push((experiment.name, report));
-        }
-    }
-    let ablation_points = ablations.iter().map(|(_, r)| r.points()).sum();
-    files.push((
-        "BENCH_ablations.json",
-        ablations_doc(&ablations),
-        ablation_points,
-    ));
-    Ok(files)
+        let _span = mom_obs::span_fmt("sweep", || format!("experiment {name}"));
+        experiment.run_with_jobs(jobs)
+    };
+    COMMITTED_REPORTS
+        .iter()
+        .map(|&(_, file, experiments)| {
+            let series = experiments
+                .iter()
+                .map(|&name| Ok((name, run(name)?)))
+                .collect::<Result<Vec<_>, ExperimentError>>()?;
+            let points = series.iter().map(|(_, report)| report.points()).sum();
+            Ok((file, committed_doc(&series), points))
+        })
+        .collect()
 }
 
 /// `momsim sweep [--out-dir DIR] [--jobs N]`: writes every `BENCH_*.json`.

@@ -27,16 +27,17 @@
 //! functional run of a kernel drives a [`PipelineFanout`] over every machine
 //! configuration of the experiment, so a grid executes each (kernel, ISA)
 //! pair exactly once ([`simulate_configs`]), and the pairs run concurrently
-//! on a thread pool ([`sweep`]) whose size `--jobs N` sets.  Every report is
-//! available both as an aligned text table and as a machine-readable JSON
-//! document ([`Report::text`] / [`Report::json`]) for `BENCH_fig4.json`-style
-//! perf tracking.
+//! on a thread pool ([`sweep`]) whose size `--jobs N` sets.  Every committed
+//! report is one [`Table`] (header fields, column names, typed rows) with one
+//! JSON emitter for `BENCH_*.json` and one text renderer ([`Table::json`] /
+//! [`Table::text`]).
 //!
 //! The **`momsim`** binary ([`cli`]) is the front end: `momsim list` shows
 //! the registered experiments and axes, `momsim run fig5 --json PATH` runs
 //! a registered spec, `momsim run --kernels idct,motion1 --isas mom,mdmx
 //! --widths 1,2,4,8 --memory l1l2` assembles an ad-hoc grid from named axis
-//! values, and `momsim sweep` regenerates every `BENCH_*.json` report.
+//! values, and `momsim sweep` regenerates every report of the catalogue
+//! [`cli::COMMITTED_REPORTS`].
 
 #![warn(missing_docs)]
 
@@ -59,6 +60,7 @@ use mom_kernels::{shared_kernel_run, KernelError, KernelId};
 use mom_pipeline::{
     MemoryModel, PipelineConfig, PipelineFanout, SampledFanout, SamplingConfig, SimResult,
 };
+use std::borrow::Cow;
 
 /// Seed used by every experiment (the workloads are deterministic).
 pub const EXPERIMENT_SEED: u64 = 0x5C99;
@@ -314,95 +316,194 @@ pub(crate) fn stored_point_lookup(
 }
 
 // ---------------------------------------------------------------------------
-// Figure 4
+// Reports: one column table for every committed report shape
 // ---------------------------------------------------------------------------
 
-/// One bar of Figure 4: the speed-up of a multimedia ISA over the scalar
-/// baseline at a given issue width.
+/// One typed cell of a [`Table`] row.
 #[derive(Debug, Clone)]
-pub struct Figure4Point {
-    /// Kernel.
-    pub kernel: KernelId,
-    /// Multimedia ISA (MMX, MDMX or MOM).
-    pub isa: IsaKind,
-    /// Issue width.
-    pub width: usize,
-    /// Speed-up over the scalar baseline at the same width.
-    pub speedup: f64,
+enum Cell {
+    /// A label: a kernel, ISA, application or memory-model name.
+    Str(Cow<'static, str>),
+    /// A count.
+    Int(i64),
+    /// A measured or derived quantity.
+    Num(f64),
 }
 
-/// The issue widths of Figure 4.
-pub const FIG4_WIDTHS: [usize; 4] = [1, 2, 4, 8];
+impl Cell {
+    fn json(&self) -> Json {
+        match self {
+            Cell::Str(text) => Json::str(text.as_ref()),
+            Cell::Int(n) => Json::int(*n),
+            Cell::Num(x) => Json::Num(*x),
+        }
+    }
 
-/// Derives the Figure 4 speed-up bars from a measured grid: every
-/// perfect-memory configuration is a width point, and each multimedia ISA
-/// is normalised to the scalar baseline at the same width.
-pub fn fig4_from(grid: &GridResult) -> Vec<Figure4Point> {
-    let mut out = Vec::new();
+    fn text(&self) -> String {
+        match self {
+            Cell::Str(text) => text.to_string(),
+            Cell::Int(n) => n.to_string(),
+            Cell::Num(x) => format!("{x:.2}"),
+        }
+    }
+}
+
+/// A derived report as one column table: the header fields of its JSON
+/// document, a fixed list of column names, and rows of typed cells.  Every
+/// committed report shape (Figure 4, Figure 5, Tables 1–9, the ablation
+/// series and the application speed-ups) is a `Table`, emitted by the one
+/// JSON emitter [`Table::json`] and the one text renderer [`Table::text`].
+#[derive(Debug, Clone)]
+pub struct Table {
+    header: Vec<(&'static str, Json)>,
+    /// The JSON key of the row array (`points`, or `rows` for the tables).
+    rows_key: &'static str,
+    columns: &'static [&'static str],
+    /// Row-major, `columns.len()` cells per row.
+    cells: Vec<Cell>,
+}
+
+impl Table {
+    fn push<const N: usize>(&mut self, row: [Cell; N]) {
+        assert_eq!(N, self.columns.len(), "one cell per column");
+        self.cells.extend(row);
+    }
+
+    fn rows(&self) -> std::slice::Chunks<'_, Cell> {
+        self.cells.chunks(self.columns.len())
+    }
+
+    /// Number of rows.
+    pub fn points(&self) -> usize {
+        self.cells.len() / self.columns.len()
+    }
+
+    /// The report as a JSON document: the header fields, then one object
+    /// per row keyed by the column names.
+    pub fn json(&self) -> Json {
+        let rows = self.rows().map(|row| row_json(self.columns, row));
+        let mut doc = self.header.clone();
+        doc.push((self.rows_key, Json::Arr(rows.collect())));
+        Json::obj(doc)
+    }
+
+    /// The report as aligned text: the scalar header fields on one line,
+    /// the column names (the JSON keys) on the next, then one line per
+    /// JSON row.  Labels align left, numbers right.
+    pub fn text(&self) -> String {
+        let scalars: Vec<String> = self
+            .header
+            .iter()
+            .filter_map(|(key, value)| match value {
+                Json::Str(text) => Some(format!("{key}={text}")),
+                Json::Num(_) => Some(format!("{key}={value}")),
+                _ => None,
+            })
+            .collect();
+        let mut lines: Vec<Vec<String>> =
+            vec![self.columns.iter().map(|c| c.to_string()).collect()];
+        lines.extend(self.rows().map(|row| row.iter().map(Cell::text).collect()));
+        let widths: Vec<usize> = (0..self.columns.len())
+            .map(|c| lines.iter().map(|line| line[c].len()).max().unwrap_or(0))
+            .collect();
+        let mut out = scalars.join(" ") + "\n";
+        for line in &lines {
+            for (c, (cell, &width)) in line.iter().zip(&widths).enumerate() {
+                out += &match self.cells.get(c) {
+                    Some(Cell::Str(_)) | None => format!("{cell:<width$}  "),
+                    Some(_) => format!("{cell:>width$}  "),
+                };
+            }
+            out.truncate(out.trim_end().len());
+            out.push('\n');
+        }
+        out
+    }
+}
+
+/// One row as a JSON object keyed by the column names.
+fn row_json(columns: &[&'static str], row: &[Cell]) -> Json {
+    Json::obj(
+        columns
+            .iter()
+            .zip(row)
+            .map(|(&column, cell)| (column, cell.json())),
+    )
+}
+
+/// An empty table under the header every grid report's `BENCH_*.json`
+/// document starts with.
+fn grid_table(experiment: &str, rows_key: &'static str, columns: &'static [&'static str]) -> Table {
+    let header = vec![
+        ("schema", Json::int(1)),
+        ("experiment", Json::str(experiment)),
+        ("seed", Json::int(EXPERIMENT_SEED as i64)),
+        (
+            "steady_state_instructions",
+            Json::int(STEADY_STATE_INSTRUCTIONS as i64),
+        ),
+    ];
+    Table {
+        header,
+        rows_key,
+        columns,
+        cells: Vec::new(),
+    }
+}
+
+/// Derives the Figure 4 speed-up bars (`BENCH_fig4.json`) from a measured
+/// grid: every perfect-memory configuration is a width point, and each
+/// multimedia ISA is normalised to the scalar baseline at the same width.
+pub fn fig4_from(grid: &GridResult) -> Table {
+    let mut table = grid_table("fig4", "points", &["kernel", "isa", "width", "speedup"]);
     for &kernel in &grid.spec.kernels {
         for ci in grid.config_indices(|c| c.memory == MemoryModel::PERFECT) {
-            let width = grid.spec.configs[ci].width;
             let base = grid
                 .point(kernel, IsaKind::Alpha, ci)
                 .expect("Figure 4 needs the scalar baseline in the grid")
                 .cycles_per_invocation();
             for &isa in grid.spec.isas.iter().filter(|&&i| i != IsaKind::Alpha) {
                 let point = grid.point(kernel, isa, ci).expect("a full grid");
-                out.push(Figure4Point {
-                    kernel,
-                    isa,
-                    width,
-                    speedup: base / point.cycles_per_invocation(),
-                });
+                table.push([
+                    Cell::Str(kernel.name().into()),
+                    Cell::Str(isa.name().into()),
+                    Cell::Int(grid.spec.configs[ci].width as i64),
+                    Cell::Num(base / point.cycles_per_invocation()),
+                ]);
             }
         }
     }
-    out
+    table
 }
 
-// ---------------------------------------------------------------------------
-// Figure 5
-// ---------------------------------------------------------------------------
-
-/// One line point of Figure 5: cycles per invocation for a kernel/ISA at a
-/// given memory model (4-way core) — the paper's three fixed latencies plus
-/// the simulated L1/L2 cache hierarchy.
-#[derive(Debug, Clone)]
-pub struct Figure5Point {
-    /// Kernel.
-    pub kernel: KernelId,
-    /// ISA (all four, the paper labels the scalar one "SS").
-    pub isa: IsaKind,
-    /// Base memory latency in cycles (L1 hit latency for the cache point).
-    pub mem_latency: u64,
-    /// Memory-model label: "1" / "12" / "50" or "cache".
-    pub memory: String,
-    /// Cycles per kernel invocation.
-    pub cycles_per_invocation: f64,
-    /// Slow-down relative to the same ISA at 1-cycle latency (1.0 for the
-    /// 1-cycle point).
-    pub slowdown: f64,
-    /// Data-cache counters over the whole measured stream (all zero for the
-    /// fixed-latency points).
-    pub cache: mom_pipeline::CacheStats,
-    /// L1 misses per thousand committed instructions (cache point only).
-    pub l1_mpki: f64,
-    /// L2 misses (main-memory accesses) per thousand committed instructions
-    /// (cache point only).
-    pub l2_mpki: f64,
-}
-
-/// Derives the Figure 5 memory series from a measured grid: every 4-way
-/// configuration is a memory point, normalised to the perfect-memory (1
-/// cycle) configuration of the same ISA.
-pub fn fig5_from(grid: &GridResult) -> Vec<Figure5Point> {
+/// Derives the Figure 5 memory series (`BENCH_fig5.json`) from a measured
+/// grid: every 4-way configuration is a memory point, normalised to the
+/// perfect-memory (1 cycle) configuration of the same ISA.
+pub fn fig5_from(grid: &GridResult) -> Table {
     let series = grid.config_indices(|c| c.width == 4);
     let base_idx = series
         .iter()
         .copied()
         .find(|&ci| grid.spec.configs[ci].memory == MemoryModel::PERFECT)
         .expect("Figure 5 needs the 4-way perfect-memory point in the grid");
-    let mut out = Vec::new();
+    let mut table = grid_table(
+        "fig5",
+        "points",
+        &[
+            "kernel",
+            "isa",
+            "memory",
+            "mem_latency",
+            "cycles_per_invocation",
+            "slowdown",
+            "l1_hits",
+            "l1_misses",
+            "l2_hits",
+            "l2_misses",
+            "l1_mpki",
+            "l2_mpki",
+        ],
+    );
     for &kernel in &grid.spec.kernels {
         for &isa in &grid.spec.isas {
             let base = grid
@@ -411,110 +512,77 @@ pub fn fig5_from(grid: &GridResult) -> Vec<Figure5Point> {
                 .cycles_per_invocation();
             for &ci in &series {
                 let p = grid.point(kernel, isa, ci).expect("a full grid");
-                out.push(Figure5Point {
-                    kernel: p.kernel,
-                    isa: p.isa,
-                    mem_latency: p.mem_latency,
-                    memory: p.memory.clone(),
-                    cycles_per_invocation: p.cycles_per_invocation(),
-                    slowdown: p.cycles_per_invocation() / base,
-                    cache: p.result.cache,
-                    l1_mpki: p.result.l1_mpki(),
-                    l2_mpki: p.result.l2_mpki(),
-                });
+                let cache = &p.result.cache;
+                table.push([
+                    Cell::Str(p.kernel.name().into()),
+                    Cell::Str(p.isa.name().into()),
+                    Cell::Str(p.memory.clone().into()),
+                    Cell::Int(p.mem_latency as i64),
+                    Cell::Num(p.cycles_per_invocation()),
+                    Cell::Num(p.cycles_per_invocation() / base),
+                    Cell::Int(cache.l1_hits as i64),
+                    Cell::Int(cache.l1_misses as i64),
+                    Cell::Int(cache.l2_hits as i64),
+                    Cell::Int(cache.l2_misses as i64),
+                    Cell::Num(p.result.l1_mpki()),
+                    Cell::Num(p.result.l2_mpki()),
+                ]);
             }
         }
     }
-    out
+    table
 }
 
-// ---------------------------------------------------------------------------
-// Tables 1-9
-// ---------------------------------------------------------------------------
-
-/// One row of a per-kernel table: the speed-up decomposition for one ISA.
-#[derive(Debug, Clone)]
-pub struct TableRow {
-    /// Kernel.
-    pub kernel: KernelId,
-    /// ISA of this row.
-    pub isa: IsaKind,
-    /// Committed instructions per cycle.
-    pub ipc: f64,
-    /// Operations per instruction.
-    pub opi: f64,
-    /// Operation-reduction factor relative to the scalar baseline.
-    pub r: f64,
-    /// Speed-up over the scalar baseline.
-    pub s: f64,
-    /// Fraction of multimedia ("vector") instructions.
-    pub f: f64,
-    /// Average sub-word vector length (dimension X).
-    pub vlx: f64,
-    /// Average dimension-Y vector length.
-    pub vly: f64,
-}
-
-/// Derives the Tables 1–9 rows from a measured grid, at its 4-way
-/// perfect-memory configuration.
-pub fn tables_from(grid: &GridResult) -> Vec<TableRow> {
+/// Derives the Tables 1–9 rows (`BENCH_tables.json`: IPC, OPI, R, S, F,
+/// VLx, VLy) from a measured grid, at its 4-way perfect-memory
+/// configuration.
+pub fn tables_from(grid: &GridResult) -> Table {
     let way4 = grid
         .config_indices(|c| c.width == 4 && c.memory == MemoryModel::PERFECT)
         .first()
         .copied()
         .expect("the tables need the 4-way perfect-memory point in the grid");
-    let mut rows = Vec::new();
+    let mut table = grid_table(
+        "tables",
+        "rows",
+        &["kernel", "isa", "ipc", "opi", "r", "s", "f", "vlx", "vly"],
+    );
     for &kernel in &grid.spec.kernels {
         let baseline = grid
             .point(kernel, IsaKind::Alpha, way4)
             .expect("the tables need the scalar baseline in the grid");
         for &isa in &grid.spec.isas {
             let point = grid.point(kernel, isa, way4).expect("a full grid");
-            rows.push(TableRow {
-                kernel,
-                isa,
-                ipc: point.result.ipc(),
-                opi: point.result.opi(),
-                r: baseline.ops_per_invocation() / point.ops_per_invocation(),
-                s: baseline.cycles_per_invocation() / point.cycles_per_invocation(),
-                f: point.stats.media_fraction(),
-                vlx: point.stats.avg_vlx(),
-                vly: point.stats.avg_vly(),
-            });
+            table.push([
+                Cell::Str(kernel.name().into()),
+                Cell::Str(isa.name().into()),
+                Cell::Num(point.result.ipc()),
+                Cell::Num(point.result.opi()),
+                Cell::Num(baseline.ops_per_invocation() / point.ops_per_invocation()),
+                Cell::Num(baseline.cycles_per_invocation() / point.cycles_per_invocation()),
+                Cell::Num(point.stats.media_fraction()),
+                Cell::Num(point.stats.avg_vlx()),
+                Cell::Num(point.stats.avg_vly()),
+            ]);
         }
     }
-    rows
-}
-
-// ---------------------------------------------------------------------------
-// Ablations (beyond the paper)
-// ---------------------------------------------------------------------------
-
-/// One ablation point: MOM cycles per invocation while varying a
-/// micro-architectural parameter the paper discusses qualitatively.
-#[derive(Debug, Clone)]
-pub struct AblationPoint {
-    /// Kernel.
-    pub kernel: KernelId,
-    /// Which parameter was varied.
-    pub parameter: &'static str,
-    /// The parameter value.
-    pub value: usize,
-    /// Cycles per invocation for MOM.
-    pub mom_cycles: f64,
-    /// Cycles per invocation for MMX at the same setting (for contrast).
-    pub mmx_cycles: f64,
+    table
 }
 
 /// Derives an ablation series (MOM vs MMX cycles per invocation) from a
-/// measured grid: every configuration is one value of the swept parameter,
-/// read back off the config by `value_of`.
+/// measured grid: every configuration is one value of the swept
+/// `parameter`, read back off the config by `value_of`.
 pub fn ablation_from(
     grid: &GridResult,
     parameter: &'static str,
     value_of: fn(&PipelineConfig) -> usize,
-) -> Vec<AblationPoint> {
-    let mut out = Vec::new();
+) -> Table {
+    let mut table = grid_table(
+        "ablation",
+        "points",
+        &["kernel", "value", "mom_cycles", "mmx_cycles"],
+    );
+    table.header.push(("parameter", Json::str(parameter)));
     for &kernel in &grid.spec.kernels {
         for (ci, config) in grid.spec.configs.iter().enumerate() {
             let mom = grid
@@ -523,373 +591,86 @@ pub fn ablation_from(
             let mmx = grid
                 .point(kernel, IsaKind::Mmx, ci)
                 .expect("an ablation grid needs the MMX series");
-            out.push(AblationPoint {
-                kernel,
-                parameter,
-                value: value_of(config),
-                mom_cycles: mom.cycles_per_invocation(),
-                mmx_cycles: mmx.cycles_per_invocation(),
-            });
+            table.push([
+                Cell::Str(kernel.name().into()),
+                Cell::Int(value_of(config) as i64),
+                Cell::Num(mom.cycles_per_invocation()),
+                Cell::Num(mmx.cycles_per_invocation()),
+            ]);
         }
     }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Reporting helpers shared by the binaries and benches
-// ---------------------------------------------------------------------------
-
-/// Formats the Figure 4 results as an aligned text table.
-pub fn format_figure4(points: &[Figure4Point]) -> String {
-    let mut out = String::new();
-    out.push_str("Figure 4: speed-up over Alpha code (perfect memory)\n");
-    out.push_str(&format!(
-        "{:<10} {:>6} {:>8} {:>8} {:>8}\n",
-        "kernel", "way", "MMX", "MDMX", "MOM"
-    ));
-    for kernel in KernelId::ALL {
-        for width in FIG4_WIDTHS {
-            let get = |isa: IsaKind| {
-                points
-                    .iter()
-                    .find(|p| p.kernel == kernel && p.width == width && p.isa == isa)
-                    .map(|p| p.speedup)
-                    .unwrap_or(f64::NAN)
-            };
-            out.push_str(&format!(
-                "{:<10} {:>6} {:>8.2} {:>8.2} {:>8.2}\n",
-                kernel.name(),
-                width,
-                get(IsaKind::Mmx),
-                get(IsaKind::Mdmx),
-                get(IsaKind::Mom)
-            ));
-        }
-    }
-    out
-}
-
-/// Formats the Figure 5 results as an aligned text table.
-pub fn format_figure5(points: &[Figure5Point]) -> String {
-    let mut out = String::new();
-    out.push_str("Figure 5: cycles per invocation vs memory system (4-way)\n");
-    out.push_str(&format!(
-        "{:<10} {:>6} {:>12} {:>12} {:>12} {:>12} {:>10} {:>8}\n",
-        "kernel", "isa", "lat 1", "lat 12", "lat 50", "cache", "slowdown", "MPKI"
-    ));
-    for kernel in KernelId::ALL {
-        for isa in IsaKind::ALL {
-            let get = |memory: &str| {
-                points
-                    .iter()
-                    .find(|p| p.kernel == kernel && p.isa == isa && p.memory == memory)
-                    .cloned()
-            };
-            let cycles = |p: &Option<Figure5Point>| {
-                p.as_ref()
-                    .map(|p| p.cycles_per_invocation)
-                    .unwrap_or(f64::NAN)
-            };
-            let (l1, l12, l50, cache) = (get("1"), get("12"), get("50"), get("cache"));
-            out.push_str(&format!(
-                "{:<10} {:>6} {:>12.0} {:>12.0} {:>12.0} {:>12.0} {:>9.2}x {:>8.2}\n",
-                kernel.name(),
-                if isa == IsaKind::Alpha {
-                    "SS"
-                } else {
-                    isa.name()
-                },
-                cycles(&l1),
-                cycles(&l12),
-                cycles(&l50),
-                cycles(&cache),
-                l50.as_ref().map(|p| p.slowdown).unwrap_or(f64::NAN),
-                cache.as_ref().map(|p| p.l1_mpki).unwrap_or(f64::NAN),
-            ));
-        }
-    }
-    out
-}
-
-/// Formats the Tables 1–9 results as aligned per-kernel tables.
-pub fn format_tables(rows: &[TableRow]) -> String {
-    let mut out = String::new();
-    for kernel in KernelId::ALL {
-        out.push_str(&format!(
-            "Table ({}): speed-up breakdown, 4-way, 1-cycle memory\n",
-            kernel.name()
-        ));
-        out.push_str(&format!(
-            "{:<6} {:>6} {:>7} {:>6} {:>6} {:>6} {:>6} {:>7}\n",
-            "ISA", "IPC", "OPI", "R", "S", "F", "VLx", "VLy"
-        ));
-        for isa in IsaKind::ALL {
-            if let Some(r) = rows.iter().find(|r| r.kernel == kernel && r.isa == isa) {
-                out.push_str(&format!(
-                    "{:<6} {:>6.2} {:>7.2} {:>6.2} {:>6.1} {:>6.2} {:>6.2} {:>7.2}\n",
-                    isa.name(),
-                    r.ipc,
-                    r.opi,
-                    r.r,
-                    r.s,
-                    r.f,
-                    r.vlx,
-                    r.vly
-                ));
-            }
-        }
-        out.push('\n');
-    }
-    out
-}
-
-/// Common header of every `BENCH_*.json` report.
-fn report_header(experiment: &str) -> Vec<(&'static str, Json)> {
-    vec![
-        ("schema", Json::int(1)),
-        ("experiment", Json::str(experiment.to_string())),
-        ("seed", Json::int(EXPERIMENT_SEED as i64)),
-        (
-            "steady_state_instructions",
-            Json::int(STEADY_STATE_INSTRUCTIONS as i64),
-        ),
-    ]
-}
-
-/// The Figure 4 results as a machine-readable JSON report
-/// (`BENCH_fig4.json`).
-pub fn figure4_json(points: &[Figure4Point]) -> Json {
-    let mut doc = report_header("fig4");
-    doc.push((
-        "points",
-        Json::Arr(
-            points
-                .iter()
-                .map(|p| {
-                    Json::obj([
-                        ("kernel", Json::str(p.kernel.name())),
-                        ("isa", Json::str(p.isa.name())),
-                        ("width", Json::int(p.width as i64)),
-                        ("speedup", Json::Num(p.speedup)),
-                    ])
-                })
-                .collect(),
-        ),
-    ));
-    Json::obj(doc)
-}
-
-/// The Figure 5 results as a machine-readable JSON report
-/// (`BENCH_fig5.json`).
-pub fn figure5_json(points: &[Figure5Point]) -> Json {
-    let mut doc = report_header("fig5");
-    doc.push((
-        "points",
-        Json::Arr(
-            points
-                .iter()
-                .map(|p| {
-                    Json::obj([
-                        ("kernel", Json::str(p.kernel.name())),
-                        ("isa", Json::str(p.isa.name())),
-                        ("memory", Json::str(p.memory.clone())),
-                        ("mem_latency", Json::int(p.mem_latency as i64)),
-                        ("cycles_per_invocation", Json::Num(p.cycles_per_invocation)),
-                        ("slowdown", Json::Num(p.slowdown)),
-                        ("l1_hits", Json::int(p.cache.l1_hits as i64)),
-                        ("l1_misses", Json::int(p.cache.l1_misses as i64)),
-                        ("l2_hits", Json::int(p.cache.l2_hits as i64)),
-                        ("l2_misses", Json::int(p.cache.l2_misses as i64)),
-                        ("l1_mpki", Json::Num(p.l1_mpki)),
-                        ("l2_mpki", Json::Num(p.l2_mpki)),
-                    ])
-                })
-                .collect(),
-        ),
-    ));
-    Json::obj(doc)
-}
-
-/// The Tables 1–9 results as a machine-readable JSON report
-/// (`BENCH_tables.json`).
-pub fn tables_json(rows: &[TableRow]) -> Json {
-    let mut doc = report_header("tables");
-    doc.push((
-        "rows",
-        Json::Arr(
-            rows.iter()
-                .map(|r| {
-                    Json::obj([
-                        ("kernel", Json::str(r.kernel.name())),
-                        ("isa", Json::str(r.isa.name())),
-                        ("ipc", Json::Num(r.ipc)),
-                        ("opi", Json::Num(r.opi)),
-                        ("r", Json::Num(r.r)),
-                        ("s", Json::Num(r.s)),
-                        ("f", Json::Num(r.f)),
-                        ("vlx", Json::Num(r.vlx)),
-                        ("vly", Json::Num(r.vly)),
-                    ])
-                })
-                .collect(),
-        ),
-    ));
-    Json::obj(doc)
+    table
 }
 
 // ---------------------------------------------------------------------------
 // Whole-application speed-ups (the mom-apps scenario layer)
 // ---------------------------------------------------------------------------
 
-/// Formats the application speed-up rows as an aligned text table: per
-/// application, the pipeline phases, the kernel-region speed-up of each
-/// multimedia ISA over the scalar baseline, and the Amdahl-combined
-/// whole-application speed-up at the application's scalar coverage.
-pub fn format_apps(rows: &[mom_apps::AppSpeedup]) -> String {
-    use mom_apps::{AppId, AppSpec};
-    let mut out = String::new();
-    out.push_str(
-        "Application speed-ups: kernel regions and Amdahl whole-app (2-way, L1/L2 cache)\n",
-    );
-    out.push_str(&format!(
-        "{:<10} {:>9} {:>6} {:>10} {:>9} {:>9}  phases\n",
-        "app", "coverage", "isa", "region-cyc", "region-S", "app-S"
-    ));
-    for app in AppId::ALL {
-        let spec = AppSpec::of(app);
-        let phases = spec
-            .phases
-            .iter()
-            .map(|p| format!("{}x{}", p.kernel, p.invocations))
-            .collect::<Vec<_>>()
-            .join(" -> ");
-        for (index, isa) in IsaKind::MEDIA.into_iter().enumerate() {
-            let Some(row) = rows.iter().find(|r| r.app == app && r.isa == isa) else {
-                continue;
-            };
-            out.push_str(&format!(
-                "{:<10} {:>9.2} {:>6} {:>10} {:>8.2}x {:>8.2}x  {}\n",
-                app.name(),
-                row.coverage,
-                isa.name(),
-                row.cycles,
-                row.kernel_speedup,
-                row.app_speedup,
-                if index == 0 { phases.as_str() } else { "" },
-            ));
-        }
-    }
-    out
+/// The columns of an application speed-up row.
+const APP_COLUMNS: [&str; 7] = [
+    "app",
+    "isa",
+    "coverage",
+    "scalar_cycles",
+    "cycles",
+    "kernel_speedup",
+    "app_speedup",
+];
+
+fn app_cells(r: &mom_apps::AppSpeedup) -> [Cell; 7] {
+    [
+        Cell::Str(r.app.name().into()),
+        Cell::Str(r.isa.name().into()),
+        Cell::Num(r.coverage),
+        Cell::Int(r.scalar_cycles as i64),
+        Cell::Int(r.cycles as i64),
+        Cell::Num(r.kernel_speedup),
+        Cell::Num(r.app_speedup),
+    ]
 }
 
-/// The application speed-ups as a machine-readable JSON report
-/// (`BENCH_apps.json`): the declarative pipelines (phases and coverage)
-/// plus one point per (application, multimedia ISA).
-pub fn apps_json(rows: &[mom_apps::AppSpeedup]) -> Json {
+/// The application speed-ups as a [`Table`] (`BENCH_apps.json`): the
+/// declarative pipelines (phases and coverage) in the header, then one row
+/// per (application, multimedia ISA) with the kernel-region speed-up over
+/// the scalar baseline and the Amdahl-combined whole-application speed-up.
+fn apps_table(rows: &[mom_apps::AppSpeedup]) -> Table {
     use mom_apps::{AppId, AppSpec};
-    let doc = vec![
+    let pipelines = AppId::ALL
+        .iter()
+        .map(|&app| {
+            let spec = AppSpec::of(app);
+            let phases = spec.phases.iter().map(|p| {
+                Json::obj([
+                    ("kernel", Json::str(p.kernel.name())),
+                    ("invocations", Json::int(p.invocations as i64)),
+                ])
+            });
+            Json::obj([
+                ("app", Json::str(app.name())),
+                ("coverage", Json::Num(spec.coverage)),
+                ("phases", Json::Arr(phases.collect())),
+            ])
+        })
+        .collect();
+    let header = vec![
         ("schema", Json::int(1)),
         ("experiment", Json::str("apps")),
         ("seed", Json::int(EXPERIMENT_SEED as i64)),
         ("frames", Json::int(mom_apps::DEFAULT_FRAMES as i64)),
-        (
-            "apps",
-            Json::Arr(
-                AppId::ALL
-                    .iter()
-                    .map(|&app| {
-                        let spec = AppSpec::of(app);
-                        Json::obj([
-                            ("app", Json::str(app.name())),
-                            ("coverage", Json::Num(spec.coverage)),
-                            (
-                                "phases",
-                                Json::Arr(
-                                    spec.phases
-                                        .iter()
-                                        .map(|p| {
-                                            Json::obj([
-                                                ("kernel", Json::str(p.kernel.name())),
-                                                ("invocations", Json::int(p.invocations as i64)),
-                                            ])
-                                        })
-                                        .collect(),
-                                ),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "points",
-            Json::Arr(rows.iter().map(app_point_json).collect()),
-        ),
+        ("apps", Json::Arr(pipelines)),
     ];
-    Json::obj(doc)
+    Table {
+        header,
+        rows_key: "points",
+        columns: &APP_COLUMNS,
+        cells: rows.iter().flat_map(app_cells).collect(),
+    }
 }
 
 /// One application speed-up row as a JSON object — the row shape shared by
-/// [`apps_json`] and the `momsim serve` daemon's streamed job results.
+/// `BENCH_apps.json` and the `momsim serve` daemon's streamed job results.
 pub fn app_point_json(r: &mom_apps::AppSpeedup) -> Json {
-    Json::obj([
-        ("app", Json::str(r.app.name())),
-        ("isa", Json::str(r.isa.name())),
-        ("coverage", Json::Num(r.coverage)),
-        ("scalar_cycles", Json::int(r.scalar_cycles as i64)),
-        ("cycles", Json::int(r.cycles as i64)),
-        ("kernel_speedup", Json::Num(r.kernel_speedup)),
-        ("app_speedup", Json::Num(r.app_speedup)),
-    ])
-}
-
-/// Formats an ablation series as an aligned text table.
-pub fn format_ablation(points: &[AblationPoint]) -> String {
-    let parameter = points.first().map(|p| p.parameter).unwrap_or("value");
-    let mut out = String::new();
-    out.push_str(&format!(
-        "Ablation: {parameter}, cycles per invocation (4-way)\n"
-    ));
-    out.push_str(&format!(
-        "{:<10} {:>12} {:>12} {:>12}\n",
-        "kernel", parameter, "MOM", "MMX"
-    ));
-    for p in points {
-        out.push_str(&format!(
-            "{:<10} {:>12} {:>12.0} {:>12.0}\n",
-            p.kernel.name(),
-            p.value,
-            p.mom_cycles,
-            p.mmx_cycles
-        ));
-    }
-    out
-}
-
-/// An ablation series as a machine-readable JSON report.
-pub fn ablation_json(points: &[AblationPoint]) -> Json {
-    let mut doc = report_header("ablation");
-    doc.push((
-        "parameter",
-        Json::str(points.first().map(|p| p.parameter).unwrap_or("value")),
-    ));
-    doc.push((
-        "points",
-        Json::Arr(
-            points
-                .iter()
-                .map(|p| {
-                    Json::obj([
-                        ("kernel", Json::str(p.kernel.name())),
-                        ("value", Json::int(p.value as i64)),
-                        ("mom_cycles", Json::Num(p.mom_cycles)),
-                        ("mmx_cycles", Json::Num(p.mmx_cycles)),
-                    ])
-                })
-                .collect(),
-        ),
-    ));
-    Json::obj(doc)
+    row_json(&APP_COLUMNS, &app_cells(r))
 }
 
 /// Formats a raw measured grid (ad-hoc `momsim run` sweeps) as an aligned
@@ -1045,8 +826,10 @@ pub fn grid_json(grid: &GridResult) -> Json {
 }
 
 /// A derived experiment report: what a registered or ad-hoc experiment
-/// produces, with one shared text and JSON emitter for all experiment
-/// shapes.
+/// produces.  The committed report shapes are each a [`Table`] (the
+/// application speed-ups become one when emitted), so one JSON emitter and
+/// one text renderer serve them all; an ad-hoc grid keeps its own row
+/// shape ([`point_json`]).
 ///
 /// ```no_run
 /// use mom_bench::find_experiment;
@@ -1057,54 +840,56 @@ pub fn grid_json(grid: &GridResult) -> Json {
 /// ```
 #[derive(Debug, Clone)]
 pub enum Report {
-    /// The Figure 4 speed-up bars.
-    Fig4(Vec<Figure4Point>),
-    /// The Figure 5 memory series.
-    Fig5(Vec<Figure5Point>),
-    /// The Tables 1–9 rows.
-    Tables(Vec<TableRow>),
+    /// The Figure 4 speed-up bars ([`fig4_from`]).
+    Fig4(Table),
+    /// The Figure 5 memory series ([`fig5_from`]).
+    Fig5(Table),
+    /// The Tables 1–9 rows ([`tables_from`]).
+    Tables(Table),
     /// The whole-application speed-ups of the six Mediabench pipelines.
     Apps(Vec<mom_apps::AppSpeedup>),
-    /// An ablation series (MOM vs MMX over one machine parameter).
-    Ablation(Vec<AblationPoint>),
+    /// An ablation series, MOM vs MMX over one machine parameter
+    /// ([`ablation_from`]).
+    Ablation(Table),
     /// A raw measured grid (ad-hoc sweeps).
     Grid(GridResult),
 }
 
 impl Report {
-    /// The report as an aligned text table.
+    /// The report as aligned text ([`Table::text`] for the committed
+    /// shapes).
     pub fn text(&self) -> String {
         match self {
-            Report::Fig4(points) => format_figure4(points),
-            Report::Fig5(points) => format_figure5(points),
-            Report::Tables(rows) => format_tables(rows),
-            Report::Apps(rows) => format_apps(rows),
-            Report::Ablation(points) => format_ablation(points),
+            Report::Fig4(table)
+            | Report::Fig5(table)
+            | Report::Tables(table)
+            | Report::Ablation(table) => table.text(),
+            Report::Apps(rows) => apps_table(rows).text(),
             Report::Grid(grid) => format_grid(grid),
         }
     }
 
     /// The report as a machine-readable JSON document (the `BENCH_*.json`
-    /// schema for the registered paper experiments).
+    /// schema for the registered experiments).
     pub fn json(&self) -> Json {
         match self {
-            Report::Fig4(points) => figure4_json(points),
-            Report::Fig5(points) => figure5_json(points),
-            Report::Tables(rows) => tables_json(rows),
-            Report::Apps(rows) => apps_json(rows),
-            Report::Ablation(points) => ablation_json(points),
+            Report::Fig4(table)
+            | Report::Fig5(table)
+            | Report::Tables(table)
+            | Report::Ablation(table) => table.json(),
+            Report::Apps(rows) => apps_table(rows).json(),
             Report::Grid(grid) => grid_json(grid),
         }
     }
 
-    /// Number of measured points in the report.
+    /// Number of measured points (JSON rows) in the report.
     pub fn points(&self) -> usize {
         match self {
-            Report::Fig4(points) => points.len(),
-            Report::Fig5(points) => points.len(),
-            Report::Tables(rows) => rows.len(),
+            Report::Fig4(table)
+            | Report::Fig5(table)
+            | Report::Tables(table)
+            | Report::Ablation(table) => table.points(),
             Report::Apps(rows) => rows.len(),
-            Report::Ablation(points) => points.len(),
             Report::Grid(grid) => grid.points.len(),
         }
     }
@@ -1206,20 +991,48 @@ mod tests {
     }
 
     #[test]
-    fn formatting_contains_all_kernels() {
-        // Use a tiny synthetic set of points to keep this test fast.
-        let points = vec![Figure4Point {
-            kernel: KernelId::Idct,
-            isa: IsaKind::Mom,
-            width: 4,
-            speedup: 5.0,
-        }];
-        let text = format_figure4(&points);
-        assert!(text.contains("idct"));
-        assert!(text.contains("MOM"));
-        let doc = figure4_json(&points).pretty();
-        assert!(doc.contains("\"experiment\": \"fig4\""));
-        assert!(doc.contains("\"kernel\": \"idct\""));
-        assert!(doc.contains("\"speedup\": 5"));
+    fn report_text_follows_the_report_rows() {
+        // One kernel, every ISA, a 4-way core at 1-, 50- and 3-cycle
+        // memory: a grid none of the registered experiments measures.
+        let spec = ExperimentSpec {
+            kernels: vec![KernelId::Idct],
+            configs: [1, 50, 3]
+                .map(|latency| PipelineConfig::way_with_memory(4, MemoryModel::Fixed { latency }))
+                .to_vec(),
+            ..ExperimentSpec::default()
+        };
+        let grid = spec.run().unwrap();
+        let reports = [
+            Report::Fig4(fig4_from(&grid)),
+            Report::Fig5(fig5_from(&grid)),
+            Report::Tables(tables_from(&grid)),
+            Report::Ablation(ablation_from(&grid, "latency", |c| {
+                c.memory.base_latency() as usize
+            })),
+        ];
+        for report in &reports {
+            let (text, doc) = (report.text(), report.json());
+            let experiment = doc.get("experiment").and_then(Json::as_str).unwrap();
+            assert!(!text.contains("NaN"), "{experiment}:\n{text}");
+            for kernel in KernelId::ALL.into_iter().filter(|&k| k != KernelId::Idct) {
+                assert!(
+                    text.split_whitespace().all(|word| word != kernel.name()),
+                    "{experiment} names {kernel} outside the grid:\n{text}"
+                );
+            }
+            let rows = doc.as_obj().unwrap().last().unwrap().1.as_arr().unwrap();
+            assert_eq!(rows.len(), report.points(), "{experiment}");
+            assert_eq!(
+                text.lines().count(),
+                rows.len() + 2,
+                "{experiment}: a header line, the column names, one line per row:\n{text}"
+            );
+        }
+        let fig5 = reports[1].text();
+        assert!(
+            fig5.lines()
+                .any(|line| line.split_whitespace().nth(2) == Some("3")),
+            "the 3-cycle point is shown:\n{fig5}"
+        );
     }
 }

@@ -18,8 +18,7 @@
 use crate::json::Json;
 use crate::sweep::{parallel_map_with, worker_count};
 use crate::{
-    simulate_configs, ExperimentPoint, Report, EXPERIMENT_SEED, FIG4_WIDTHS,
-    STEADY_STATE_INSTRUCTIONS,
+    simulate_configs, ExperimentPoint, Report, EXPERIMENT_SEED, STEADY_STATE_INSTRUCTIONS,
 };
 use mom_isa::IsaKind;
 use mom_kernels::{KernelError, KernelId};
@@ -487,6 +486,15 @@ impl NamedExperiment {
         }
     }
 
+    /// Derives the report from a measured grid that holds the experiment's
+    /// own (`momsim sweep`'s union grid); `None` for a scenario.
+    pub(crate) fn derive(&self, grid: &GridResult) -> Option<Report> {
+        match &self.runner {
+            Runner::Grid { derive, .. } => Some(derive(grid)),
+            Runner::Scenario(_) => None,
+        }
+    }
+
     /// Runs the experiment and derives the report.
     pub fn run(&self) -> Result<Report, ExperimentError> {
         self.run_with_jobs(None)
@@ -502,6 +510,9 @@ impl NamedExperiment {
         }
     }
 }
+
+/// The issue widths of Figure 4.
+const FIG4_WIDTHS: [usize; 4] = [1, 2, 4, 8];
 
 fn fig4_spec() -> ExperimentSpec {
     ExperimentSpec {
@@ -532,7 +543,11 @@ pub(crate) fn tables_spec() -> ExperimentSpec {
     ExperimentSpec::default()
 }
 
-/// The union of machine configurations the three paper experiments need,
+/// The registered experiments `momsim sweep` derives from the one shared
+/// [`union_spec`] grid instead of measuring each on its own.
+pub(crate) const UNION_EXPERIMENTS: [&str; 3] = ["fig4", "fig5", "tables"];
+
+/// The union of machine configurations the [`UNION_EXPERIMENTS`] need,
 /// measured once per (kernel, ISA) pair by `momsim sweep`: Figure 4's four
 /// widths at 1-cycle memory (Tables 1–9 reuse the 4-way point), the 4-way
 /// core at the two slower Figure 5 latencies (the 1-cycle point is Figure

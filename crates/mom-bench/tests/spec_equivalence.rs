@@ -3,6 +3,7 @@
 //! drivers they replaced measured.
 
 use mom_apps::AppId;
+use mom_bench::json::Json;
 use mom_bench::{
     fig5_from, find_experiment, simulate_configs, Report, EXPERIMENT_SEED,
     STEADY_STATE_INSTRUCTIONS,
@@ -69,13 +70,16 @@ fn registered_fig5_spec_reproduces_the_driver_simresults() {
     // The derived report has the driver's shape: four points per
     // (kernel, ISA) in 1 / 12 / 50 / cache order, normalised to the
     // 1-cycle point.
-    let report = fig5_from(&grid);
-    assert_eq!(report.len(), grid.points.len());
-    for group in report.chunks(4) {
-        let labels: Vec<&str> = group.iter().map(|p| p.memory.as_str()).collect();
-        assert_eq!(labels, ["1", "12", "50", "cache"]);
-        assert_eq!(group[0].slowdown, 1.0, "the 1-cycle point is the base");
-        assert!(group[2].slowdown >= group[1].slowdown);
+    let report = fig5_from(&grid).json();
+    let rows = report.get("points").and_then(Json::as_arr).expect("points");
+    assert_eq!(rows.len(), grid.points.len());
+    let field = |row: &Json, key: &str| row.get(key).cloned().expect("a fig5 column");
+    for group in rows.chunks(4) {
+        let labels: Vec<Json> = group.iter().map(|row| field(row, "memory")).collect();
+        assert_eq!(labels, ["1", "12", "50", "cache"].map(Json::str));
+        let slowdown = |i: usize| field(&group[i], "slowdown").as_f64().expect("a number");
+        assert_eq!(slowdown(0), 1.0, "the 1-cycle point is the base");
+        assert!(slowdown(2) >= slowdown(1));
     }
 }
 

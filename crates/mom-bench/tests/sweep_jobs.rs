@@ -4,7 +4,7 @@
 //! actually computes — this pins the pair fan-out's result ordering, not
 //! the store's replay.
 
-use mom_bench::cli::sweep_documents;
+use mom_bench::cli::{sweep_documents, COMMITTED_REPORTS};
 
 fn rendered_sweep(jobs: Option<usize>) -> Vec<(String, String)> {
     sweep_documents(jobs)
@@ -18,7 +18,24 @@ fn rendered_sweep(jobs: Option<usize>) -> Vec<(String, String)> {
 fn threaded_sweeps_emit_identical_bytes() {
     let _bypass = mom_store::bypass_guard();
     let single = rendered_sweep(None);
-    assert!(!single.is_empty(), "the sweep emits documents");
+    let files: Vec<&str> = single.iter().map(|(name, _)| name.as_str()).collect();
+    let catalogue: Vec<&str> = COMMITTED_REPORTS.map(|(_, file, _)| file).to_vec();
+    assert_eq!(
+        files, catalogue,
+        "the catalogue's files, in catalogue order"
+    );
+    // Nothing registered is left out of the sweep, or written twice.
+    for experiment in mom_bench::registry() {
+        let homes = COMMITTED_REPORTS
+            .iter()
+            .filter(|(_, _, experiments)| experiments.contains(&experiment.name))
+            .count();
+        assert_eq!(
+            homes, 1,
+            "{} is in exactly one committed report",
+            experiment.name
+        );
+    }
     for jobs in [1, 2, 3] {
         let threaded = rendered_sweep(Some(jobs));
         assert_eq!(

@@ -328,7 +328,8 @@ pub fn status_command(args: &[String]) -> Result<(), CliError> {
 }
 
 /// `momsim report <name> [--out PATH]`: replays a committed report from
-/// the daemon's store.
+/// the daemon's store.  An unknown name is a usage error, found before
+/// connecting.
 pub fn report_command(args: &[String]) -> Result<(), CliError> {
     let (addr, policy, args) = client_args(args)?;
     let mut name = None;
@@ -349,10 +350,12 @@ pub fn report_command(args: &[String]) -> Result<(), CliError> {
         }
     }
     let name = name.ok_or_else(|| {
-        CliError::Usage(
-            "momsim report needs a report name (fig4, fig5, tables, apps, ablations)".into(),
-        )
+        CliError::Usage(format!(
+            "momsim report needs a report name ({})",
+            mom_bench::cli::report_names()
+        ))
     })?;
+    mom_bench::cli::report_experiments(&name).map_err(CliError::Usage)?;
     let (status, bytes) =
         request_raw_with(&addr, "GET", &format!("/reports/{name}"), None, &policy)
             .map_err(|e| CliError::Io(e.to_string()))?;

@@ -21,8 +21,8 @@ use crate::http::{read_request_body, read_request_head, HttpError, Request, Resp
 use crate::journal::{self, Journal, Record};
 use crate::queue::{Daemon, Supervision};
 use crate::wire::{job_doc, job_entry, parse_submit};
+use mom_bench::find_experiment;
 use mom_bench::json::Json;
-use mom_bench::{find_experiment, Report};
 use mom_store::faults::{self, FaultSite};
 use std::io::BufReader;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -482,36 +482,20 @@ fn job_route(method: &str, id: u64, daemon: &Daemon) -> Response {
 }
 
 /// The `GET /reports/<name>` replay: serve a committed `BENCH_*` document
-/// byte-identically **from the store**, refusing (409) rather than
-/// simulating anything.  The daemon proves replay eligibility by checking
-/// every point of the report's spec against the store first; the actual
-/// rendering then runs the ordinary experiment path, which is all store
-/// hits by construction.
+/// ([`mom_bench::cli::report_experiments`] names them) byte-identically
+/// **from the store**, refusing (409) rather than simulating anything.
+/// The daemon proves replay eligibility by checking every point of the
+/// report's spec against the store first; the actual rendering then runs
+/// the ordinary experiment path, which is all store hits by construction.
 fn report_route(name: &str) -> Response {
-    let experiments: &[&str] = match name {
-        "fig4" | "fig5" | "tables" => &[],
-        "apps" | "app-speedups" => &["app-speedups"],
-        "ablations" => &["ablation-lanes", "ablation-rob"],
-        "ablation-lanes" | "ablation-rob" => &[],
-        other => {
-            return Response::error(
-                404,
-                format!(
-                    "no such report '{other}' (expected fig4, fig5, tables, apps, \
-                     ablations, ablation-lanes or ablation-rob)"
-                ),
-            )
-        }
-    };
-    let experiments: Vec<&str> = if experiments.is_empty() {
-        vec![name]
-    } else {
-        experiments.to_vec()
+    let experiments = match mom_bench::cli::report_experiments(name) {
+        Ok(experiments) => experiments,
+        Err(message) => return Response::error(404, message),
     };
     if !mom_store::global().is_active() {
         return Response::error(409, "the artifact store is disabled; nothing to replay");
     }
-    for experiment in &experiments {
+    for experiment in experiments {
         if let Some(missing) = first_missing_point(experiment) {
             return Response::error(
                 409,
@@ -522,11 +506,10 @@ fn report_route(name: &str) -> Response {
             );
         }
     }
-    let rendered = match render_report(name, &experiments) {
-        Ok(text) => text,
-        Err(e) => return Response::error(500, e),
-    };
-    Response::raw_json(200, rendered.into_bytes())
+    match render_report(experiments) {
+        Ok(text) => Response::raw_json(200, text.into_bytes()),
+        Err(e) => Response::error(500, e),
+    }
 }
 
 /// Scans an experiment's plan against the store; `Some(description)` of
@@ -559,22 +542,16 @@ fn first_missing_point(experiment: &str) -> Option<String> {
     }
 }
 
-/// Renders the named report through the ordinary experiment path (every
-/// point verified stored, so this never simulates) to the exact bytes
-/// `momsim sweep` writes.
-fn render_report(name: &str, experiments: &[&str]) -> Result<String, String> {
-    if name == "ablations" {
-        let mut series: Vec<(&'static str, Report)> = Vec::new();
-        for experiment in experiments {
-            let named = find_experiment(experiment).map_err(|e| e.to_string())?;
-            series.push((named.name, named.run().map_err(|e| e.to_string())?));
-        }
-        return Ok(mom_bench::cli::ablations_doc(&series).pretty());
-    }
-    let experiment = experiments.first().copied().unwrap_or(name);
-    let report = find_experiment(experiment)
-        .map_err(|e| e.to_string())?
-        .run()
-        .map_err(|e| e.to_string())?;
-    Ok(report.json().pretty())
+/// Renders a report from its experiments through the ordinary experiment
+/// path (every point verified stored, so this never simulates) to the
+/// exact bytes `momsim sweep` writes.
+fn render_report(experiments: &[&'static str]) -> Result<String, String> {
+    let series = experiments
+        .iter()
+        .map(|&name| {
+            let report = find_experiment(name)?.run().map_err(|e| e.to_string())?;
+            Ok((name, report))
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    Ok(mom_bench::cli::committed_doc(&series).pretty())
 }

@@ -72,7 +72,11 @@ fn daemon_round_trip_dedup_and_shutdown() {
     assert_eq!(get(&addr, "/healthz").0, 200);
     assert_eq!(get(&addr, "/jobs/999").0, 404);
     assert_eq!(get(&addr, "/nope").0, 404);
-    assert_eq!(get(&addr, "/reports/frobnicate").0, 404);
+    let (status, doc) = get(&addr, "/reports/frobnicate");
+    assert_eq!(status, 404);
+    for (report, ..) in mom_bench::cli::COMMITTED_REPORTS {
+        assert!(doc.to_string().contains(report), "names {report}: {doc}");
+    }
     let (status, doc) = get(&addr, "/reports/fig4");
     assert_eq!(status, 409, "cold store cannot replay: {doc}");
     let (status, doc) = post(&addr, "/jobs", "{\"experiment\": \"fig9000\"}");
@@ -166,8 +170,17 @@ fn daemon_round_trip_dedup_and_shutdown() {
     );
     let rows = done.get("rows").and_then(Json::as_arr).expect("rows");
     assert_eq!(rows.len(), 18, "6 apps x 3 media ISAs");
-    let (status, _) = get(&addr, "/reports/apps");
+    let replay = |name: &str| {
+        mom_serve::client::request_raw(&addr, "GET", &format!("/reports/{name}"), None)
+            .expect("replay transport")
+    };
+    let (status, apps) = replay("apps");
     assert_eq!(status, 200, "apps report replayable once the scenario ran");
+    assert_eq!(
+        replay("app-speedups"),
+        (200, apps),
+        "the experiment name serves the committed apps document"
+    );
 
     // --- Job listing shows all three. ---
     let (status, doc) = get(&addr, "/jobs");

@@ -37,9 +37,11 @@ USAGE:
       Show the registered experiments and the valid axis values.
   momsim run <experiment> [--json PATH] [--jobs N]
       Run a registered experiment (fig4, fig5, tables, app-speedups,
-      ablation-lanes, ablation-rob); print the text report and optionally
-      write the JSON. --jobs N runs the (kernel, ISA) pairs on N worker
-      threads (default: one per core); the report never depends on it.
+      ablation-lanes, ablation-rob); print the report as text (the
+      scalar header fields, then one line per JSON row under the JSON
+      keys) and optionally write the JSON. --jobs N runs the (kernel,
+      ISA) pairs on N worker threads (default: one per core); the report
+      never depends on it.
   momsim run [AXES] [--json PATH] [--jobs N]
       Run an ad-hoc scenario grid assembled from axis flags:
         --kernels K,K,..       kernel names, or 'all' (default: all)
@@ -108,8 +110,10 @@ USAGE:
   momsim status [--addr HOST:PORT] [JOB]
       List a daemon's jobs, or show one job's progress and partial results.
   momsim report [--addr HOST:PORT] <name> [--out PATH]
-      Replay a committed report (fig4, fig5, tables, apps, ablations)
-      byte-identically from the daemon's store, without simulating.
+      Replay a committed report (fig4, fig5, tables, apps, ablations) or
+      one registered experiment's report byte-identically from the
+      daemon's store, without simulating. An unknown name exits 2
+      before connecting.
   momsim shutdown [--addr HOST:PORT]
       Drain a running daemon: finish in-flight points, drop queued ones,
       reject new submissions, flush the store, and exit.

@@ -72,6 +72,15 @@ fn usage_errors_exit_2() {
         assert_eq!(code(&out), 2, "submit {args:?}: {stderr}");
         assert!(stderr.contains(expected), "submit {args:?}: {stderr}");
     }
+
+    // So does `report`: an unknown name fails before connecting, naming
+    // every committed report.
+    let out = momsim(&["report", "frobnicate", "--addr", "127.0.0.1:1"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(code(&out), 2, "report frobnicate: {stderr}");
+    for (report, ..) in momsim::bench::cli::COMMITTED_REPORTS {
+        assert!(stderr.contains(report), "names {report}: {stderr}");
+    }
 }
 
 #[test]
@@ -140,8 +149,12 @@ fn runtime_failures_exit_1() {
     let out = momsim(&["shutdown", "--addr", "127.0.0.1:1"]);
     assert_eq!(code(&out), 1);
 
-    let out = momsim(&["report", "fig4", "--addr", "127.0.0.1:1"]);
-    assert_eq!(code(&out), 1);
+    // A valid report name, committed or a registered experiment, passes
+    // the local check and then cannot connect.
+    for name in ["fig4", "app-speedups"] {
+        let out = momsim(&["report", name, "--addr", "127.0.0.1:1"]);
+        assert_eq!(code(&out), 1, "{}", String::from_utf8_lossy(&out.stderr));
+    }
 
     // A daemon that cannot bind its address fails at runtime.
     let taken = TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
