@@ -44,12 +44,29 @@ pub trait TraceSink {
     /// through every machine configuration per run instead of per entry,
     /// and a sampled simulator fast-forwards a whole run through the
     /// cache model in one tight loop instead of re-entering its interval
-    /// state machine per entry.  [`Trace::replay_into`] feeds sinks
-    /// through this hook, so a memoised single-invocation trace hands the
-    /// sink each replication as one slice.
+    /// state machine per entry.  The default
+    /// [`TraceSink::retire_repeated`] feeds sinks through this hook, so a
+    /// memoised single-invocation trace hands the sink each replication as
+    /// one slice.
     fn retire_many(&mut self, entries: &[TraceEntry]) {
         for entry in entries {
             self.retire(*entry);
+        }
+    }
+
+    /// Consumes the same run of retired instructions `times` times back to
+    /// back — one kernel invocation repeated, as [`Trace::replay_into`]
+    /// hands it over.
+    ///
+    /// Semantically identical to calling [`TraceSink::retire_many`] `times`
+    /// times, which is what the default implementation does.  Sinks whose
+    /// state can repeat override it: [`TraceStats`] records the invocation
+    /// once and scales its counters, and the timing consumers of
+    /// `mom_pipeline` jump over whole periods once their pipeline state
+    /// repeats at an invocation boundary.
+    fn retire_repeated(&mut self, entries: &[TraceEntry], times: usize) {
+        for _ in 0..times {
+            self.retire_many(entries);
         }
     }
 }
@@ -62,6 +79,10 @@ impl<S: TraceSink + ?Sized> TraceSink for &mut S {
     fn retire_many(&mut self, entries: &[TraceEntry]) {
         (**self).retire_many(entries);
     }
+
+    fn retire_repeated(&mut self, entries: &[TraceEntry], times: usize) {
+        (**self).retire_repeated(entries, times);
+    }
 }
 
 impl<A: TraceSink, B: TraceSink> TraceSink for (A, B) {
@@ -73,6 +94,11 @@ impl<A: TraceSink, B: TraceSink> TraceSink for (A, B) {
     fn retire_many(&mut self, entries: &[TraceEntry]) {
         self.0.retire_many(entries);
         self.1.retire_many(entries);
+    }
+
+    fn retire_repeated(&mut self, entries: &[TraceEntry], times: usize) {
+        self.0.retire_repeated(entries, times);
+        self.1.retire_repeated(entries, times);
     }
 }
 
@@ -88,6 +114,12 @@ impl<A: TraceSink, B: TraceSink, C: TraceSink> TraceSink for (A, B, C) {
         self.1.retire_many(entries);
         self.2.retire_many(entries);
     }
+
+    fn retire_repeated(&mut self, entries: &[TraceEntry], times: usize) {
+        self.0.retire_repeated(entries, times);
+        self.1.retire_repeated(entries, times);
+        self.2.retire_repeated(entries, times);
+    }
 }
 
 impl<S: TraceSink> TraceSink for [S] {
@@ -102,6 +134,12 @@ impl<S: TraceSink> TraceSink for [S] {
             sink.retire_many(entries);
         }
     }
+
+    fn retire_repeated(&mut self, entries: &[TraceEntry], times: usize) {
+        for sink in self.iter_mut() {
+            sink.retire_repeated(entries, times);
+        }
+    }
 }
 
 impl<S: TraceSink> TraceSink for Vec<S> {
@@ -111,6 +149,10 @@ impl<S: TraceSink> TraceSink for Vec<S> {
 
     fn retire_many(&mut self, entries: &[TraceEntry]) {
         self.as_mut_slice().retire_many(entries);
+    }
+
+    fn retire_repeated(&mut self, entries: &[TraceEntry], times: usize) {
+        self.as_mut_slice().retire_repeated(entries, times);
     }
 }
 
@@ -294,15 +336,13 @@ impl Trace {
     /// this is how a memoised single-invocation trace stands in for a long
     /// steady-state stream at zero materialisation cost.
     ///
-    /// Each replication is handed to the sink as one slice through
-    /// [`TraceSink::retire_many`], so batch-oriented sinks (the timing
-    /// fan-out, the sampled simulator's fast-forward) process it at run
-    /// granularity; for everything else the default method degrades to
-    /// the per-entry loop.
+    /// The trace and the repeat count are handed to the sink in one
+    /// [`TraceSink::retire_repeated`] call.  Sinks whose state repeats
+    /// (the statistics, the timing consumers) skip the repeated work; for
+    /// everything else the default method hands each replication over as
+    /// one [`TraceSink::retire_many`] slice.
     pub fn replay_into<S: TraceSink + ?Sized>(&self, times: usize, sink: &mut S) {
-        for _ in 0..times {
-            sink.retire_many(&self.entries);
-        }
+        sink.retire_repeated(&self.entries, times);
     }
 
     /// Computes the summary statistics of the trace.
@@ -351,6 +391,16 @@ pub struct TraceStats {
 impl TraceSink for TraceStats {
     fn retire(&mut self, entry: TraceEntry) {
         self.record(&entry);
+    }
+
+    /// Records the invocation once and scales it: every counter is a sum
+    /// over entries, so `times` replications add `times` copies of it.
+    fn retire_repeated(&mut self, entries: &[TraceEntry], times: usize) {
+        let mut once = TraceStats::default();
+        for entry in entries {
+            once.record(entry);
+        }
+        self.merge_scaled(&once, times as u64);
     }
 }
 
@@ -414,13 +464,18 @@ impl TraceStats {
 
     /// Merges another set of statistics into this one.
     pub fn merge(&mut self, other: &TraceStats) {
-        self.instructions += other.instructions;
-        self.operations += other.operations;
-        self.media_instructions += other.media_instructions;
-        self.matrix_instructions += other.matrix_instructions;
-        self.memory_instructions += other.memory_instructions;
-        self.sum_vlx += other.sum_vlx;
-        self.sum_vly += other.sum_vly;
+        self.merge_scaled(other, 1);
+    }
+
+    /// Merges `times` copies of another set of statistics into this one.
+    fn merge_scaled(&mut self, other: &TraceStats, times: u64) {
+        self.instructions += other.instructions * times;
+        self.operations += other.operations * times;
+        self.media_instructions += other.media_instructions * times;
+        self.matrix_instructions += other.matrix_instructions * times;
+        self.memory_instructions += other.memory_instructions * times;
+        self.sum_vlx += other.sum_vlx * times;
+        self.sum_vly += other.sum_vly * times;
     }
 }
 

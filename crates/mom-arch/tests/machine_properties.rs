@@ -2,7 +2,7 @@
 //! observed through the `Machine` must agree with the packed-operation
 //! primitives applied directly, for arbitrary data.
 
-use mom_arch::{Machine, Memory};
+use mom_arch::{Machine, Memory, TraceEntry, TraceSink, TraceStats};
 use mom_isa::prelude::*;
 use proptest::prelude::*;
 
@@ -262,5 +262,49 @@ proptest! {
         prop_assert!(stats.operations >= stats.instructions);
         prop_assert_eq!(stats.matrix_instructions, 2 * n as u64);
         prop_assert!((stats.avg_vly() - vl as f64).abs() < 1e-9);
+    }
+
+    /// Replaying an invocation through `retire_repeated` — which records
+    /// it once and scales the counters — equals recording every entry of
+    /// every replication one at a time.
+    #[test]
+    fn repeated_stats_equal_per_entry_recording(
+        shapes in prop::collection::vec((0u8..4, 1u16..=16), 0..40),
+        times in 0usize..300,
+    ) {
+        let entries: Vec<TraceEntry> = shapes
+            .into_iter()
+            .map(|(kind, vl)| {
+                let instr = match kind {
+                    0 => Instruction::Li { rd: 1, imm: 3 },
+                    1 => Instruction::MomLoad { md: 0, base: 1, stride: 2, ty: ElemType::U8 },
+                    2 => Instruction::MmxOp {
+                        op: PackedOp::Add(Overflow::Wrap),
+                        ty: ElemType::U16,
+                        vd: 1,
+                        va: 2,
+                        vb: 3,
+                    },
+                    _ => Instruction::MomOp {
+                        op: PackedOp::Xor,
+                        ty: ElemType::U8,
+                        md: 1,
+                        ma: 0,
+                        mb: MomOperand::Mat(0),
+                    },
+                };
+                let vl = if instr.is_vl_dependent() { vl } else { 1 };
+                TraceEntry { instr, vl, taken: false, mem: None }
+            })
+            .collect();
+        let mut scaled = TraceStats::default();
+        scaled.retire_repeated(&entries, times);
+        let mut stepped = TraceStats::default();
+        for _ in 0..times {
+            for entry in &entries {
+                stepped.retire(*entry);
+            }
+        }
+        prop_assert_eq!(scaled, stepped);
     }
 }

@@ -220,6 +220,18 @@ impl CacheSim {
         self.stats = CacheStats::default();
     }
 
+    /// Appends the line state of both levels — every set's tags in LRU
+    /// order — to `out`: the part of the hierarchy a steady-state
+    /// comparison must find equal (the counters only accumulate).
+    pub(crate) fn encode_lines(&self, out: &mut Vec<u64>) {
+        for level in [&self.l1, &self.l2] {
+            for set in &level.sets {
+                out.push(set.len() as u64);
+                out.extend_from_slice(set);
+            }
+        }
+    }
+
     /// The latency of an access that hits in L1 (also charged to memory
     /// instructions whose trace entry carries no address metadata).
     pub fn hit_latency(&self) -> u64 {

@@ -42,6 +42,55 @@
 //! property test (`tests/differential.rs`) and the directed store-queue
 //! regressions in this module enforce it.
 //!
+//! # Steady-state replay
+//!
+//! A measured stream is one verified kernel invocation replayed N times
+//! ([`Trace::replay_into`] hands it over through
+//! [`TraceSink::retire_repeated`]).  [`PipelineSim`] and [`PipelineFanout`]
+//! step it invocation by invocation.  At the first invocation boundary
+//! after every [`CHECK_ENTRIES`] entries they take a [`Mark`]: the clock,
+//! the next sequence number and the counters that grow linearly
+//! (instructions, operations, the media/memory mix, dispatch stalls,
+//! per-class busy cycles, cache hits and misses).  When the mark deltas
+//! repeat with some period of at most [`MAX_PERIOD`] checks — or at every
+//! check, when the invocations are long enough that encoding is cheap next
+//! to stepping them — the consumer encodes its full state relative to its
+//! clock and next sequence number, and compares it with the states it
+//! recorded at the last [`MAX_PERIOD`] checks.  After
+//! [`MAX_FRUITLESS_RECORDINGS`] recordings that matched nothing it stops
+//! recording, so a stream that never repeats pays for a bounded number of
+//! encodings.  The state covers:
+//!
+//! * every window entry (fetch buffer included), with its wakeup list as a
+//!   set, and the dispatch and commit points;
+//! * the ready queue and its per-class counts, the future-ready heap and
+//!   the store-address queue;
+//! * the idle fast-forward's completion and free-unit watermarks;
+//! * the functional units' free counts, free-event calendar and overflow
+//!   heap;
+//! * the rename scoreboard (a committed producer encodes as no producer);
+//! * under the cache model, the L1 and L2 tags of every set in LRU order.
+//!
+//! Cycle values at or before the present encode alike: every use of them
+//! compares them with a clock that only grows, or takes a maximum with a
+//! completion still ahead.  Every other use of a cycle or sequence number
+//! is a difference, a comparison or a sum with a latency, and the
+//! calendar's ring index rotates with the clock.  The engine is therefore
+//! translation-invariant, and two boundaries that encode equal behave
+//! identically on identical input.  The rest of the input is the same
+//! invocation again.  So equality at boundaries *n − p* and *n* means every
+//! later period repeats the same relative state and adds the same counter
+//! deltas.  The consumer jumps ⌊(N − n)/p⌋ periods at once: it shifts
+//! every absolute cycle and sequence number, rotates the calendar and adds
+//! that many copies of one period's counter deltas.  It then steps the last
+//! (N − n) mod p invocations and drains as usual.  The maximum window
+//! occupancy is unchanged by the jump, since every skipped period repeats
+//! one already observed.  Nothing is ever decided on a hash or on the
+//! counters alone: only full equality triggers a jump, so the result is
+//! exactly that of feeding every entry through [`PipelineSim::feed`],
+//! which stays the stepped path.  `tests/differential.rs` and the
+//! workspace's steady-state replay tests pin this.
+//!
 //! Memory instructions are charged by the configured [`crate::MemoryModel`]:
 //! a fixed latency, or a per-access hit/miss latency from the simulated
 //! L1/L2 [`crate::cache`] hierarchy driven by the effective addresses in the
@@ -76,6 +125,20 @@ fn timing_simulations_counter() -> &'static mom_obs::Counter {
 /// The number of timing simulations constructed by this process so far.
 pub fn timing_simulations() -> u64 {
     timing_simulations_counter().get()
+}
+
+/// Process-wide count of kernel invocations that steady-state jumps
+/// accounted for without stepping them, registered as
+/// `momsim_timing_invocations_extrapolated_total`.  Added to once per
+/// simulation, when it finishes.
+fn invocations_extrapolated_counter() -> &'static mom_obs::Counter {
+    static COUNTER: std::sync::OnceLock<mom_obs::Counter> = std::sync::OnceLock::new();
+    COUNTER.get_or_init(|| {
+        mom_obs::counter(
+            "momsim_timing_invocations_extrapolated_total",
+            "Replayed kernel invocations covered by steady-state jumps instead of cycle stepping.",
+        )
+    })
 }
 
 /// Number of distinct register ids (see `mom_isa::Reg::id`).
@@ -460,6 +523,42 @@ impl FuTracker {
         }
     }
 
+    /// Moves every scheduled event `cycles` later (a steady-state jump):
+    /// the ring rotates with the clock, so each event keeps its distance
+    /// from the present.
+    fn translate(&mut self, cycles: u64) {
+        self.drained_cycle += cycles;
+        self.calendar
+            .rotate_right((cycles % CALENDAR_SLOTS) as usize);
+        let overflow = std::mem::take(&mut self.overflow).into_vec();
+        self.overflow = overflow
+            .into_iter()
+            .map(|Reverse((t, class))| Reverse((t + cycles, class)))
+            .collect();
+    }
+
+    /// Appends the availability state relative to cycle `now`: free
+    /// counts, the pending calendar rows in time order, and the overflow
+    /// events.
+    fn encode(&self, now: u64, out: &mut Vec<u64>) {
+        out.extend(self.free.iter().map(|&n| n as u64));
+        out.push(now.wrapping_sub(self.drained_cycle));
+        for ahead in 1..=CALENDAR_SLOTS {
+            let row = &self.calendar[((self.drained_cycle + ahead) % CALENDAR_SLOTS) as usize];
+            out.extend(row.iter().map(|&n| n as u64));
+        }
+        let mut overflow: Vec<(u64, u8)> = self
+            .overflow
+            .iter()
+            .map(|&Reverse((t, class))| (t.wrapping_sub(now), class))
+            .collect();
+        overflow.sort_unstable();
+        out.push(overflow.len() as u64);
+        for (t, class) in overflow {
+            out.extend([t, class as u64]);
+        }
+    }
+
     /// The earliest cycle after `cycle` at which any class gains a free
     /// unit, if any event is scheduled (used by the idle fast-forward).
     /// An overflow event scheduled long ago may by now be nearer than the
@@ -556,6 +655,14 @@ pub struct PipelineSim {
     committed: u64,
     /// Current cycle.
     cycle: u64,
+    /// Added to every producer sequence number the rename stage decodes:
+    /// how far steady-state jumps have moved this consumer's sequence space
+    /// ahead of the renamer feeding it (its own, or its fan-out's shared
+    /// one).
+    seq_offset: u64,
+    /// Invocations a steady-state jump accounted for without stepping
+    /// them, published once at [`PipelineSim::into_parts`].
+    extrapolated_invocations: u64,
     /// Statistics accumulated at commit.
     result: SimResult,
 }
@@ -609,6 +716,8 @@ impl PipelineSim {
             next_dispatch: 0,
             committed: 0,
             cycle: 0,
+            seq_offset: 0,
+            extrapolated_invocations: 0,
             result: SimResult::default(),
             config,
         }
@@ -712,6 +821,7 @@ impl PipelineSim {
         let mut unresolved_deps = 0u8;
         let mut operand_ready_cycle = 0u64;
         for &w in &decoded.deps[..decoded.dep_count as usize] {
+            let w = w + self.seq_offset;
             if w < self.committed {
                 continue;
             }
@@ -773,11 +883,11 @@ impl PipelineSim {
         }
     }
 
-    /// Replays one shared decoded batch through this consumer: the
-    /// per-configuration half of the fan-out's lockstep sweep (see
-    /// [`DecodedBatch`]).
-    fn feed_batch(&mut self, batch: &DecodedBatch) {
-        for index in 0..batch.len() {
+    /// Replays the first `len` entries of one shared decoded batch through
+    /// this consumer: the per-configuration half of the fan-out's lockstep
+    /// sweep (see [`DecodedBatch`]).
+    fn feed_batch(&mut self, batch: &DecodedBatch, len: usize) {
+        for index in 0..len {
             self.feed_decoded(&batch.get(index));
         }
     }
@@ -822,6 +932,7 @@ impl PipelineSim {
         if let Some(cache) = &self.dcache {
             self.result.cache = cache.stats;
         }
+        invocations_extrapolated_counter().add(self.extrapolated_invocations);
         (self.result, self.dcache)
     }
 
@@ -1153,9 +1264,346 @@ impl PipelineSim {
     }
 }
 
+/// The longest period, in checked boundaries, [`SteadyState`] looks for.
+const MAX_PERIOD: usize = 8;
+
+/// Replays shorter than this many invocations are stepped without any
+/// steady-state bookkeeping: too few boundaries to find a period in.
+const MIN_REPEATS: usize = 3;
+
+/// How many counters grow linearly with the simulated stream (see
+/// [`PipelineSim::linear_counters`]).
+const LINEAR_COUNTERS: usize = 9 + FuClass::COUNT;
+
+/// What a consumer has done by one checked invocation boundary: the
+/// quantities a steady-state period adds to, each as a running total.
+/// The difference of two marks is one period's worth of each.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Mark {
+    /// Invocations of the replay fed so far.
+    invocations: u64,
+    /// The consumer's clock.
+    cycle: u64,
+    /// The consumer's next sequence number.
+    seq: u64,
+    /// [`PipelineSim::linear_counters`].
+    counters: [u64; LINEAR_COUNTERS],
+}
+
+impl Mark {
+    /// What happened between `earlier` and this mark.
+    fn since(&self, earlier: &Mark) -> Mark {
+        let mut counters = self.counters;
+        for (c, e) in counters.iter_mut().zip(earlier.counters) {
+            *c -= e;
+        }
+        Mark {
+            invocations: self.invocations - earlier.invocations,
+            cycle: self.cycle - earlier.cycle,
+            seq: self.seq - earlier.seq,
+            counters,
+        }
+    }
+}
+
+/// Entries per check from which a consumer records its full state at every
+/// check, repeating counters or not: encoding costs a few microseconds,
+/// under a tenth of stepping that many entries, and a long invocation
+/// replayed only a handful of times has no boundaries to spare.
+const RECORD_ALWAYS_ENTRIES: usize = 2 * FANOUT_BATCH;
+
+/// Recordings a consumer may make without finding a repeat before it stops
+/// recording: bounds what a stream that never repeats pays.
+const MAX_FRUITLESS_RECORDINGS: u32 = 2 * MAX_PERIOD as u32;
+
+/// The full relative state of one checked boundary (see
+/// [`PipelineSim::encode_state`]).
+#[derive(Debug)]
+struct Recording {
+    check: u64,
+    mark: Mark,
+    state: Vec<u64>,
+}
+
+/// The steady-state detector of one consumer over one replay (see the
+/// module documentation).  Each checked boundary costs one [`Mark`] and a
+/// comparison of the last few mark deltas.  The full relative state is
+/// encoded only when those deltas repeat, or when the invocations are long
+/// enough that encoding is cheap next to stepping them, and a jump is
+/// decided only on full equality with a recording at most [`MAX_PERIOD`]
+/// checks old.
+#[derive(Debug, Default)]
+struct SteadyState {
+    /// The last `2 * MAX_PERIOD + 1` marks.
+    marks: VecDeque<Mark>,
+    /// Boundaries checked so far.
+    checks: u64,
+    /// The recordings of the last [`MAX_PERIOD`] checks, oldest first.
+    recordings: VecDeque<Recording>,
+    /// Recordings so far that matched no earlier one.
+    fruitless: u32,
+}
+
+impl SteadyState {
+    /// Checks one invocation boundary of `sim`, which has consumed exactly
+    /// `invocations` invocations of the replay, `entries` of them since
+    /// the last check, fed by `renamer`.  Returns the period to jump by
+    /// once the state at this boundary equals a recorded earlier one.
+    fn observe(
+        &mut self,
+        sim: &PipelineSim,
+        renamer: &Renamer,
+        invocations: u64,
+        entries: usize,
+    ) -> Option<Mark> {
+        let mark = sim.mark(invocations);
+        let check = self.checks;
+        self.checks += 1;
+        if self.marks.len() == 2 * MAX_PERIOD + 1 {
+            self.marks.pop_front();
+        }
+        self.marks.push_back(mark);
+        while self
+            .recordings
+            .front()
+            .is_some_and(|r| check - r.check > MAX_PERIOD as u64)
+        {
+            self.recordings.pop_front();
+        }
+        if self.fruitless >= MAX_FRUITLESS_RECORDINGS {
+            return None;
+        }
+        let n = self.marks.len();
+        let repeating = (1..=MAX_PERIOD).any(|p| {
+            n > 2 * p
+                && self.marks[n - 1].since(&self.marks[n - 1 - p])
+                    == self.marks[n - 1 - p].since(&self.marks[n - 1 - 2 * p])
+        });
+        if !repeating && entries < RECORD_ALWAYS_ENTRIES {
+            return None;
+        }
+        let mut state = Vec::with_capacity(self.recordings.back().map_or(0, |r| r.state.len()));
+        sim.encode_state(renamer, &mut state);
+        if let Some(earlier) = self.recordings.iter().rev().find(|r| r.state == state) {
+            return Some(mark.since(&earlier.mark));
+        }
+        self.fruitless += 1;
+        self.recordings.push_back(Recording { check, mark, state });
+        None
+    }
+}
+
+impl PipelineSim {
+    /// The counters that grow linearly with the simulated stream: committed
+    /// instructions, operations, the media/memory mix, dispatch stalls,
+    /// cache hits and misses, and per-class busy cycles.
+    fn linear_counters(&self) -> [u64; LINEAR_COUNTERS] {
+        let cache = self.dcache.as_ref().map(|c| c.stats).unwrap_or_default();
+        let mut counters = [0; LINEAR_COUNTERS];
+        counters[..9].copy_from_slice(&[
+            self.result.instructions,
+            self.result.operations,
+            self.result.media_instructions,
+            self.result.memory_instructions,
+            self.result.dispatch_stall_cycles,
+            cache.l1_hits,
+            cache.l1_misses,
+            cache.l2_hits,
+            cache.l2_misses,
+        ]);
+        counters[9..].copy_from_slice(&self.fu_busy_acc);
+        counters
+    }
+
+    fn mark(&self, invocations: u64) -> Mark {
+        Mark {
+            invocations,
+            cycle: self.cycle,
+            seq: self.next_seq,
+            counters: self.linear_counters(),
+        }
+    }
+
+    /// Appends everything the future of this consumer depends on, relative
+    /// to its clock and next sequence number: two boundaries that encode
+    /// equal behave identically on identical input, up to a shift of every
+    /// cycle and sequence number.
+    ///
+    /// Cycle values at or before the present encode as 0: every use of
+    /// them (commit and store-queue checks, operand readiness, the maximum
+    /// over producers' completions) compares them against a clock that
+    /// only grows, or takes a maximum with a completion still ahead, so
+    /// all past values act alike.  Likewise a renamed producer that has
+    /// committed encodes like no producer at all.  Wakeup lists encode as
+    /// sorted sets: waking consumers is order-insensitive.
+    fn encode_state(&self, renamer: &Renamer, out: &mut Vec<u64>) {
+        let now = self.cycle;
+        let cycle = |c: u64| match c {
+            u64::MAX => u64::MAX,
+            c if c <= now => 0,
+            c => c - now,
+        };
+        let seq = |s: u64| self.next_seq.wrapping_sub(s);
+        let span = |out: &mut Vec<u64>, span: Option<(u64, u64)>| match span {
+            Some((start, end)) => out.extend([1, start, end]),
+            None => out.push(0),
+        };
+        out.extend([
+            self.next_seq - self.committed,
+            self.next_seq - self.next_dispatch,
+        ]);
+        for e in &self.insts {
+            let flags = e.is_media as u64
+                | (e.is_memory as u64) << 1
+                | (e.is_store as u64) << 2
+                | (e.issued as u64) << 3
+                | (e.unresolved_deps as u64) << 8
+                | (e.fu.index() as u64) << 16;
+            out.extend([
+                seq(e.seq),
+                flags,
+                e.occupancy,
+                e.latency,
+                e.ops,
+                cycle(e.operand_ready_cycle),
+                cycle(e.complete_cycle),
+            ]);
+            span(out, e.mem_span);
+            let head = out.len();
+            out.push(0);
+            let mut edge = e.consumer_head;
+            while edge != EDGE_NONE {
+                let node = self.edges[edge as usize];
+                out.push(seq(node.consumer));
+                edge = node.next;
+            }
+            out[head] = (out.len() - head - 1) as u64;
+            out[head + 1..].sort_unstable();
+        }
+        out.push(self.ready.len() as u64);
+        out.extend(self.ready.iter().map(|&s| seq(s)));
+        out.extend(self.ready_counts.iter().map(|&n| n as u64));
+        let mut future: Vec<(u64, u64)> = self
+            .future
+            .iter()
+            .map(|&Reverse((c, s))| (cycle(c), seq(s)))
+            .collect();
+        future.sort_unstable();
+        out.push(future.len() as u64);
+        for (c, s) in future {
+            out.extend([c, s]);
+        }
+        out.push(self.store_queue.len() as u64);
+        for store in &self.store_queue {
+            out.extend([seq(store.seq), cycle(store.complete_cycle)]);
+            span(out, store.span);
+        }
+        out.extend([cycle(self.next_completion), cycle(self.next_fu_free)]);
+        self.fu.encode(now, out);
+        out.extend(renamer.last_writer.iter().map(|writer| match writer {
+            Some(w) if w + self.seq_offset >= self.committed => seq(w + self.seq_offset),
+            _ => 0,
+        }));
+        if let Some(cache) = &self.dcache {
+            cache.encode_lines(out);
+        }
+    }
+
+    /// Jumps `periods` steady-state periods ahead: shifts every absolute
+    /// cycle and sequence number by that many periods' worth and adds that
+    /// many copies of one period's counter deltas.  The renamer stays
+    /// where it is; the sequence shift goes into the consumer's offset
+    /// against it.
+    fn fast_forward(&mut self, period: &Mark, periods: u64) {
+        if periods == 0 {
+            return;
+        }
+        let cycles = period.cycle * periods;
+        let seqs = period.seq * periods;
+        let shift = |c: &mut u64| {
+            if *c != u64::MAX {
+                *c += cycles;
+            }
+        };
+        for e in self.insts.iter_mut() {
+            e.seq += seqs;
+            shift(&mut e.operand_ready_cycle);
+            shift(&mut e.complete_cycle);
+        }
+        for node in self.edges.iter_mut() {
+            node.consumer += seqs;
+        }
+        for s in self.ready.iter_mut() {
+            *s += seqs;
+        }
+        let future = std::mem::take(&mut self.future).into_vec();
+        self.future = future
+            .into_iter()
+            .map(|Reverse((c, s))| Reverse((c + cycles, s + seqs)))
+            .collect();
+        for store in self.store_queue.iter_mut() {
+            store.seq += seqs;
+            shift(&mut store.complete_cycle);
+        }
+        shift(&mut self.next_completion);
+        shift(&mut self.next_fu_free);
+        self.fu.translate(cycles);
+        self.cycle += cycles;
+        self.next_seq += seqs;
+        self.next_dispatch += seqs;
+        self.committed += seqs;
+        self.seq_offset += seqs;
+        let delta = |i: usize| period.counters[i] * periods;
+        self.result.instructions += delta(0);
+        self.result.operations += delta(1);
+        self.result.media_instructions += delta(2);
+        self.result.memory_instructions += delta(3);
+        self.result.dispatch_stall_cycles += delta(4);
+        if let Some(cache) = &mut self.dcache {
+            cache.stats.l1_hits += delta(5);
+            cache.stats.l1_misses += delta(6);
+            cache.stats.l2_hits += delta(7);
+            cache.stats.l2_misses += delta(8);
+        }
+        for (class, busy) in self.fu_busy_acc.iter_mut().enumerate() {
+            *busy += delta(9 + class);
+        }
+        self.extrapolated_invocations += period.invocations * periods;
+    }
+}
+
 impl TraceSink for PipelineSim {
     fn retire(&mut self, entry: TraceEntry) {
         self.feed(entry);
+    }
+
+    /// Steps the replay invocation by invocation, checking for a steady
+    /// state at the first boundary after each [`CHECK_ENTRIES`] entries;
+    /// once one is found, jumps over every whole period left and steps
+    /// only the remainder.
+    fn retire_repeated(&mut self, entries: &[TraceEntry], times: usize) {
+        let mut steady = SteadyState::default();
+        let mut since_check = 0;
+        for done in 1..=times {
+            for entry in entries {
+                self.feed(*entry);
+            }
+            since_check += entries.len();
+            if times < MIN_REPEATS || since_check < CHECK_ENTRIES {
+                continue;
+            }
+            let checked = std::mem::take(&mut since_check);
+            if let Some(period) = steady.observe(self, &self.renamer, done as u64, checked) {
+                let left = (times - done) as u64;
+                self.fast_forward(&period, left / period.invocations);
+                for _ in 0..left % period.invocations {
+                    for entry in entries {
+                        self.feed(*entry);
+                    }
+                }
+                return;
+            }
+        }
     }
 }
 
@@ -1165,6 +1613,12 @@ impl TraceSink for PipelineSim {
 /// small enough that the shared columns (~50 bytes per entry) stay resident
 /// in L1/L2 while every consumer reads them.
 const FANOUT_BATCH: usize = 256;
+
+/// Entries a replay feeds between two steady-state checks (rounded up to
+/// the next invocation boundary).  A quarter batch: a fan-out sweeps its
+/// batch early at each check, but a short invocation still gets checked
+/// every few invocations, so the jump comes soon after the state settles.
+const CHECK_ENTRIES: usize = FANOUT_BATCH / 4;
 
 /// A fan-out consumer: one functional run drives several machine
 /// configurations at once (the paper's way 1/2/4/8 sweep from a single
@@ -1251,7 +1705,24 @@ impl PipelineFanout {
             return;
         }
         for sim in &mut self.sims {
-            sim.feed_batch(&self.batch);
+            sim.feed_batch(&self.batch, self.batch.len());
+        }
+        self.batch.clear();
+    }
+
+    /// [`PipelineFanout::sweep`] for consumers that may have jumped: each
+    /// takes at most its remaining `budget` of the batch (`u64::MAX` while
+    /// it still steps through every entry).
+    fn sweep_within(&mut self, budgets: &mut [u64]) {
+        if self.batch.is_empty() {
+            return;
+        }
+        for (sim, budget) in self.sims.iter_mut().zip(budgets.iter_mut()) {
+            let take = (self.batch.len() as u64).min(*budget);
+            sim.feed_batch(&self.batch, take as usize);
+            if *budget != u64::MAX {
+                *budget -= take;
+            }
         }
         self.batch.clear();
     }
@@ -1267,6 +1738,76 @@ impl PipelineFanout {
 impl TraceSink for PipelineFanout {
     fn retire(&mut self, entry: TraceEntry) {
         self.feed(entry);
+    }
+
+    /// The lockstep form of [`PipelineSim`]'s steady-state replay: the
+    /// batch is swept at every checked boundary, each consumer checks for
+    /// its own steady state there, jumps on its own, and then takes only
+    /// its remaining entries from the shared batches.  Decoding stops as
+    /// soon as every consumer has all it needs.
+    fn retire_repeated(&mut self, entries: &[TraceEntry], times: usize) {
+        if times < MIN_REPEATS {
+            for _ in 0..times {
+                self.retire_many(entries);
+            }
+            return;
+        }
+        self.sweep();
+        let mut budgets = vec![u64::MAX; self.sims.len()];
+        let mut steady: Vec<SteadyState> =
+            self.sims.iter().map(|_| SteadyState::default()).collect();
+        let mut since_check = 0;
+        // Invocations to decode: all of them until every consumer jumped.
+        let mut last = times;
+        let mut done = 0;
+        while done < last {
+            done += 1;
+            for entry in entries {
+                let decoded = self.renamer.decode(entry);
+                self.batch.push(&decoded);
+                if self.batch.len() >= FANOUT_BATCH {
+                    self.sweep_within(&mut budgets);
+                }
+            }
+            since_check += entries.len();
+            if since_check < CHECK_ENTRIES {
+                continue;
+            }
+            let checked = std::mem::take(&mut since_check);
+            self.sweep_within(&mut budgets);
+            let left = (times - done) as u64;
+            for ((sim, steady), budget) in self.sims.iter_mut().zip(&mut steady).zip(&mut budgets) {
+                if *budget != u64::MAX {
+                    continue;
+                }
+                if let Some(period) = steady.observe(sim, &self.renamer, done as u64, checked) {
+                    sim.fast_forward(&period, left / period.invocations);
+                    *budget = left % period.invocations * entries.len() as u64;
+                }
+            }
+            // The batch is empty here, so each budget is whole invocations.
+            last = budgets
+                .iter()
+                .map(|&b| match b {
+                    u64::MAX => times,
+                    b => done + (b / entries.len() as u64) as usize,
+                })
+                .max()
+                .unwrap_or(times);
+        }
+        self.sweep_within(&mut budgets);
+        debug_assert!(
+            budgets.iter().all(|&b| b == 0 || b == u64::MAX),
+            "every jumped consumer takes exactly its remaining invocations"
+        );
+        // Decoding may have stopped short of a consumer's last invocation
+        // boundary.  The scoreboard repeats one invocation later, shifted by
+        // one invocation (a producer older than that has committed in every
+        // consumer that jumped), so each consumer's offset maps the
+        // renamer's position onto its own.
+        for sim in &mut self.sims {
+            sim.seq_offset = sim.next_seq - self.renamer.next_seq;
+        }
     }
 }
 
@@ -1382,6 +1923,91 @@ mod tests {
             base,
             offset: 0,
         }
+    }
+
+    /// A 64-entry invocation (loads feeding a reduction, stores, an
+    /// independent chain) that settles into a periodic pipeline state.
+    fn periodic_invocation() -> Trace {
+        let mut entries = Vec::new();
+        for i in 0..16u8 {
+            let offset = 8 * i as u64;
+            entries.push(entry_at(
+                load(1 + i % 4, 10),
+                1,
+                MemAccess::unit(0x1000 + offset, 8, false),
+            ));
+            entries.push(entry(add(5, 1 + i % 4, 5), 1));
+            entries.push(entry_at(
+                store(5, 11),
+                1,
+                MemAccess::unit(0x2000 + offset, 8, true),
+            ));
+            entries.push(entry(add(6, 6, 6), 1));
+        }
+        entries.into_iter().collect()
+    }
+
+    #[test]
+    fn steady_state_replay_jumps_and_equals_stepping() {
+        let trace = periodic_invocation();
+        let configs = [
+            PipelineConfig::way_with_memory(4, MemoryModel::PERFECT),
+            PipelineConfig::way_with_memory(8, MemoryModel::L2),
+            PipelineConfig::way_with_memory(8, MemoryModel::CACHE),
+        ];
+        let mut fanout = PipelineFanout::new(configs.iter().cloned());
+        trace.replay_into(100, &mut fanout);
+        assert!(
+            fanout
+                .sims
+                .iter()
+                .all(|sim| sim.extrapolated_invocations > 0),
+            "every fan-out consumer must jump"
+        );
+        for (config, fanned) in configs.iter().zip(fanout.finish()) {
+            let mut replayed = PipelineSim::new(config.clone());
+            trace.replay_into(100, &mut replayed);
+            assert!(
+                replayed.extrapolated_invocations > 0,
+                "{config:?} must jump"
+            );
+            let mut stepped = PipelineSim::new(config.clone());
+            for _ in 0..100 {
+                for e in trace.iter() {
+                    stepped.feed(*e);
+                }
+            }
+            let stepped = stepped.finish();
+            assert_eq!(replayed.finish(), stepped);
+            assert_eq!(fanned, stepped);
+        }
+    }
+
+    #[test]
+    fn state_encoding_covers_the_cache_lines() {
+        let encode = |sim: &PipelineSim| {
+            let mut out = Vec::new();
+            sim.encode_state(&sim.renamer, &mut out);
+            out
+        };
+        let cold = PipelineSim::new(PipelineConfig::way_with_memory(4, MemoryModel::CACHE));
+        let mut warm = cold.clone();
+        let cache = warm.dcache.as_mut().expect("a cache configuration");
+        cache.access(&MemAccess::unit(0x40, 8, false));
+        cache.reset_stats();
+        assert_ne!(
+            encode(&cold),
+            encode(&warm),
+            "the tags are part of the state"
+        );
+    }
+
+    #[test]
+    fn short_replays_are_only_stepped() {
+        let trace = periodic_invocation();
+        let mut sim = PipelineSim::new(PipelineConfig::way(4));
+        trace.replay_into(MIN_REPEATS - 1, &mut sim);
+        assert_eq!(sim.extrapolated_invocations, 0);
     }
 
     #[test]

@@ -6,10 +6,15 @@
 //!
 //! The store is pointed at a private temp directory before anything
 //! touches the process-global instance.
+//!
+//! The steady-state fast-forward of the timing engine must stay switched
+//! on: a cold `momsim run` of a many-invocation kernel reports extrapolated
+//! invocations in its `--stats` snapshot.
 
 use momsim::bench::cli::sweep_documents;
 use momsim::serve::json::parse;
 use std::path::PathBuf;
+use std::process::Command;
 use std::sync::OnceLock;
 
 fn private_store_dir() -> &'static PathBuf {
@@ -94,4 +99,35 @@ fn tracing_is_neutral_and_the_chrome_export_is_well_formed() {
     );
 
     let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn a_cold_replayed_kernel_run_extrapolates_invocations() {
+    // motion1/MOM replays a 16-instruction invocation 250 times: the
+    // pipeline state repeats long before the end, so the engine jumps.
+    let out = Command::new(env!("CARGO_BIN_EXE_momsim"))
+        .args([
+            "--cold",
+            "--stats",
+            "run",
+            "--kernels",
+            "motion1",
+            "--isas",
+            "mom",
+        ])
+        .output()
+        .expect("momsim runs");
+    assert!(out.status.success(), "momsim run failed: {out:?}");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 output");
+    let extrapolated: u64 = stdout
+        .lines()
+        .find_map(|line| line.strip_prefix("momsim_timing_invocations_extrapolated_total "))
+        .expect("the --stats snapshot names the extrapolation counter")
+        .trim()
+        .parse()
+        .expect("a counter value");
+    assert!(
+        extrapolated > 0,
+        "a cold motion1/MOM run must jump over steady-state periods"
+    );
 }
