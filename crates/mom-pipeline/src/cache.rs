@@ -120,8 +120,8 @@ impl CacheStats {
     }
 }
 
-/// Runtime state of one level: per-set tag lists in LRU order (front =
-/// most recently used).
+/// Runtime state of one level: every set's tags in LRU order (front =
+/// most recently used), in one flat `sets × ways` array.
 #[derive(Debug, Clone)]
 struct CacheLevel {
     config: CacheConfig,
@@ -132,7 +132,11 @@ struct CacheLevel {
     /// `sets - 1` when the set count is a power of two, so the per-lookup
     /// modulo becomes a mask.
     set_mask: Option<u64>,
-    sets: Vec<Vec<u64>>,
+    /// Set `s` holds its lines in `tags[s * ways..][..filled[s]]`, most
+    /// recently used first.
+    tags: Vec<u64>,
+    /// Lines held per set.
+    filled: Vec<u32>,
 }
 
 impl CacheLevel {
@@ -147,7 +151,8 @@ impl CacheLevel {
                 .sets
                 .is_power_of_two()
                 .then(|| config.sets as u64 - 1),
-            sets: vec![Vec::with_capacity(config.ways); config.sets],
+            tags: vec![0; config.sets * config.ways],
+            filled: vec![0; config.sets],
         }
     }
 
@@ -167,14 +172,20 @@ impl CacheLevel {
             Some(mask) => (line & mask) as usize,
             None => (line % self.config.sets as u64) as usize,
         };
-        let set = &mut self.sets[set_index];
-        if let Some(pos) = set.iter().position(|&tag| tag == line) {
-            let tag = set.remove(pos);
-            set.insert(0, tag);
+        let ways = self.config.ways;
+        let filled = self.filled[set_index] as usize;
+        let set = &mut self.tags[set_index * ways..][..ways];
+        if let Some(pos) = set[..filled].iter().position(|&tag| tag == line) {
+            // Hit: move the line to the front, keeping the others' order.
+            set[..=pos].rotate_right(1);
             true
         } else {
-            set.insert(0, line);
-            set.truncate(self.config.ways);
+            // Miss: the line enters at the front; a full set loses its
+            // least recently used line off the back.
+            let filled = (filled + 1).min(ways);
+            self.filled[set_index] = filled as u32;
+            set[..filled].rotate_right(1);
+            set[0] = line;
             false
         }
     }
@@ -225,9 +236,10 @@ impl CacheSim {
     /// comparison must find equal (the counters only accumulate).
     pub(crate) fn encode_lines(&self, out: &mut Vec<u64>) {
         for level in [&self.l1, &self.l2] {
-            for set in &level.sets {
-                out.push(set.len() as u64);
-                out.extend_from_slice(set);
+            let sets = level.tags.chunks_exact(level.config.ways);
+            for (set, &filled) in sets.zip(&level.filled) {
+                out.push(filled as u64);
+                out.extend_from_slice(&set[..filled as usize]);
             }
         }
     }
@@ -483,6 +495,58 @@ mod tests {
         let mut sim = CacheSim::new(tiny());
         let latency = sim.access(&MemAccess::unit(0, 3 * cfg.l1.line_bytes as u32, false));
         assert_eq!(latency, 1 + 12 + 50);
+    }
+
+    /// A hierarchy whose L1 has four 4-way sets of 32-byte lines.
+    fn four_way() -> HierarchyConfig {
+        let mut cfg = tiny();
+        cfg.l1.ways = 4;
+        cfg
+    }
+
+    /// The L1 part of [`CacheSim::encode_lines`]: per set, the fill count
+    /// and then the line indices, most recently used first.
+    fn l1_lines(sim: &CacheSim) -> Vec<u64> {
+        let mut out = Vec::new();
+        sim.encode_lines(&mut out);
+        let l1_sets = sim.config().l1.sets;
+        let mut end = 0;
+        for _ in 0..l1_sets {
+            end += 1 + out[end] as usize;
+        }
+        out.truncate(end);
+        out
+    }
+
+    #[test]
+    fn four_way_set_keeps_lru_order() {
+        let mut sim = CacheSim::new(four_way());
+        let cfg = four_way();
+        // Lines 0, 4, 8, 12 and 16 all map to L1 set 0.
+        let set_stride = cfg.l1.sets as u64 * cfg.l1.line_bytes;
+        let access = |sim: &mut CacheSim, line: u64| {
+            sim.access(&MemAccess::unit(line / 4 * set_stride, 8, false))
+        };
+        for line in [0, 4, 8, 12] {
+            access(&mut sim, line);
+        }
+        assert_eq!(l1_lines(&sim), [4, 12, 8, 4, 0, 0, 0, 0]);
+        // A hit on a middle line moves it to the front, the others keep
+        // their order.
+        access(&mut sim, 4);
+        assert_eq!(sim.stats.l1_hits, 1);
+        assert_eq!(l1_lines(&sim), [4, 4, 12, 8, 0, 0, 0, 0]);
+        // A miss on the full set evicts the least recently used line.
+        access(&mut sim, 16);
+        assert_eq!(sim.stats.l1_misses, 5);
+        assert_eq!(l1_lines(&sim), [4, 16, 4, 12, 8, 0, 0, 0]);
+        // Another set fills independently.
+        sim.access(&MemAccess::unit(cfg.l1.line_bytes, 8, false));
+        assert_eq!(l1_lines(&sim), [4, 16, 4, 12, 8, 1, 1, 0, 0]);
+        // The evicted line misses again and takes the LRU slot's place.
+        access(&mut sim, 0);
+        assert_eq!(sim.stats.l1_misses, 7);
+        assert_eq!(l1_lines(&sim), [4, 0, 16, 4, 12, 1, 1, 0, 0]);
     }
 
     #[test]

@@ -18,9 +18,10 @@
 //!   executable specification the optimised engine must match
 //!   cycle-for-cycle,
 //! * fan-out: [`PipelineFanout`] drives several machine configurations (the
-//!   paper's "way 1/2/4/8" sweep) from one functional run, decoding each
-//!   entry once into a shared structure-of-arrays batch that every
-//!   consumer sweeps in lockstep,
+//!   paper's "way 1/2/4/8" sweep) from one functional run, renaming each
+//!   entry once into a shared batch of decoded entries that every consumer
+//!   reads by reference in lockstep (a replay decodes each entry of its
+//!   invocation once and only renames it per invocation),
 //! * sampled: [`SampledSim`] / [`SampledFanout`] estimate the cycle count
 //!   from systematically sampled detailed intervals with cache-warming
 //!   fast-forward in between, reporting a confidence interval in

@@ -34,13 +34,31 @@
 //! * a dedicated **store-address queue** holds just the in-flight stores,
 //!   so the load/store ordering check inspects only those instead of every
 //!   older window entry,
-//! * per-class **free-unit min-heaps** replace the linear probe of the
+//! * per-class **free-unit counts** plus a calendar of future free events
+//!   (with a per-row class mask) replace the linear probe of the
 //!   functional-unit busy tables, and [`FuClass::index`] replaces the
 //!   per-issue scan of `FuClass::ALL`.
 //!
 //! The two implementations are cycle-for-cycle identical; the differential
 //! property test (`tests/differential.rs`) and the directed store-queue
 //! regressions in this module enforce it.
+//!
+//! # Decoding and the window
+//!
+//! What the model needs of a trace entry apart from its dependences — the
+//! register ids it reads and writes, its unit class, flags and operation
+//! count — is a [`StaticEntry`].  A replay ([`TraceSink::retire_repeated`])
+//! decodes the invocation once into a transient table of these (16 bytes
+//! an entry) and, for every invocation, only *renames* each row against the
+//! last-writer scoreboard ([`Renamer::rename`]); single entries take the
+//! same path through [`StaticEntry::of`].  Nothing decoded outlives the
+//! call.
+//!
+//! The in-flight window is a ring of a power-of-two size, at least
+//! `rob_size + width + 1` entries, in which the entry of sequence number
+//! `s` sits in slot `s & window_mask`: dispatch and commit move a boundary,
+//! nothing is popped or copied.  A window entry takes 64 bytes (flags in
+//! one byte, an unknown address span as the whole address space).
 //!
 //! # Steady-state replay
 //!
@@ -74,14 +92,17 @@
 //! Cycle values at or before the present encode alike: every use of them
 //! compares them with a clock that only grows, or takes a maximum with a
 //! completion still ahead.  Every other use of a cycle or sequence number
-//! is a difference, a comparison or a sum with a latency, and the
-//! calendar's ring index rotates with the clock.  The engine is therefore
+//! is a difference, a comparison or a sum with a latency; the calendar's
+//! ring index rotates with the clock and the window ring's slot index with
+//! the sequence number.  The engine is therefore
 //! translation-invariant, and two boundaries that encode equal behave
 //! identically on identical input.  The rest of the input is the same
 //! invocation again.  So equality at boundaries *n − p* and *n* means every
 //! later period repeats the same relative state and adds the same counter
 //! deltas.  The consumer jumps ⌊(N − n)/p⌋ periods at once: it shifts
-//! every absolute cycle and sequence number, rotates the calendar and adds
+//! every absolute cycle and sequence number, rotates the calendar and the
+//! window ring by the shift (which need not be a multiple of the ring
+//! size) and adds
 //! that many copies of one period's counter deltas.  It then steps the last
 //! (N − n) mod p invocations and drains as usual.  The maximum window
 //! occupancy is unchanged by the jump, since every skipped period repeats
@@ -141,15 +162,40 @@ fn invocations_extrapolated_counter() -> &'static mom_obs::Counter {
     })
 }
 
+/// Process-wide count of cycles the engine stepped one at a time,
+/// registered as `momsim_timing_cycles_stepped_total`.  Added to once per
+/// simulation, when it finishes.
+fn cycles_stepped_counter() -> &'static mom_obs::Counter {
+    static COUNTER: std::sync::OnceLock<mom_obs::Counter> = std::sync::OnceLock::new();
+    COUNTER.get_or_init(|| {
+        mom_obs::counter(
+            "momsim_timing_cycles_stepped_total",
+            "Pipeline cycles simulated one step at a time (an idle fast-forward counts once).",
+        )
+    })
+}
+
+/// Process-wide count of trace entries the engine fed through its stepped
+/// path, registered as `momsim_timing_entries_stepped_total`.  Added to
+/// once per simulation, when it finishes.
+fn entries_stepped_counter() -> &'static mom_obs::Counter {
+    static COUNTER: std::sync::OnceLock<mom_obs::Counter> = std::sync::OnceLock::new();
+    COUNTER.get_or_init(|| {
+        mom_obs::counter(
+            "momsim_timing_entries_stepped_total",
+            "Trace entries fed through the stepped pipeline instead of a steady-state jump.",
+        )
+    })
+}
+
 /// Number of distinct register ids (see `mom_isa::Reg::id`).
 const REG_ID_SPACE: usize = 256;
 
 /// One instruction in flight (a reorder-buffer entry), or renamed and
-/// waiting to be dispatched.
+/// waiting to be dispatched.  Its sequence number is implicit: the entry of
+/// sequence number `s` sits in slot `s & window_mask` of the window ring.
 #[derive(Debug, Clone, Copy)]
 struct WindowEntry {
-    /// Dynamic sequence number (index in the stream).
-    seq: u64,
     /// Functional-unit class.
     fu: FuClass,
     /// Cycles of functional-unit occupancy: ceil(VL / lanes) for matrix
@@ -160,16 +206,12 @@ struct WindowEntry {
     /// after issue).
     latency: u64,
     /// Elementary operations performed (for the OPI statistics).
-    ops: u64,
-    /// Whether this is a multimedia instruction.
-    is_media: bool,
-    /// Whether this instruction accesses memory.
-    is_memory: bool,
-    /// Whether this instruction writes memory.
-    is_store: bool,
-    /// Conservative byte interval `[start, end)` the access covers, when the
-    /// trace carries address metadata.
-    mem_span: Option<(u64, u64)>,
+    ops: u32,
+    /// `FLAG_MEDIA`, `FLAG_MEMORY` and `FLAG_STORE` bits.
+    flags: u8,
+    /// Conservative byte interval `[start, end)` the access covers
+    /// ([`UNKNOWN_SPAN`] when the trace carries no address metadata).
+    mem_span: (u64, u64),
     /// Head of this entry's wakeup list in the edge arena ([`EDGE_NONE`]
     /// when empty): the consumers to notify when this entry issues.
     consumer_head: u32,
@@ -185,6 +227,29 @@ struct WindowEntry {
     /// Cycle at which the result is available (valid once issued).
     complete_cycle: u64,
 }
+
+impl WindowEntry {
+    /// The content of a ring slot no sequence number occupies.
+    const VACANT: WindowEntry = WindowEntry {
+        fu: FuClass::IntAlu,
+        occupancy: 0,
+        latency: 0,
+        ops: 0,
+        flags: 0,
+        mem_span: UNKNOWN_SPAN,
+        consumer_head: EDGE_NONE,
+        unresolved_deps: 0,
+        operand_ready_cycle: 0,
+        issued: false,
+        complete_cycle: u64::MAX,
+    };
+}
+
+/// The span of an access whose address is unknown: the whole address
+/// space.  It overlaps every span [`mom_arch::MemAccess::span`] returns
+/// (those are never empty) and itself, so a load or store without address
+/// metadata conflicts with every other access, as ordering requires.
+const UNKNOWN_SPAN: (u64, u64) = (0, u64::MAX);
 
 /// Sentinel for "no edge" in the wakeup arena.
 const EDGE_NONE: u32 = u32::MAX;
@@ -207,17 +272,96 @@ struct EdgeNode {
 struct StoreRecord {
     /// Sequence number of the store (the queue is in sequence order).
     seq: u64,
-    /// Conservative byte span of the store, when its address is known.
-    span: Option<(u64, u64)>,
+    /// Conservative byte span of the store ([`UNKNOWN_SPAN`] when its
+    /// address is unknown).
+    span: (u64, u64),
     /// Completion cycle once issued; `u64::MAX` while unissued.  The store
     /// stops blocking loads once `complete_cycle <= cycle`.
     complete_cycle: u64,
 }
 
-/// A trace entry decoded once per stream position: renaming (producer
+/// Flag bit of [`StaticEntry::flags`] and [`DecodedEntry::flags`]:
+/// occupancy scales with the vector length.
+const FLAG_VL_DEPENDENT: u8 = 1 << 0;
+/// Flag bit: multimedia instruction.
+const FLAG_MEDIA: u8 = 1 << 1;
+/// Flag bit: memory instruction.
+const FLAG_MEMORY: u8 = 1 << 2;
+/// Flag bit: store instruction.
+const FLAG_STORE: u8 = 1 << 3;
+
+/// What the timing model needs of one trace entry apart from its
+/// dependences: the register ids it reads and writes (the zero register
+/// dropped), its functional-unit class, flags and operation count.  None
+/// of it depends on the stream's history or the machine configuration, so
+/// a replay decodes each entry of the invocation once into a table of
+/// these and only renames against it for every invocation
+/// ([`Renamer::rename`]).
+#[derive(Debug, Clone, Copy)]
+struct StaticEntry {
+    /// Register ids read, in operand order.
+    sources: [u8; 4],
+    /// Register ids written.
+    dests: [u8; 4],
+    /// Valid entries in `sources`.
+    source_count: u8,
+    /// Valid entries in `dests`.
+    dest_count: u8,
+    /// Functional-unit class.
+    fu: FuClass,
+    /// `FLAG_*` bits.
+    flags: u8,
+    /// Elementary operations performed (at most 8 lanes × `u16::MAX` rows).
+    ops: u32,
+}
+
+impl StaticEntry {
+    /// Decodes one trace entry.
+    fn of(entry: &TraceEntry) -> StaticEntry {
+        let instr = &entry.instr;
+        let mut decoded = StaticEntry {
+            sources: [0; 4],
+            dests: [0; 4],
+            source_count: 0,
+            dest_count: 0,
+            fu: instr.fu_class(),
+            flags: 0,
+            ops: entry.ops() as u32,
+        };
+        // `RegList` holds at most four registers, so neither list can
+        // overflow its four slots.
+        for reg in instr.sources().iter().filter(|reg| !reg.is_zero()) {
+            decoded.sources[decoded.source_count as usize] = reg.id() as u8;
+            decoded.source_count += 1;
+        }
+        for reg in instr.dests().iter().filter(|reg| !reg.is_zero()) {
+            decoded.dests[decoded.dest_count as usize] = reg.id() as u8;
+            decoded.dest_count += 1;
+        }
+        for (set, flag) in [
+            (instr.is_vl_dependent(), FLAG_VL_DEPENDENT),
+            (instr.is_media(), FLAG_MEDIA),
+            (instr.is_memory(), FLAG_MEMORY),
+            (instr.is_store(), FLAG_STORE),
+        ] {
+            if set {
+                decoded.flags |= flag;
+            }
+        }
+        decoded
+    }
+
+    /// Decodes every entry of one invocation: the transient table a replay
+    /// renames against ([`TraceSink::retire_repeated`]).
+    fn table(entries: &[TraceEntry]) -> Vec<StaticEntry> {
+        entries.iter().map(StaticEntry::of).collect()
+    }
+}
+
+/// A trace entry renamed at one stream position: renaming (producer
 /// sequence numbers) and instruction metadata do not depend on the machine
 /// configuration, so a fan-out over many configurations computes them a
-/// single time ([`Renamer::decode`]) and feeds the decoded form to every
+/// single time ([`Renamer::rename`]) and feeds the renamed form to every
 /// consumer ([`PipelineSim::feed_decoded`]).
 #[derive(Debug, Clone, Copy)]
 struct DecodedEntry {
@@ -228,141 +372,17 @@ struct DecodedEntry {
     dep_count: u8,
     /// Functional-unit class.
     fu: FuClass,
-    /// Elementary operations performed.
-    ops: u64,
+    /// `FLAG_*` bits.
+    flags: u8,
     /// Effective vector length at execution time.
     vl: u16,
-    /// Whether occupancy scales with the vector length.
-    is_vl_dependent: bool,
-    /// Whether this is a multimedia instruction.
-    is_media: bool,
-    /// Whether this instruction accesses memory.
-    is_memory: bool,
-    /// Whether this instruction writes memory.
-    is_store: bool,
+    /// Elementary operations performed.
+    ops: u32,
     /// The traced memory access, when the trace carries address metadata.
     mem: Option<mom_arch::MemAccess>,
-    /// Conservative byte span of the access.
-    mem_span: Option<(u64, u64)>,
-}
-
-/// Flag bit in [`DecodedBatch::flags`]: occupancy scales with the vector
-/// length.
-const DECODED_VL_DEPENDENT: u8 = 1 << 0;
-/// Flag bit in [`DecodedBatch::flags`]: multimedia instruction.
-const DECODED_MEDIA: u8 = 1 << 1;
-/// Flag bit in [`DecodedBatch::flags`]: memory instruction.
-const DECODED_MEMORY: u8 = 1 << 2;
-/// Flag bit in [`DecodedBatch::flags`]: store instruction.
-const DECODED_STORE: u8 = 1 << 3;
-
-/// A shared arena of decoded entries in structure-of-arrays layout: the
-/// lockstep batch of [`PipelineFanout`].
-///
-/// The fan-out's consumers advance over one decoded stream; everything
-/// configuration-independent about a stream position — the dependence
-/// edges (producer sequence numbers), operand metadata and the traced
-/// memory access — is stored **once** here, as parallel columns, while the
-/// per-configuration state (window entries, wakeup lists, queues) lives in
-/// each consumer.  Sweeping a whole batch through one consumer at a time
-/// means each decoded column is streamed sequentially and touched once per
-/// batch instead of once per simulator, and the consumer's own state stays
-/// hot in cache for the length of the sweep.
-#[derive(Debug, Clone, Default)]
-struct DecodedBatch {
-    /// Producer sequence numbers of each entry's sources.
-    deps: Vec<[u64; 4]>,
-    /// Number of valid entries in the `deps` row.
-    dep_count: Vec<u8>,
-    /// Functional-unit class.
-    fu: Vec<FuClass>,
-    /// Elementary operations performed.
-    ops: Vec<u64>,
-    /// Effective vector length at execution time.
-    vl: Vec<u16>,
-    /// `DECODED_*` flag bits.
-    flags: Vec<u8>,
-    /// The traced memory access, when the trace carries address metadata.
-    mem: Vec<Option<mom_arch::MemAccess>>,
-    /// Conservative byte span of the access.
-    mem_span: Vec<Option<(u64, u64)>>,
-}
-
-impl DecodedBatch {
-    fn with_capacity(capacity: usize) -> Self {
-        DecodedBatch {
-            deps: Vec::with_capacity(capacity),
-            dep_count: Vec::with_capacity(capacity),
-            fu: Vec::with_capacity(capacity),
-            ops: Vec::with_capacity(capacity),
-            vl: Vec::with_capacity(capacity),
-            flags: Vec::with_capacity(capacity),
-            mem: Vec::with_capacity(capacity),
-            mem_span: Vec::with_capacity(capacity),
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.flags.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.flags.is_empty()
-    }
-
-    fn clear(&mut self) {
-        self.deps.clear();
-        self.dep_count.clear();
-        self.fu.clear();
-        self.ops.clear();
-        self.vl.clear();
-        self.flags.clear();
-        self.mem.clear();
-        self.mem_span.clear();
-    }
-
-    fn push(&mut self, d: &DecodedEntry) {
-        self.deps.push(d.deps);
-        self.dep_count.push(d.dep_count);
-        self.fu.push(d.fu);
-        self.ops.push(d.ops);
-        self.vl.push(d.vl);
-        let mut flags = 0u8;
-        if d.is_vl_dependent {
-            flags |= DECODED_VL_DEPENDENT;
-        }
-        if d.is_media {
-            flags |= DECODED_MEDIA;
-        }
-        if d.is_memory {
-            flags |= DECODED_MEMORY;
-        }
-        if d.is_store {
-            flags |= DECODED_STORE;
-        }
-        self.flags.push(flags);
-        self.mem.push(d.mem);
-        self.mem_span.push(d.mem_span);
-    }
-
-    /// Reassembles the decoded entry at `index` from the columns (a handful
-    /// of register-width reads; the columns themselves stay shared).
-    fn get(&self, index: usize) -> DecodedEntry {
-        let flags = self.flags[index];
-        DecodedEntry {
-            deps: self.deps[index],
-            dep_count: self.dep_count[index],
-            fu: self.fu[index],
-            ops: self.ops[index],
-            vl: self.vl[index],
-            is_vl_dependent: flags & DECODED_VL_DEPENDENT != 0,
-            is_media: flags & DECODED_MEDIA != 0,
-            is_memory: flags & DECODED_MEMORY != 0,
-            is_store: flags & DECODED_STORE != 0,
-            mem: self.mem[index],
-            mem_span: self.mem_span[index],
-        }
-    }
+    /// Conservative byte span of the access ([`UNKNOWN_SPAN`] without
+    /// address metadata).
+    mem_span: (u64, u64),
 }
 
 /// The rename stage, separated from the per-configuration consumers: a
@@ -385,50 +405,31 @@ impl Renamer {
         }
     }
 
-    /// Renames one trace entry and extracts the configuration-independent
-    /// metadata the timing consumers need.
-    fn decode(&mut self, entry: &TraceEntry) -> DecodedEntry {
+    /// Renames one trace entry, given its decoded static part, against the
+    /// last-writer scoreboard.
+    fn rename(&mut self, decoded: &StaticEntry, entry: &TraceEntry) -> DecodedEntry {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let instr = &entry.instr;
         let mut deps = [0u64; 4];
         let mut dep_count = 0u8;
-        for reg in instr.sources().iter() {
-            if reg.is_zero() {
-                continue;
-            }
-            if let Some(w) = self.last_writer[reg.id()] {
-                // An instruction has at most four register sources
-                // (`RegList` enforces it), so the dependence list cannot
-                // overflow; guard anyway so a future wider instruction
-                // degrades to a dropped dependence instead of a panic.
-                debug_assert!(
-                    (dep_count as usize) < deps.len(),
-                    "more producers than dependence slots for {instr:?}"
-                );
-                if (dep_count as usize) < deps.len() {
-                    deps[dep_count as usize] = w;
-                    dep_count += 1;
-                }
+        for &reg in &decoded.sources[..decoded.source_count as usize] {
+            if let Some(w) = self.last_writer[reg as usize] {
+                deps[dep_count as usize] = w;
+                dep_count += 1;
             }
         }
-        for reg in instr.dests().iter() {
-            if !reg.is_zero() {
-                self.last_writer[reg.id()] = Some(seq);
-            }
+        for &reg in &decoded.dests[..decoded.dest_count as usize] {
+            self.last_writer[reg as usize] = Some(seq);
         }
         DecodedEntry {
             deps,
             dep_count,
-            fu: instr.fu_class(),
-            ops: entry.ops(),
+            fu: decoded.fu,
+            flags: decoded.flags,
             vl: entry.vl,
-            is_vl_dependent: instr.is_vl_dependent(),
-            is_media: instr.is_media(),
-            is_memory: instr.is_memory(),
-            is_store: instr.is_store(),
+            ops: decoded.ops,
             mem: entry.mem,
-            mem_span: entry.mem.map(|m| m.span()),
+            mem_span: entry.mem.map_or(UNKNOWN_SPAN, |m| m.span()),
         }
     }
 }
@@ -446,7 +447,9 @@ const CALENDAR_SLOTS: u64 = 64;
 /// *count* of free units plus a schedule of future free events: a calendar
 /// ring for events up to [`CALENDAR_SLOTS`] cycles out — one counter
 /// increment per issue, one row drain per cycle — and an overflow heap for
-/// the rare longer spans.
+/// the rare longer spans.  A class mask per row names the classes with
+/// events in it, so draining a row touches only those and finding the next
+/// event tests one word per row.
 #[derive(Debug, Clone)]
 struct FuTracker {
     /// Free units per class, current as of `drained_cycle`.
@@ -454,6 +457,10 @@ struct FuTracker {
     /// `calendar[t % CALENDAR_SLOTS][class]`: units of `class` becoming
     /// free at cycle `t`, for `t` within `CALENDAR_SLOTS` of the present.
     calendar: [[u32; FuClass::COUNT]; CALENDAR_SLOTS as usize],
+    /// `classes[row]` has bit `class` set exactly when
+    /// `calendar[row][class]` is non-zero (derived state: the encoding
+    /// leaves it out).
+    classes: [u16; CALENDAR_SLOTS as usize],
     /// Free events scheduled `CALENDAR_SLOTS` or more cycles out:
     /// `(free_cycle, class)`.
     overflow: BinaryHeap<Reverse<(u64, u8)>>,
@@ -471,6 +478,7 @@ impl FuTracker {
         FuTracker {
             free,
             calendar: [[0; FuClass::COUNT]; CALENDAR_SLOTS as usize],
+            classes: [0; CALENDAR_SLOTS as usize],
             overflow: BinaryHeap::new(),
             drained_cycle: 0,
         }
@@ -490,10 +498,12 @@ impl FuTracker {
             self.drained_cycle + 1
         };
         for t in from..=cycle {
-            let row = &mut self.calendar[(t % CALENDAR_SLOTS) as usize];
-            for (free, slot) in self.free.iter_mut().zip(row.iter_mut()) {
-                *free += *slot;
-                *slot = 0;
+            let row = (t % CALENDAR_SLOTS) as usize;
+            let mut classes = std::mem::take(&mut self.classes[row]);
+            while classes != 0 {
+                let class = classes.trailing_zeros() as usize;
+                classes &= classes - 1;
+                self.free[class] += std::mem::take(&mut self.calendar[row][class]);
             }
         }
         while let Some(&Reverse((t, class))) = self.overflow.peek() {
@@ -517,7 +527,9 @@ impl FuTracker {
     fn take(&mut self, class: usize, cycle: u64, busy_for: u64) {
         self.free[class] -= 1;
         if busy_for < CALENDAR_SLOTS {
-            self.calendar[((cycle + busy_for) % CALENDAR_SLOTS) as usize][class] += 1;
+            let row = ((cycle + busy_for) % CALENDAR_SLOTS) as usize;
+            self.calendar[row][class] += 1;
+            self.classes[row] |= 1 << class;
         } else {
             self.overflow.push(Reverse((cycle + busy_for, class as u8)));
         }
@@ -528,8 +540,9 @@ impl FuTracker {
     /// from the present.
     fn translate(&mut self, cycles: u64) {
         self.drained_cycle += cycles;
-        self.calendar
-            .rotate_right((cycles % CALENDAR_SLOTS) as usize);
+        let rotation = (cycles % CALENDAR_SLOTS) as usize;
+        self.calendar.rotate_right(rotation);
+        self.classes.rotate_right(rotation);
         let overflow = std::mem::take(&mut self.overflow).into_vec();
         self.overflow = overflow
             .into_iter()
@@ -564,11 +577,9 @@ impl FuTracker {
     /// An overflow event scheduled long ago may by now be nearer than the
     /// first calendar event, so both sources are compared.
     fn next_free_event(&self, cycle: u64) -> Option<u64> {
-        let ring = (1..CALENDAR_SLOTS).map(|ahead| cycle + ahead).find(|t| {
-            self.calendar[(t % CALENDAR_SLOTS) as usize]
-                .iter()
-                .any(|&n| n > 0)
-        });
+        let ring = (1..CALENDAR_SLOTS)
+            .map(|ahead| cycle + ahead)
+            .find(|t| self.classes[(t % CALENDAR_SLOTS) as usize] != 0);
         let overflow = self.overflow.peek().map(|&Reverse((t, _))| t);
         match (ring, overflow) {
             (Some(a), Some(b)) => Some(a.min(b)),
@@ -591,20 +602,25 @@ pub struct PipelineSim {
     /// [`crate::MemoryModel::Hierarchy`].  Accessed in trace order at rename
     /// time, which keeps streaming and batch replay bit-identical.
     dcache: Option<CacheSim>,
-    /// Every in-flight instruction, in order: the reorder buffer
+    /// Every in-flight instruction: the reorder buffer
     /// (`committed..next_dispatch`) followed by the renamed-but-undispatched
-    /// fetch buffer (`next_dispatch..next_seq`).  The entry of sequence
-    /// number `s` lives at index `s - committed`; dispatch just advances
-    /// `next_dispatch` instead of copying entries between queues.  The
-    /// fetch-buffer tail is bounded: [`PipelineSim::feed`] drains it down
-    /// to below one fetch group.
-    insts: VecDeque<WindowEntry>,
+    /// fetch buffer (`next_dispatch..next_seq`), as a ring of a power-of-two
+    /// size in which the entry of sequence number `s` lives at slot
+    /// `s & window_mask`.  Dispatch and commit just advance `next_dispatch`
+    /// and `committed`; nothing is copied or popped.  The fetch-buffer tail
+    /// is bounded ([`PipelineSim::feed`] drains it down to below one fetch
+    /// group), so the ring holds at most `rob_size + width` live entries.
+    insts: Vec<WindowEntry>,
+    /// The ring size minus one.
+    window_mask: u64,
     /// Per-class functional-unit availability (free counts plus a calendar
     /// of future free events), indexed by [`FuClass::index`].
     fu: FuTracker,
     /// Bit `FuClass::index` set when that pool is pipelined — the only pool
     /// property the issue stage needs per instruction.
     fu_pipelined: u16,
+    /// [`PipelineConfig::latency`] of each class, by [`FuClass::index`].
+    fu_latency: [u64; FuClass::COUNT],
     /// Per-class busy-cycle totals, materialised into
     /// [`SimResult::fu_busy_cycles`] at the end of the run.
     fu_busy_acc: [u64; FuClass::COUNT],
@@ -663,6 +679,13 @@ pub struct PipelineSim {
     /// Invocations a steady-state jump accounted for without stepping
     /// them, published once at [`PipelineSim::into_parts`].
     extrapolated_invocations: u64,
+    /// Cycles simulated by [`PipelineSim::step_cycle`] (an idle
+    /// fast-forward counts as the one cycle that took it), published once
+    /// at [`PipelineSim::into_parts`].
+    cycles_stepped: u64,
+    /// Entries fed through [`PipelineSim::feed_decoded`], published once at
+    /// [`PipelineSim::into_parts`].
+    entries_stepped: u64,
     /// Statistics accumulated at commit.
     result: SimResult,
 }
@@ -691,17 +714,22 @@ impl PipelineSim {
         timing_simulations_counter().inc();
         let fu = FuTracker::new(&config);
         let mut fu_pipelined = 0u16;
+        let mut fu_latency = [0; FuClass::COUNT];
         for class in FuClass::ALL {
             if config.pool(class).pipelined {
                 fu_pipelined |= 1 << class.index();
             }
+            fu_latency[class.index()] = config.latency(class);
         }
         let rob = config.rob_size;
+        let ring = (rob + config.width + 1).next_power_of_two();
         PipelineSim {
             dcache,
-            insts: VecDeque::with_capacity(rob + config.width),
+            insts: vec![WindowEntry::VACANT; ring],
+            window_mask: ring as u64 - 1,
             fu,
             fu_pipelined,
+            fu_latency,
             fu_busy_acc: [0; FuClass::COUNT],
             renamer: Renamer::new(),
             edges: Vec::with_capacity(2 * rob),
@@ -718,6 +746,8 @@ impl PipelineSim {
             cycle: 0,
             seq_offset: 0,
             extrapolated_invocations: 0,
+            cycles_stepped: 0,
+            entries_stepped: 0,
             result: SimResult::default(),
             config,
         }
@@ -780,7 +810,9 @@ impl PipelineSim {
                 let bytes = decoded.mem.map_or(vl * 8, |m| m.total_bytes());
                 bytes.div_ceil(port_bytes).max(1)
             }
-            _ if decoded.is_vl_dependent => vl.div_ceil(self.config.media_lanes as u64),
+            _ if decoded.flags & FLAG_VL_DEPENDENT != 0 => {
+                vl.div_ceil(self.config.media_lanes as u64)
+            }
             _ => 1,
         }
     }
@@ -795,6 +827,11 @@ impl PipelineSim {
         (self.next_seq - self.next_dispatch) as usize
     }
 
+    /// The ring slot of the in-flight entry with sequence number `seq`.
+    fn slot(&self, seq: u64) -> usize {
+        (seq & self.window_mask) as usize
+    }
+
     /// Consumes the next retired instruction of the stream.
     ///
     /// Renaming happens immediately (it only depends on stream order); the
@@ -803,17 +840,31 @@ impl PipelineSim {
     /// instructions plus the reorder buffer — bounded memory regardless of
     /// stream length.
     pub fn feed(&mut self, entry: TraceEntry) {
-        let decoded = self.renamer.decode(&entry);
+        let decoded = self.renamer.rename(&StaticEntry::of(&entry), &entry);
         self.feed_decoded(&decoded);
     }
 
-    /// Consumes one already-renamed entry (see [`Renamer::decode`]): the
+    /// Feeds one invocation, renaming each entry against its row of the
+    /// invocation's decoded table.
+    fn feed_invocation(&mut self, table: &[StaticEntry], entries: &[TraceEntry]) {
+        for (decoded, entry) in table.iter().zip(entries) {
+            let decoded = self.renamer.rename(decoded, entry);
+            self.feed_decoded(&decoded);
+        }
+    }
+
+    /// Consumes one already-renamed entry (see [`Renamer::rename`]): the
     /// per-configuration half of [`PipelineSim::feed`], shared by the
     /// fan-out so decoding happens once per entry instead of once per
     /// consumer.
     fn feed_decoded(&mut self, decoded: &DecodedEntry) {
         let seq = self.next_seq;
         self.next_seq += 1;
+        self.entries_stepped += 1;
+        debug_assert!(
+            seq - self.committed <= self.window_mask,
+            "the window ring holds every in-flight entry"
+        );
         // Resolve the decoded dependences against this consumer's state: a
         // committed producer is complete; an issued one contributes its
         // known completion cycle; an unissued one gets a wakeup edge back
@@ -825,7 +876,8 @@ impl PipelineSim {
             if w < self.committed {
                 continue;
             }
-            let producer = &mut self.insts[(w - self.committed) as usize];
+            let slot = self.slot(w);
+            let producer = &mut self.insts[slot];
             if producer.issued {
                 operand_ready_cycle = operand_ready_cycle.max(producer.complete_cycle);
             } else {
@@ -857,38 +909,27 @@ impl PipelineSim {
                 Some(access) => cache.access(access),
                 None => cache.hit_latency(),
             },
-            _ => self.config.latency(decoded.fu),
+            _ => self.fu_latency[decoded.fu.index()],
         };
-        self.insts.push_back(WindowEntry {
-            seq,
+        let slot = self.slot(seq);
+        self.insts[slot] = WindowEntry {
             fu: decoded.fu,
             occupancy: self.occupancy(decoded),
             latency,
             ops: decoded.ops,
-            is_media: decoded.is_media,
-            is_memory: decoded.is_memory,
-            is_store: decoded.is_store,
+            flags: decoded.flags & (FLAG_MEDIA | FLAG_MEMORY | FLAG_STORE),
             mem_span: decoded.mem_span,
             consumer_head: EDGE_NONE,
             unresolved_deps,
             operand_ready_cycle,
             issued: false,
             complete_cycle: u64::MAX,
-        });
+        };
         // A cycle's dispatch group is fully determined once `width` renamed
         // instructions are buffered (dispatch consumes at most `width` per
         // cycle), so simulating now is indistinguishable from batch replay.
         while self.pending_len() >= self.config.width {
             self.step_cycle();
-        }
-    }
-
-    /// Replays the first `len` entries of one shared decoded batch through
-    /// this consumer: the per-configuration half of the fan-out's lockstep
-    /// sweep (see [`DecodedBatch`]).
-    fn feed_batch(&mut self, batch: &DecodedBatch, len: usize) {
-        for index in 0..len {
-            self.feed_decoded(&batch.get(index));
         }
     }
 
@@ -933,6 +974,8 @@ impl PipelineSim {
             self.result.cache = cache.stats;
         }
         invocations_extrapolated_counter().add(self.extrapolated_invocations);
+        cycles_stepped_counter().add(self.cycles_stepped);
+        entries_stepped_counter().add(self.entries_stepped);
         (self.result, self.dcache)
     }
 
@@ -945,6 +988,7 @@ impl PipelineSim {
     /// Simulates one cycle: commit, issue, dispatch — the same stage order
     /// as the paper's trace-driven Jinks runs.
     fn step_cycle(&mut self) {
+        self.cycles_stepped += 1;
         let cfg = &self.config;
 
         // ----------------------------------------------------------
@@ -952,26 +996,20 @@ impl PipelineSim {
         // ----------------------------------------------------------
         let mut committed_this_cycle = 0;
         while committed_this_cycle < cfg.width && self.committed < self.next_dispatch {
-            match self.insts.front() {
-                Some(e) if e.issued && e.complete_cycle <= self.cycle => {
-                    self.result.instructions += 1;
-                    self.result.operations += e.ops;
-                    if e.is_media {
-                        self.result.media_instructions += 1;
-                    }
-                    if e.is_memory {
-                        self.result.memory_instructions += 1;
-                    }
-                    debug_assert_eq!(
-                        e.consumer_head, EDGE_NONE,
-                        "an issued producer must have drained its wakeup list"
-                    );
-                    self.insts.pop_front();
-                    self.committed += 1;
-                    committed_this_cycle += 1;
-                }
-                _ => break,
+            let e = &self.insts[self.slot(self.committed)];
+            if !(e.issued && e.complete_cycle <= self.cycle) {
+                break;
             }
+            self.result.instructions += 1;
+            self.result.operations += e.ops as u64;
+            self.result.media_instructions += (e.flags & FLAG_MEDIA != 0) as u64;
+            self.result.memory_instructions += (e.flags & FLAG_MEMORY != 0) as u64;
+            debug_assert_eq!(
+                e.consumer_head, EDGE_NONE,
+                "an issued producer must have drained its wakeup list"
+            );
+            self.committed += 1;
+            committed_this_cycle += 1;
         }
 
         // ----------------------------------------------------------
@@ -987,7 +1025,7 @@ impl PipelineSim {
                 break;
             }
             self.future.pop();
-            self.ready_counts[self.insts[(seq - self.committed) as usize].fu.index()] += 1;
+            self.ready_counts[self.insts[self.slot(seq)].fu.index()] += 1;
             Self::make_ready(&mut self.ready, seq);
         }
         // Retire completed stores from the head of the store queue (they no
@@ -1014,7 +1052,7 @@ impl PipelineSim {
         let mut busy_classes: u16 = 0;
         while read < self.ready.len() && issued_this_cycle < cfg.width {
             let seq = self.ready[read];
-            let index = (seq - self.committed) as usize;
+            let index = self.slot(seq);
             // One read of the candidate entry serves every check below.
             let e = &self.insts[index];
             // Near-ready entries (operands available next cycle) ride in
@@ -1034,7 +1072,7 @@ impl PipelineSim {
             // forwarding, so "written" means completed.  Only the in-flight
             // stores of the store-address queue need checking; committed
             // stores are done, and the queue is in age order.
-            if e.is_memory && !e.is_store {
+            if e.flags & (FLAG_MEMORY | FLAG_STORE) == FLAG_MEMORY {
                 let load_span = e.mem_span;
                 let mut blocked = false;
                 for store in &self.store_queue {
@@ -1044,11 +1082,7 @@ impl PipelineSim {
                     if store.complete_cycle <= self.cycle {
                         continue;
                     }
-                    let disjoint = matches!(
-                        (load_span, store.span),
-                        (Some(a), Some(b)) if !mom_arch::spans_overlap(a, b)
-                    );
-                    if !disjoint {
+                    if mom_arch::spans_overlap(load_span, store.span) {
                         blocked = true;
                         break;
                     }
@@ -1097,7 +1131,7 @@ impl PipelineSim {
             self.ready_counts[class] -= 1;
             let occupancy = e.occupancy;
             let latency = e.latency;
-            let is_store = e.is_store;
+            let is_store = e.flags & FLAG_STORE != 0;
             let busy_for = if self.fu_pipelined & (1 << class) != 0 {
                 occupancy
             } else {
@@ -1134,7 +1168,8 @@ impl PipelineSim {
                 self.edge_free = edge;
                 edge = next;
                 let dispatched = consumer < self.next_dispatch;
-                let c = &mut self.insts[(consumer - self.committed) as usize];
+                let slot = self.slot(consumer);
+                let c = &mut self.insts[slot];
                 c.unresolved_deps -= 1;
                 c.operand_ready_cycle = c.operand_ready_cycle.max(complete_cycle);
                 if c.unresolved_deps == 0 && dispatched {
@@ -1182,10 +1217,11 @@ impl PipelineSim {
             }
             // Dispatch is just the boundary marker moving over the next
             // renamed entry — no copy.
-            let e = &self.insts[(self.next_dispatch - self.committed) as usize];
-            if e.is_store {
+            let seq = self.next_dispatch;
+            let e = &self.insts[self.slot(seq)];
+            if e.flags & FLAG_STORE != 0 {
                 self.store_queue.push_back(StoreRecord {
-                    seq: e.seq,
+                    seq,
                     span: e.mem_span,
                     complete_cycle: u64::MAX,
                 });
@@ -1201,9 +1237,9 @@ impl PipelineSim {
             if e.unresolved_deps == 0 {
                 if e.operand_ready_cycle <= self.cycle + 1 {
                     self.ready_counts[e.fu.index()] += 1;
-                    self.ready.push(e.seq);
+                    self.ready.push(seq);
                 } else {
-                    self.future.push(Reverse((e.operand_ready_cycle, e.seq)));
+                    self.future.push(Reverse((e.operand_ready_cycle, seq)));
                 }
             }
             self.next_dispatch += 1;
@@ -1234,7 +1270,8 @@ impl PipelineSim {
             // cycles stay O(1) amortised and busy streams never scan).
             if self.next_completion <= self.cycle {
                 let mut earliest = u64::MAX;
-                for e in self.insts.iter().take(self.window_len()) {
+                for seq in self.committed..self.next_dispatch {
+                    let e = &self.insts[self.slot(seq)];
                     if e.issued && e.complete_cycle > self.cycle {
                         earliest = earliest.min(e.complete_cycle);
                     }
@@ -1444,31 +1481,26 @@ impl PipelineSim {
             c => c - now,
         };
         let seq = |s: u64| self.next_seq.wrapping_sub(s);
-        let span = |out: &mut Vec<u64>, span: Option<(u64, u64)>| match span {
-            Some((start, end)) => out.extend([1, start, end]),
-            None => out.push(0),
-        };
         out.extend([
             self.next_seq - self.committed,
             self.next_seq - self.next_dispatch,
         ]);
-        for e in &self.insts {
-            let flags = e.is_media as u64
-                | (e.is_memory as u64) << 1
-                | (e.is_store as u64) << 2
-                | (e.issued as u64) << 3
+        for s in self.committed..self.next_seq {
+            let e = &self.insts[self.slot(s)];
+            let flags = e.flags as u64
+                | (e.issued as u64) << 4
                 | (e.unresolved_deps as u64) << 8
                 | (e.fu.index() as u64) << 16;
             out.extend([
-                seq(e.seq),
+                seq(s),
                 flags,
                 e.occupancy,
                 e.latency,
-                e.ops,
+                e.ops as u64,
                 cycle(e.operand_ready_cycle),
                 cycle(e.complete_cycle),
             ]);
-            span(out, e.mem_span);
+            out.extend([e.mem_span.0, e.mem_span.1]);
             let head = out.len();
             out.push(0);
             let mut edge = e.consumer_head;
@@ -1496,7 +1528,7 @@ impl PipelineSim {
         out.push(self.store_queue.len() as u64);
         for store in &self.store_queue {
             out.extend([seq(store.seq), cycle(store.complete_cycle)]);
-            span(out, store.span);
+            out.extend([store.span.0, store.span.1]);
         }
         out.extend([cycle(self.next_completion), cycle(self.next_fu_free)]);
         self.fu.encode(now, out);
@@ -1525,11 +1557,16 @@ impl PipelineSim {
                 *c += cycles;
             }
         };
-        for e in self.insts.iter_mut() {
-            e.seq += seqs;
+        for s in self.committed..self.next_seq {
+            let slot = self.slot(s);
+            let e = &mut self.insts[slot];
             shift(&mut e.operand_ready_cycle);
             shift(&mut e.complete_cycle);
         }
+        // Every in-flight sequence number moves by `seqs`, so the ring
+        // rotates with it: the entry of `s` moves from slot `s & mask` to
+        // slot `(s + seqs) & mask`.
+        self.insts.rotate_right((seqs & self.window_mask) as usize);
         for node in self.edges.iter_mut() {
             node.consumer += seqs;
         }
@@ -1582,12 +1619,11 @@ impl TraceSink for PipelineSim {
     /// once one is found, jumps over every whole period left and steps
     /// only the remainder.
     fn retire_repeated(&mut self, entries: &[TraceEntry], times: usize) {
+        let table = StaticEntry::table(entries);
         let mut steady = SteadyState::default();
         let mut since_check = 0;
         for done in 1..=times {
-            for entry in entries {
-                self.feed(*entry);
-            }
+            self.feed_invocation(&table, entries);
             since_check += entries.len();
             if times < MIN_REPEATS || since_check < CHECK_ENTRIES {
                 continue;
@@ -1597,9 +1633,7 @@ impl TraceSink for PipelineSim {
                 let left = (times - done) as u64;
                 self.fast_forward(&period, left / period.invocations);
                 for _ in 0..left % period.invocations {
-                    for entry in entries {
-                        self.feed(*entry);
-                    }
+                    self.feed_invocation(&table, entries);
                 }
                 return;
             }
@@ -1610,8 +1644,8 @@ impl TraceSink for PipelineSim {
 /// How many decoded entries [`PipelineFanout`] accumulates before sweeping
 /// the batch through its consumers: large enough to amortise the per-sweep
 /// loop overhead and keep each consumer's state hot for a whole sweep,
-/// small enough that the shared columns (~50 bytes per entry) stay resident
-/// in L1/L2 while every consumer reads them.
+/// small enough that the shared batch (88 bytes per entry) stays resident
+/// in L1/L2 while every consumer reads it.
 const FANOUT_BATCH: usize = 256;
 
 /// Entries a replay feeds between two steady-state checks (rounded up to
@@ -1625,13 +1659,13 @@ const CHECK_ENTRIES: usize = FANOUT_BATCH / 4;
 /// instruction stream).
 ///
 /// The consumers advance in **lockstep over one decoded stream**: each
-/// entry is renamed once, appended to a shared structure-of-arrays
-/// [`DecodedBatch`], and once the batch fills (or the run ends) it is swept
-/// through the consumers one at a time.  The batch sweep — rather than
-/// feeding each entry to every consumer as it arrives — touches each
-/// decoded entry's cache lines once per batch instead of once per
-/// simulator, and keeps one simulator's window, queues and cache tables
-/// hot for [`FANOUT_BATCH`] consecutive entries.  Because every consumer
+/// entry is renamed once, appended to a shared batch of [`DecodedEntry`]s,
+/// and once the batch fills (or the run ends) it is swept through the
+/// consumers one at a time, each reading the entries by reference.  The
+/// batch sweep — rather than feeding each entry to every consumer as it
+/// arrives — touches each decoded entry's cache lines once per batch
+/// instead of once per simulator, and keeps one simulator's window, queues
+/// and cache tables hot for [`FANOUT_BATCH`] consecutive entries.  Because every consumer
 /// still observes the identical entry sequence, the per-configuration
 /// results are cycle-for-cycle identical to independent [`PipelineSim`]
 /// runs (the differential suite pins this); consumers simply lag the
@@ -1642,8 +1676,8 @@ pub struct PipelineFanout {
     /// The shared rename stage: each entry is decoded once and the decoded
     /// form is fed to every consumer.
     renamer: Renamer,
-    /// The shared decoded arena of the current lockstep batch.
-    batch: DecodedBatch,
+    /// The renamed entries of the current lockstep batch.
+    batch: Vec<DecodedEntry>,
 }
 
 impl Default for PipelineFanout {
@@ -1651,7 +1685,7 @@ impl Default for PipelineFanout {
         PipelineFanout {
             sims: Vec::new(),
             renamer: Renamer::new(),
-            batch: DecodedBatch::with_capacity(FANOUT_BATCH),
+            batch: Vec::with_capacity(FANOUT_BATCH),
         }
     }
 }
@@ -1692,8 +1726,8 @@ impl PipelineFanout {
     /// extraction) happens once, immediately; the timing consumers advance
     /// when the shared batch fills.
     pub fn feed(&mut self, entry: TraceEntry) {
-        let decoded = self.renamer.decode(&entry);
-        self.batch.push(&decoded);
+        let decoded = self.renamer.rename(&StaticEntry::of(&entry), &entry);
+        self.batch.push(decoded);
         if self.batch.len() >= FANOUT_BATCH {
             self.sweep();
         }
@@ -1701,11 +1735,10 @@ impl PipelineFanout {
 
     /// Sweeps the buffered batch through every consumer and clears it.
     fn sweep(&mut self) {
-        if self.batch.is_empty() {
-            return;
-        }
         for sim in &mut self.sims {
-            sim.feed_batch(&self.batch, self.batch.len());
+            for decoded in &self.batch {
+                sim.feed_decoded(decoded);
+            }
         }
         self.batch.clear();
     }
@@ -1719,7 +1752,9 @@ impl PipelineFanout {
         }
         for (sim, budget) in self.sims.iter_mut().zip(budgets.iter_mut()) {
             let take = (self.batch.len() as u64).min(*budget);
-            sim.feed_batch(&self.batch, take as usize);
+            for decoded in &self.batch[..take as usize] {
+                sim.feed_decoded(decoded);
+            }
             if *budget != u64::MAX {
                 *budget -= take;
             }
@@ -1746,12 +1781,7 @@ impl TraceSink for PipelineFanout {
     /// its remaining entries from the shared batches.  Decoding stops as
     /// soon as every consumer has all it needs.
     fn retire_repeated(&mut self, entries: &[TraceEntry], times: usize) {
-        if times < MIN_REPEATS {
-            for _ in 0..times {
-                self.retire_many(entries);
-            }
-            return;
-        }
+        let table = StaticEntry::table(entries);
         self.sweep();
         let mut budgets = vec![u64::MAX; self.sims.len()];
         let mut steady: Vec<SteadyState> =
@@ -1762,15 +1792,14 @@ impl TraceSink for PipelineFanout {
         let mut done = 0;
         while done < last {
             done += 1;
-            for entry in entries {
-                let decoded = self.renamer.decode(entry);
-                self.batch.push(&decoded);
+            for (decoded, entry) in table.iter().zip(entries) {
+                self.batch.push(self.renamer.rename(decoded, entry));
                 if self.batch.len() >= FANOUT_BATCH {
                     self.sweep_within(&mut budgets);
                 }
             }
             since_check += entries.len();
-            if since_check < CHECK_ENTRIES {
+            if times < MIN_REPEATS || since_check < CHECK_ENTRIES {
                 continue;
             }
             let checked = std::mem::take(&mut since_check);
@@ -1980,6 +2009,88 @@ mod tests {
             let stepped = stepped.finish();
             assert_eq!(replayed.finish(), stepped);
             assert_eq!(fanned, stepped);
+        }
+    }
+
+    /// Feeds `prefix`, then replays `invocation` `times` times the way
+    /// [`PipelineSim`]'s `retire_repeated` does, up to its first
+    /// steady-state jump.  Returns the jump's sequence shift and whether
+    /// the in-flight window wrapped the ring's end at that boundary.
+    fn first_jump(
+        config: &PipelineConfig,
+        prefix: &[TraceEntry],
+        invocation: &[TraceEntry],
+        times: usize,
+    ) -> Option<(u64, bool)> {
+        let mut sim = PipelineSim::new(config.clone());
+        for e in prefix {
+            sim.feed(*e);
+        }
+        let table = StaticEntry::table(invocation);
+        let mut steady = SteadyState::default();
+        for done in 1..=times {
+            sim.feed_invocation(&table, invocation);
+            let period = steady.observe(&sim, &sim.renamer, done as u64, invocation.len());
+            if let Some(period) = period {
+                let periods = (times - done) as u64 / period.invocations;
+                let wrapped = sim.next_seq > sim.committed
+                    && sim.slot(sim.committed) > sim.slot(sim.next_seq - 1);
+                return Some((period.seq * periods, wrapped));
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn jumps_across_the_window_ring_end_equal_stepping() {
+        // 68 entries per invocation, so the sequence shift of a jump is a
+        // multiple of the ring size only for some period counts.
+        let mut invocation: Vec<TraceEntry> = periodic_invocation().iter().copied().collect();
+        invocation.extend([entry(add(7, 7, 7), 1); 4]);
+        let trace: Trace = invocation.iter().copied().collect();
+        let times = 100;
+        for config in [
+            PipelineConfig::way_with_memory(4, MemoryModel::PERFECT),
+            PipelineConfig::way_with_memory(8, MemoryModel::CACHE),
+        ] {
+            let ring = PipelineSim::new(config.clone()).insts.len() as u64;
+            // A prefix of independent adds moves the ring position of the
+            // jump; find one where the window straddles the ring's end.
+            let filler = |n: usize| vec![entry(add(8, 9, 9), 1); n];
+            let prefix = (0..ring as usize)
+                .map(filler)
+                .find(|prefix| {
+                    matches!(
+                        first_jump(&config, prefix, &invocation, times),
+                        Some((shift, true)) if shift % ring != 0
+                    )
+                })
+                .expect("some prefix puts a jump across the ring's end");
+
+            let mut stepped = PipelineSim::new(config.clone());
+            for e in prefix.iter().chain((0..times).flat_map(|_| &invocation)) {
+                stepped.feed(*e);
+            }
+            let stepped = stepped.finish();
+
+            let mut replayed = PipelineSim::new(config.clone());
+            for e in &prefix {
+                replayed.feed(*e);
+            }
+            trace.replay_into(times, &mut replayed);
+            assert!(
+                replayed.extrapolated_invocations > 0,
+                "{config:?} must jump"
+            );
+            assert_eq!(replayed.finish(), stepped, "standalone {config:?}");
+
+            let mut fanout = PipelineFanout::new([config.clone(), PipelineConfig::way(2)]);
+            for e in &prefix {
+                fanout.feed(*e);
+            }
+            trace.replay_into(times, &mut fanout);
+            assert!(fanout.sims[0].extrapolated_invocations > 0);
+            assert_eq!(fanout.finish()[0], stepped, "fan-out {config:?}");
         }
     }
 

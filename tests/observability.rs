@@ -9,7 +9,8 @@
 //!
 //! The steady-state fast-forward of the timing engine must stay switched
 //! on: a cold `momsim run` of a many-invocation kernel reports extrapolated
-//! invocations in its `--stats` snapshot.
+//! invocations in its `--stats` snapshot and steps fewer entries than it
+//! replays, while a single-invocation run steps every entry.
 
 use momsim::bench::cli::sweep_documents;
 use momsim::serve::json::parse;
@@ -101,33 +102,91 @@ fn tracing_is_neutral_and_the_chrome_export_is_well_formed() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
-#[test]
-fn a_cold_replayed_kernel_run_extrapolates_invocations() {
-    // motion1/MOM replays a 16-instruction invocation 250 times: the
-    // pipeline state repeats long before the end, so the engine jumps.
+/// A cold `momsim --stats run` of one kernel on one ISA (the default 4-way
+/// machine): the `--stats` counter snapshot and the committed instruction
+/// count of the single grid point, read from its `--json` report.
+fn cold_run(kernel: &str, isa: &str) -> (Vec<(String, u64)>, u64) {
+    let json = std::env::temp_dir().join(format!(
+        "mom-observability-{}-{kernel}-{isa}.json",
+        std::process::id()
+    ));
     let out = Command::new(env!("CARGO_BIN_EXE_momsim"))
         .args([
             "--cold",
             "--stats",
             "run",
             "--kernels",
-            "motion1",
+            kernel,
             "--isas",
-            "mom",
+            isa,
         ])
+        .arg("--json")
+        .arg(&json)
         .output()
         .expect("momsim runs");
     assert!(out.status.success(), "momsim run failed: {out:?}");
     let stdout = String::from_utf8(out.stdout).expect("utf-8 output");
-    let extrapolated: u64 = stdout
+    let counters = stdout
         .lines()
-        .find_map(|line| line.strip_prefix("momsim_timing_invocations_extrapolated_total "))
-        .expect("the --stats snapshot names the extrapolation counter")
-        .trim()
-        .parse()
-        .expect("a counter value");
+        .filter(|line| line.starts_with("momsim_timing_"))
+        .filter_map(|line| {
+            let (name, value) = line.split_once(' ')?;
+            Some((name.to_string(), value.trim().parse().ok()?))
+        })
+        .collect();
+    let report = std::fs::read_to_string(&json).expect("the --json report is written");
+    let _ = std::fs::remove_file(&json);
+    let doc = parse(&report).expect("the report parses");
+    let points = doc
+        .get("points")
+        .and_then(momsim::bench::json::Json::as_arr)
+        .expect("a points array");
+    assert_eq!(points.len(), 1, "one kernel, one ISA, one configuration");
+    let instructions = points[0]
+        .get("instructions")
+        .and_then(momsim::bench::json::Json::as_u64)
+        .expect("an instruction count");
+    (counters, instructions)
+}
+
+fn counter(counters: &[(String, u64)], name: &str) -> u64 {
+    counters
+        .iter()
+        .find(|(n, _)| n == name)
+        .map(|&(_, value)| value)
+        .unwrap_or_else(|| panic!("the --stats snapshot names {name}"))
+}
+
+#[test]
+fn a_cold_replayed_kernel_run_extrapolates_invocations() {
+    // motion1/MOM replays a 16-instruction invocation 250 times: the
+    // pipeline state repeats long before the end, so the engine jumps and
+    // steps only part of the replayed stream.
+    let (counters, instructions) = cold_run("motion1", "mom");
     assert!(
-        extrapolated > 0,
+        counter(&counters, "momsim_timing_invocations_extrapolated_total") > 0,
         "a cold motion1/MOM run must jump over steady-state periods"
     );
+    let stepped = counter(&counters, "momsim_timing_entries_stepped_total");
+    assert!(
+        0 < stepped && stepped < instructions,
+        "motion1/MOM steps {stepped} of {instructions} replayed entries"
+    );
+    assert!(counter(&counters, "momsim_timing_cycles_stepped_total") > 0);
+}
+
+#[test]
+fn a_single_invocation_run_steps_every_entry() {
+    // ltppar/Alpha is one long invocation: nothing repeats, so every
+    // replayed entry goes through the stepped path.
+    let (counters, instructions) = cold_run("ltppar", "alpha");
+    assert_eq!(
+        counter(&counters, "momsim_timing_invocations_extrapolated_total"),
+        0
+    );
+    assert_eq!(
+        counter(&counters, "momsim_timing_entries_stepped_total"),
+        instructions
+    );
+    assert!(counter(&counters, "momsim_timing_cycles_stepped_total") > 0);
 }
