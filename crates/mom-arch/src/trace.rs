@@ -233,22 +233,6 @@ impl MemAccess {
     /// address space reports the whole address space — still conservative,
     /// never under-covering.
     pub fn span(&self) -> (u64, u64) {
-        // Fast path: a forward access whose last byte stays inside the
-        // address space needs no wide arithmetic.
-        if self.stride >= 0 {
-            let end = (self.stride as u64)
-                .checked_mul(self.rows.max(1) as u64 - 1)
-                .and_then(|reach| self.addr.checked_add(reach))
-                .and_then(|last| last.checked_add(self.row_bytes.max(1) as u64));
-            if let Some(end) = end {
-                return (self.addr, end);
-            }
-        }
-        self.wide_span()
-    }
-
-    /// [`MemAccess::span`] in 128-bit arithmetic, for every access.
-    fn wide_span(&self) -> (u64, u64) {
         let rows = self.rows.max(1) as i128;
         let first = self.addr as i128;
         let last = first + self.stride as i128 * (rows - 1);
@@ -540,21 +524,6 @@ mod tests {
 
         let backwards = MemAccess::strided(0x1000, 8, 4, -64, false);
         assert_eq!(backwards.span(), (0x1000 - 3 * 64, 0x1008));
-    }
-
-    #[test]
-    fn span_fast_path_matches_wide_arithmetic() {
-        let edge = u64::MAX;
-        for addr in [0, 1, 0x1000, edge / 2, edge - 200, edge - 8, edge] {
-            for stride in [0, 1, 64, -64, i64::MAX, i64::MIN, 1 << 40] {
-                for rows in [0, 1, 2, 16, u16::MAX] {
-                    for row_bytes in [0, 1, 8, u32::MAX] {
-                        let access = MemAccess::strided(addr, row_bytes, rows, stride, false);
-                        assert_eq!(access.span(), access.wide_span(), "{access:?}");
-                    }
-                }
-            }
-        }
     }
 
     #[test]

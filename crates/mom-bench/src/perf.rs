@@ -191,54 +191,42 @@ impl PerfReport {
     }
 }
 
-/// Times replays of a prepared trace through a consumer, returning
-/// (instructions, best seconds-per-replay).
+/// Times one pass of replays of a prepared trace through a consumer,
+/// returning seconds per replay.
 ///
 /// A single replay of a pinned stream takes well under a millisecond on the
 /// optimised engine — far too short to time reliably (scheduler preemption
-/// or one cache-cold pass lands anywhere within a few hundred microseconds,
-/// which once produced a nonsense committed speed-up of 0.95x on
-/// `motion1/alpha/4w/1`).  Each pass therefore replays the stream into the
-/// *same* consumer until at least `min_seconds` of wall time has elapsed
-/// and divides by the replay count; the best pass is reported.  The
-/// consumers are streaming and bounded-memory, so repeated replays are the
-/// intended usage, not an artefact.
-fn time_engine<S, F>(
-    trace: &mom_arch::Trace,
-    passes: usize,
-    min_seconds: f64,
-    mut fresh: F,
-) -> (u64, f64)
-where
-    S: TraceSink,
-    F: FnMut() -> S,
-{
-    let mut best = f64::INFINITY;
-    for _ in 0..passes.max(1) {
-        let mut sink = fresh();
-        let mut replays = 0u32;
-        let start = Instant::now();
-        let elapsed = loop {
-            trace.replay_into(1, &mut sink);
-            replays += 1;
-            let elapsed = start.elapsed().as_secs_f64();
-            if elapsed >= min_seconds {
-                break elapsed;
-            }
-        };
-        best = best.min(elapsed / replays as f64);
-        std::hint::black_box(&sink);
-    }
-    (trace.len() as u64, best)
+/// or one cache-cold pass lands anywhere within a few hundred
+/// microseconds).  A pass therefore replays the stream into the *same*
+/// consumer until at least `min_seconds` of wall time has elapsed and
+/// divides by the replay count.  The consumers are streaming and
+/// bounded-memory, so repeated replays are the intended usage, not an
+/// artefact.
+fn time_pass<S: TraceSink>(trace: &mom_arch::Trace, min_seconds: f64, mut sink: S) -> f64 {
+    let mut replays = 0u32;
+    let start = Instant::now();
+    let elapsed = loop {
+        trace.replay_into(1, &mut sink);
+        replays += 1;
+        let elapsed = start.elapsed().as_secs_f64();
+        if elapsed >= min_seconds {
+            break elapsed;
+        }
+    };
+    std::hint::black_box(&sink);
+    elapsed / replays as f64
 }
 
 /// Runs the engine benchmarks: each pinned workload through both engines.
 ///
-/// `quick` uses two passes (CI smoke); the full mode takes the best of
-/// several passes for a stable committed number.  Both modes keep the
-/// same minimum measurement window: the quick numbers feed the CI
-/// regression gate, and shrinking the window is exactly what made short
-/// measurements noisy enough to flag phantom regressions.
+/// `quick` uses two passes per engine (CI smoke); the full mode takes the
+/// best of several passes for a stable committed number.  The two
+/// engines' passes alternate, so a change in the host's speed during the
+/// measurement (a shared VM's neighbours) lands on both sides of each
+/// speed-up instead of on one.  Both modes keep the same minimum
+/// measurement window: the quick numbers feed the CI regression gate, and
+/// shrinking the window is exactly what made short measurements noisy
+/// enough to flag phantom regressions.
 pub fn engine_benchmarks(quick: bool) -> Result<Vec<EngineMeasurement>, ExperimentError> {
     let passes = if quick { 2 } else { 3 };
     let min_seconds = 0.02;
@@ -250,12 +238,14 @@ pub fn engine_benchmarks(quick: bool) -> Result<Vec<EngineMeasurement>, Experime
             .memory(workload.memory)
             .build()
             .expect("a valid pinned workload configuration");
-        let (instructions, optimized) = time_engine(&trace, passes, min_seconds, || {
-            PipelineSim::new(config.clone())
-        });
-        let (_, reference) = time_engine(&trace, passes, min_seconds, || {
-            ReferenceSim::new(config.clone())
-        });
+        let (mut optimized, mut reference) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..passes {
+            let pass = time_pass(&trace, min_seconds, PipelineSim::new(config.clone()));
+            optimized = optimized.min(pass);
+            let pass = time_pass(&trace, min_seconds, ReferenceSim::new(config.clone()));
+            reference = reference.min(pass);
+        }
+        let instructions = trace.len() as u64;
         out.push(EngineMeasurement {
             workload,
             instructions,
