@@ -1,52 +1,82 @@
 //! Versioned binary codec for traces.
 //!
 //! The persistent trace store (`mom-kernels` over `mom-store`) needs a
-//! compact, stable on-disk form for a verified functional run: the
-//! [`Trace`] itself plus its single-invocation [`TraceStats`].  The format
-//! is hand-rolled little-endian (the workspace carries no serialization
-//! dependency) on top of [`mom_store::bytes`]:
+//! compact, stable on-disk form for a verified functional run: the walk of
+//! its [`Trace`] plus its single-invocation [`TraceStats`].  The payload
+//! holds no instructions — like ATOM's address and branch streams, it is
+//! read against the program it was recorded over, which the decoder takes
+//! as an argument.  The format is hand-rolled little-endian (the workspace
+//! carries no serialization dependency) on top of [`mom_store::bytes`]:
 //!
 //! ```text
-//! u16  TRACE_CODEC_VERSION
-//! 7×u64 TraceStats (instructions, operations, media, matrix, memory,
-//!                   sum_vlx, sum_vly)
-//! u64  entry count
-//! per entry: instruction (tag byte + fields), vl u16, taken bool,
-//!            mem tag (0 = none, 1 = MemAccess fields)
+//! u16    TRACE_CODEC_VERSION (2)
+//! 7×u64  TraceStats (instructions, operations, media, matrix, memory,
+//!                    sum_vlx, sum_vly)
+//! u64    step count
+//! per step:
+//!   u8      flags: bit 0 taken, bit 1 has a memory access
+//!   varint  pc − (previous pc + 1), zig-zag (0 in straight-line code;
+//!           the first step's "previous pc" is −1)
+//!   varint  vl
+//!   if it has a memory access:
+//!     varint addr, varint row_bytes, varint rows, zig-zag varint stride,
+//!     u8 is_store
 //! ```
 //!
-//! Every enum is written as an explicit tag byte in declaration order —
-//! never a Rust discriminant cast — so the format only changes when this
-//! file changes, and decoding an unknown tag is a [`CodecError`], not UB
-//! or a panic.  Decoders validate exhaustively (version, tags, trailing
-//! bytes); a damaged payload always surfaces as an `Err` the cache layer
-//! treats as a miss.
+//! A varint is LEB128: seven bits per byte, low group first.  Decoding
+//! validates exhaustively (version, flag bits, varint length and range, pc
+//! inside the program, trailing bytes); a damaged payload always surfaces
+//! as an `Err` the cache layer treats as a miss.  Whether the pcs form a
+//! walk of the program is the store's load-time verification, not the
+//! codec's.
 
-use mom_isa::{AccumOp, AluOp, BranchCond, Instruction, Label, MemSize, MomOperand, PackedOp};
-use mom_simd::{ElemType, Overflow};
+use mom_isa::Program;
 use mom_store::bytes::{ByteReader, ByteWriter, CodecError};
 
-use crate::trace::{MemAccess, Trace, TraceEntry, TraceStats};
+use crate::trace::{MemAccess, Step, Trace, TraceStats};
 
 /// Payload format version; bump whenever the encoding changes shape.
-pub const TRACE_CODEC_VERSION: u16 = 1;
+pub const TRACE_CODEC_VERSION: u16 = 2;
 
-/// Encodes a trace and its stats into a self-describing payload.
+/// Step flag: the branch was taken.
+const TAKEN: u8 = 1 << 0;
+/// Step flag: a memory access follows the step.
+const HAS_MEM: u8 = 1 << 1;
+
+/// Encodes the walk of a trace and its stats into a payload that
+/// [`decode_trace`] reads back against the same program.
 pub fn encode_trace(trace: &Trace, stats: &TraceStats) -> Vec<u8> {
-    // ~12 bytes/entry is typical; headroom avoids most reallocation.
-    let mut w = ByteWriter::with_capacity(80 + trace.len() * 16);
+    // About 5 bytes a step over the registered kernels.
+    let mut w = ByteWriter::with_capacity(80 + trace.len() * 8);
     w.put_u16(TRACE_CODEC_VERSION);
     put_stats(&mut w, stats);
     w.put_u64(trace.len() as u64);
-    for entry in trace.iter() {
-        put_entry(&mut w, entry);
+    let mut expected = 0u64;
+    for step in trace.walk() {
+        let flags =
+            if step.taken { TAKEN } else { 0 } | if step.mem.is_some() { HAS_MEM } else { 0 };
+        w.put_u8(flags);
+        put_varint(&mut w, zigzag(step.pc as i64 - expected as i64));
+        put_varint(&mut w, step.vl as u64);
+        if let Some(mem) = step.mem {
+            put_varint(&mut w, mem.addr);
+            put_varint(&mut w, mem.row_bytes as u64);
+            put_varint(&mut w, mem.rows as u64);
+            put_varint(&mut w, zigzag(mem.stride));
+            w.put_bool(mem.is_store);
+        }
+        expected = step.pc as u64 + 1;
     }
     w.into_bytes()
 }
 
-/// Decodes a payload produced by [`encode_trace`], validating the version
-/// and that the payload is consumed exactly.
-pub fn decode_trace(bytes: &[u8]) -> Result<(Trace, TraceStats), CodecError> {
+/// Decodes a payload produced by [`encode_trace`] into a walk over
+/// `program`, validating the version, every field and that the payload
+/// is consumed exactly.
+pub fn decode_trace(
+    bytes: &[u8],
+    program: &'static Program,
+) -> Result<(Trace, TraceStats), CodecError> {
     let mut r = ByteReader::new(bytes);
     let version = r.get_u16("trace codec version")?;
     if version != TRACE_CODEC_VERSION {
@@ -56,20 +86,54 @@ pub fn decode_trace(bytes: &[u8]) -> Result<(Trace, TraceStats), CodecError> {
         });
     }
     let stats = get_stats(&mut r)?;
-    let count = r.get_u64("entry count")? as usize;
+    let count = r.get_u64("step count")? as usize;
     // An absurd count (e.g. from flipped length bytes) must not cause an
-    // absurd allocation; each entry is at least 5 bytes.
+    // absurd allocation; each step is at least 3 bytes.
     if count > bytes.len() {
         return Err(CodecError::Invalid(format!(
-            "entry count {count} exceeds payload size {}",
+            "step count {count} exceeds payload size {}",
             bytes.len()
         )));
     }
-    let mut trace = Trace::new();
+    let mut trace = Trace::for_program(program);
+    let mut expected = 0u64;
     for _ in 0..count {
-        trace.push(get_entry(&mut r)?);
+        let flags = r.get_u8("step flags")?;
+        if flags & !(TAKEN | HAS_MEM) != 0 {
+            return Err(CodecError::BadTag {
+                what: "step flags",
+                tag: flags,
+            });
+        }
+        let pc = expected.wrapping_add(unzigzag(get_varint(&mut r, "step pc")?) as u64);
+        if pc >= program.len() as u64 {
+            return Err(CodecError::Invalid(format!(
+                "pc {pc} outside a {}-instruction program",
+                program.len()
+            )));
+        }
+        let vl = narrow(get_varint(&mut r, "step vl")?, "step vl")?;
+        let mem = if flags & HAS_MEM == 0 {
+            None
+        } else {
+            Some(MemAccess {
+                addr: get_varint(&mut r, "mem.addr")?,
+                row_bytes: narrow(get_varint(&mut r, "mem.row_bytes")?, "mem.row_bytes")?,
+                rows: narrow(get_varint(&mut r, "mem.rows")?, "mem.rows")?,
+                stride: unzigzag(get_varint(&mut r, "mem.stride")?),
+                is_store: r.get_bool("mem.is_store")?,
+            })
+        };
+        trace.push_step(Step {
+            pc: pc as usize,
+            vl,
+            taken: flags & TAKEN != 0,
+            mem,
+        });
+        expected = pc + 1;
     }
     r.finish()?;
+    trace.shrink_to_fit();
     Ok((trace, stats))
 }
 
@@ -95,1047 +159,219 @@ fn get_stats(r: &mut ByteReader) -> Result<TraceStats, CodecError> {
     })
 }
 
-fn put_entry(w: &mut ByteWriter, entry: &TraceEntry) {
-    put_instruction(w, &entry.instr);
-    w.put_u16(entry.vl);
-    w.put_bool(entry.taken);
-    match &entry.mem {
-        None => w.put_u8(0),
-        Some(mem) => {
-            w.put_u8(1);
-            w.put_u64(mem.addr);
-            w.put_u32(mem.row_bytes);
-            w.put_u16(mem.rows);
-            w.put_i64(mem.stride);
-            w.put_bool(mem.is_store);
+fn zigzag(value: i64) -> u64 {
+    ((value << 1) ^ (value >> 63)) as u64
+}
+
+fn unzigzag(value: u64) -> i64 {
+    (value >> 1) as i64 ^ -((value & 1) as i64)
+}
+
+fn put_varint(w: &mut ByteWriter, mut value: u64) {
+    while value >= 0x80 {
+        w.put_u8(value as u8 | 0x80);
+        value >>= 7;
+    }
+    w.put_u8(value as u8);
+}
+
+fn get_varint(r: &mut ByteReader, what: &'static str) -> Result<u64, CodecError> {
+    let mut value = 0u64;
+    for shift in (0..64).step_by(7) {
+        let byte = r.get_u8(what)?;
+        let bits = (byte & 0x7f) as u64;
+        if shift == 63 && bits > 1 {
+            return Err(CodecError::Invalid(format!("{what} overflows 64 bits")));
+        }
+        value |= bits << shift;
+        if byte & 0x80 == 0 {
+            return Ok(value);
         }
     }
+    Err(CodecError::Invalid(format!("{what} overflows 64 bits")))
 }
 
-fn get_entry(r: &mut ByteReader) -> Result<TraceEntry, CodecError> {
-    let instr = get_instruction(r)?;
-    let vl = r.get_u16("entry.vl")?;
-    let taken = r.get_bool("entry.taken")?;
-    let mem = match r.get_u8("entry.mem tag")? {
-        0 => None,
-        1 => Some(MemAccess {
-            addr: r.get_u64("mem.addr")?,
-            row_bytes: r.get_u32("mem.row_bytes")?,
-            rows: r.get_u16("mem.rows")?,
-            stride: r.get_i64("mem.stride")?,
-            is_store: r.get_bool("mem.is_store")?,
-        }),
-        tag => {
-            return Err(CodecError::BadTag {
-                what: "entry.mem",
-                tag,
-            })
-        }
-    };
-    Ok(TraceEntry {
-        instr,
-        vl,
-        taken,
-        mem,
-    })
-}
-
-fn put_elem_type(w: &mut ByteWriter, ty: ElemType) {
-    w.put_u8(match ty {
-        ElemType::U8 => 0,
-        ElemType::I8 => 1,
-        ElemType::U16 => 2,
-        ElemType::I16 => 3,
-        ElemType::U32 => 4,
-        ElemType::I32 => 5,
-    });
-}
-
-fn get_elem_type(r: &mut ByteReader) -> Result<ElemType, CodecError> {
-    Ok(match r.get_u8("ElemType")? {
-        0 => ElemType::U8,
-        1 => ElemType::I8,
-        2 => ElemType::U16,
-        3 => ElemType::I16,
-        4 => ElemType::U32,
-        5 => ElemType::I32,
-        tag => {
-            return Err(CodecError::BadTag {
-                what: "ElemType",
-                tag,
-            })
-        }
-    })
-}
-
-fn put_overflow(w: &mut ByteWriter, ov: Overflow) {
-    w.put_u8(match ov {
-        Overflow::Wrap => 0,
-        Overflow::Saturate => 1,
-    });
-}
-
-fn get_overflow(r: &mut ByteReader) -> Result<Overflow, CodecError> {
-    Ok(match r.get_u8("Overflow")? {
-        0 => Overflow::Wrap,
-        1 => Overflow::Saturate,
-        tag => {
-            return Err(CodecError::BadTag {
-                what: "Overflow",
-                tag,
-            })
-        }
-    })
-}
-
-fn put_alu_op(w: &mut ByteWriter, op: AluOp) {
-    w.put_u8(match op {
-        AluOp::Add => 0,
-        AluOp::Sub => 1,
-        AluOp::Mul => 2,
-        AluOp::And => 3,
-        AluOp::Or => 4,
-        AluOp::Xor => 5,
-        AluOp::Sll => 6,
-        AluOp::Srl => 7,
-        AluOp::Sra => 8,
-        AluOp::CmpLt => 9,
-        AluOp::CmpLe => 10,
-        AluOp::CmpEq => 11,
-        AluOp::CmovNz => 12,
-        AluOp::CmovZ => 13,
-    });
-}
-
-fn get_alu_op(r: &mut ByteReader) -> Result<AluOp, CodecError> {
-    Ok(match r.get_u8("AluOp")? {
-        0 => AluOp::Add,
-        1 => AluOp::Sub,
-        2 => AluOp::Mul,
-        3 => AluOp::And,
-        4 => AluOp::Or,
-        5 => AluOp::Xor,
-        6 => AluOp::Sll,
-        7 => AluOp::Srl,
-        8 => AluOp::Sra,
-        9 => AluOp::CmpLt,
-        10 => AluOp::CmpLe,
-        11 => AluOp::CmpEq,
-        12 => AluOp::CmovNz,
-        13 => AluOp::CmovZ,
-        tag => return Err(CodecError::BadTag { what: "AluOp", tag }),
-    })
-}
-
-fn put_branch_cond(w: &mut ByteWriter, cond: BranchCond) {
-    w.put_u8(match cond {
-        BranchCond::Eq => 0,
-        BranchCond::Ne => 1,
-        BranchCond::Lt => 2,
-        BranchCond::Ge => 3,
-        BranchCond::Le => 4,
-        BranchCond::Gt => 5,
-        BranchCond::Always => 6,
-    });
-}
-
-fn get_branch_cond(r: &mut ByteReader) -> Result<BranchCond, CodecError> {
-    Ok(match r.get_u8("BranchCond")? {
-        0 => BranchCond::Eq,
-        1 => BranchCond::Ne,
-        2 => BranchCond::Lt,
-        3 => BranchCond::Ge,
-        4 => BranchCond::Le,
-        5 => BranchCond::Gt,
-        6 => BranchCond::Always,
-        tag => {
-            return Err(CodecError::BadTag {
-                what: "BranchCond",
-                tag,
-            })
-        }
-    })
-}
-
-fn put_mem_size(w: &mut ByteWriter, size: MemSize) {
-    w.put_u8(match size {
-        MemSize::Byte => 0,
-        MemSize::Half => 1,
-        MemSize::Word => 2,
-        MemSize::Quad => 3,
-    });
-}
-
-fn get_mem_size(r: &mut ByteReader) -> Result<MemSize, CodecError> {
-    Ok(match r.get_u8("MemSize")? {
-        0 => MemSize::Byte,
-        1 => MemSize::Half,
-        2 => MemSize::Word,
-        3 => MemSize::Quad,
-        tag => {
-            return Err(CodecError::BadTag {
-                what: "MemSize",
-                tag,
-            })
-        }
-    })
-}
-
-fn put_packed_op(w: &mut ByteWriter, op: PackedOp) {
-    match op {
-        PackedOp::Add(ov) => {
-            w.put_u8(0);
-            put_overflow(w, ov);
-        }
-        PackedOp::Sub(ov) => {
-            w.put_u8(1);
-            put_overflow(w, ov);
-        }
-        PackedOp::MulLow => w.put_u8(2),
-        PackedOp::MulHigh => w.put_u8(3),
-        PackedOp::MulRoundShift(shift) => {
-            w.put_u8(4);
-            w.put_u32(shift);
-        }
-        PackedOp::MaddPairs => w.put_u8(5),
-        PackedOp::AbsDiff => w.put_u8(6),
-        PackedOp::Sad => w.put_u8(7),
-        PackedOp::Ssd => w.put_u8(8),
-        PackedOp::Avg => w.put_u8(9),
-        PackedOp::Min => w.put_u8(10),
-        PackedOp::Max => w.put_u8(11),
-        PackedOp::CmpEq => w.put_u8(12),
-        PackedOp::CmpGt => w.put_u8(13),
-        PackedOp::And => w.put_u8(14),
-        PackedOp::Or => w.put_u8(15),
-        PackedOp::Xor => w.put_u8(16),
-        PackedOp::AndNot => w.put_u8(17),
-        PackedOp::SllImm(shift) => {
-            w.put_u8(18);
-            w.put_u32(shift);
-        }
-        PackedOp::SrlImm(shift) => {
-            w.put_u8(19);
-            w.put_u32(shift);
-        }
-        PackedOp::SraImm(shift) => {
-            w.put_u8(20);
-            w.put_u32(shift);
-        }
-        PackedOp::PackSat(ty) => {
-            w.put_u8(21);
-            put_elem_type(w, ty);
-        }
-        PackedOp::UnpackLow => w.put_u8(22),
-        PackedOp::UnpackHigh => w.put_u8(23),
-        PackedOp::WidenLow => w.put_u8(24),
-        PackedOp::WidenHigh => w.put_u8(25),
-        PackedOp::HSum => w.put_u8(26),
-    }
-}
-
-fn get_packed_op(r: &mut ByteReader) -> Result<PackedOp, CodecError> {
-    Ok(match r.get_u8("PackedOp")? {
-        0 => PackedOp::Add(get_overflow(r)?),
-        1 => PackedOp::Sub(get_overflow(r)?),
-        2 => PackedOp::MulLow,
-        3 => PackedOp::MulHigh,
-        4 => PackedOp::MulRoundShift(r.get_u32("MulRoundShift.shift")?),
-        5 => PackedOp::MaddPairs,
-        6 => PackedOp::AbsDiff,
-        7 => PackedOp::Sad,
-        8 => PackedOp::Ssd,
-        9 => PackedOp::Avg,
-        10 => PackedOp::Min,
-        11 => PackedOp::Max,
-        12 => PackedOp::CmpEq,
-        13 => PackedOp::CmpGt,
-        14 => PackedOp::And,
-        15 => PackedOp::Or,
-        16 => PackedOp::Xor,
-        17 => PackedOp::AndNot,
-        18 => PackedOp::SllImm(r.get_u32("SllImm.shift")?),
-        19 => PackedOp::SrlImm(r.get_u32("SrlImm.shift")?),
-        20 => PackedOp::SraImm(r.get_u32("SraImm.shift")?),
-        21 => PackedOp::PackSat(get_elem_type(r)?),
-        22 => PackedOp::UnpackLow,
-        23 => PackedOp::UnpackHigh,
-        24 => PackedOp::WidenLow,
-        25 => PackedOp::WidenHigh,
-        26 => PackedOp::HSum,
-        tag => {
-            return Err(CodecError::BadTag {
-                what: "PackedOp",
-                tag,
-            })
-        }
-    })
-}
-
-fn put_accum_op(w: &mut ByteWriter, op: AccumOp) {
-    w.put_u8(match op {
-        AccumOp::MulAdd => 0,
-        AccumOp::AbsDiffAdd => 1,
-        AccumOp::SqrDiffAdd => 2,
-        AccumOp::AddAcc => 3,
-    });
-}
-
-fn get_accum_op(r: &mut ByteReader) -> Result<AccumOp, CodecError> {
-    Ok(match r.get_u8("AccumOp")? {
-        0 => AccumOp::MulAdd,
-        1 => AccumOp::AbsDiffAdd,
-        2 => AccumOp::SqrDiffAdd,
-        3 => AccumOp::AddAcc,
-        tag => {
-            return Err(CodecError::BadTag {
-                what: "AccumOp",
-                tag,
-            })
-        }
-    })
-}
-
-fn put_mom_operand(w: &mut ByteWriter, operand: MomOperand) {
-    match operand {
-        MomOperand::Mat(m) => {
-            w.put_u8(0);
-            w.put_u8(m);
-        }
-        MomOperand::Mmx(v) => {
-            w.put_u8(1);
-            w.put_u8(v);
-        }
-        MomOperand::Imm(value) => {
-            w.put_u8(2);
-            w.put_u64(value);
-        }
-    }
-}
-
-fn get_mom_operand(r: &mut ByteReader) -> Result<MomOperand, CodecError> {
-    Ok(match r.get_u8("MomOperand")? {
-        0 => MomOperand::Mat(r.get_u8("MomOperand.mat")?),
-        1 => MomOperand::Mmx(r.get_u8("MomOperand.mmx")?),
-        2 => MomOperand::Imm(r.get_u64("MomOperand.imm")?),
-        tag => {
-            return Err(CodecError::BadTag {
-                what: "MomOperand",
-                tag,
-            })
-        }
-    })
-}
-
-fn put_instruction(w: &mut ByteWriter, instr: &Instruction) {
-    match *instr {
-        Instruction::Li { rd, imm } => {
-            w.put_u8(0);
-            w.put_u8(rd);
-            w.put_i64(imm);
-        }
-        Instruction::Alu { op, rd, ra, rb } => {
-            w.put_u8(1);
-            put_alu_op(w, op);
-            w.put_u8(rd);
-            w.put_u8(ra);
-            w.put_u8(rb);
-        }
-        Instruction::AluImm { op, rd, ra, imm } => {
-            w.put_u8(2);
-            put_alu_op(w, op);
-            w.put_u8(rd);
-            w.put_u8(ra);
-            w.put_i64(imm);
-        }
-        Instruction::Load {
-            size,
-            signed,
-            rd,
-            base,
-            offset,
-        } => {
-            w.put_u8(3);
-            put_mem_size(w, size);
-            w.put_bool(signed);
-            w.put_u8(rd);
-            w.put_u8(base);
-            w.put_i64(offset);
-        }
-        Instruction::Store {
-            size,
-            rs,
-            base,
-            offset,
-        } => {
-            w.put_u8(4);
-            put_mem_size(w, size);
-            w.put_u8(rs);
-            w.put_u8(base);
-            w.put_i64(offset);
-        }
-        Instruction::Branch {
-            cond,
-            ra,
-            rb,
-            target,
-        } => {
-            w.put_u8(5);
-            put_branch_cond(w, cond);
-            w.put_u8(ra);
-            w.put_u8(rb);
-            w.put_u64(target.0 as u64);
-        }
-        Instruction::Nop => w.put_u8(6),
-        Instruction::MmxLoad {
-            vd,
-            base,
-            offset,
-            ty,
-        } => {
-            w.put_u8(7);
-            w.put_u8(vd);
-            w.put_u8(base);
-            w.put_i64(offset);
-            put_elem_type(w, ty);
-        }
-        Instruction::MmxStore {
-            vs,
-            base,
-            offset,
-            ty,
-        } => {
-            w.put_u8(8);
-            w.put_u8(vs);
-            w.put_u8(base);
-            w.put_i64(offset);
-            put_elem_type(w, ty);
-        }
-        Instruction::MmxOp { op, ty, vd, va, vb } => {
-            w.put_u8(9);
-            put_packed_op(w, op);
-            put_elem_type(w, ty);
-            w.put_u8(vd);
-            w.put_u8(va);
-            w.put_u8(vb);
-        }
-        Instruction::MmxSplat { vd, ra, ty } => {
-            w.put_u8(10);
-            w.put_u8(vd);
-            w.put_u8(ra);
-            put_elem_type(w, ty);
-        }
-        Instruction::MmxToInt { rd, va } => {
-            w.put_u8(11);
-            w.put_u8(rd);
-            w.put_u8(va);
-        }
-        Instruction::MmxFromInt { vd, ra } => {
-            w.put_u8(12);
-            w.put_u8(vd);
-            w.put_u8(ra);
-        }
-        Instruction::AccClear { acc } => {
-            w.put_u8(13);
-            w.put_u8(acc);
-        }
-        Instruction::AccStep {
-            op,
-            ty,
-            acc,
-            va,
-            vb,
-        } => {
-            w.put_u8(14);
-            put_accum_op(w, op);
-            put_elem_type(w, ty);
-            w.put_u8(acc);
-            w.put_u8(va);
-            w.put_u8(vb);
-        }
-        Instruction::AccRead {
-            vd,
-            acc,
-            ty,
-            shift,
-            saturating,
-        } => {
-            w.put_u8(15);
-            w.put_u8(vd);
-            w.put_u8(acc);
-            put_elem_type(w, ty);
-            w.put_u32(shift);
-            w.put_bool(saturating);
-        }
-        Instruction::AccReadScalar { rd, acc } => {
-            w.put_u8(16);
-            w.put_u8(rd);
-            w.put_u8(acc);
-        }
-        Instruction::SetVlImm { vl } => {
-            w.put_u8(17);
-            w.put_u8(vl);
-        }
-        Instruction::SetVl { ra } => {
-            w.put_u8(18);
-            w.put_u8(ra);
-        }
-        Instruction::MomLoad {
-            md,
-            base,
-            stride,
-            ty,
-        } => {
-            w.put_u8(19);
-            w.put_u8(md);
-            w.put_u8(base);
-            w.put_u8(stride);
-            put_elem_type(w, ty);
-        }
-        Instruction::MomStore {
-            ms,
-            base,
-            stride,
-            ty,
-        } => {
-            w.put_u8(20);
-            w.put_u8(ms);
-            w.put_u8(base);
-            w.put_u8(stride);
-            put_elem_type(w, ty);
-        }
-        Instruction::MomOp { op, ty, md, ma, mb } => {
-            w.put_u8(21);
-            put_packed_op(w, op);
-            put_elem_type(w, ty);
-            w.put_u8(md);
-            w.put_u8(ma);
-            put_mom_operand(w, mb);
-        }
-        Instruction::MomTranspose { md, ms, ty } => {
-            w.put_u8(22);
-            w.put_u8(md);
-            w.put_u8(ms);
-            put_elem_type(w, ty);
-        }
-        Instruction::MomAccClear { acc } => {
-            w.put_u8(23);
-            w.put_u8(acc);
-        }
-        Instruction::MomAccStep {
-            op,
-            ty,
-            acc,
-            ma,
-            mb,
-        } => {
-            w.put_u8(24);
-            put_accum_op(w, op);
-            put_elem_type(w, ty);
-            w.put_u8(acc);
-            w.put_u8(ma);
-            put_mom_operand(w, mb);
-        }
-        Instruction::MomAccReadScalar { rd, acc } => {
-            w.put_u8(25);
-            w.put_u8(rd);
-            w.put_u8(acc);
-        }
-        Instruction::MomAccRead {
-            vd,
-            acc,
-            ty,
-            shift,
-            saturating,
-        } => {
-            w.put_u8(26);
-            w.put_u8(vd);
-            w.put_u8(acc);
-            put_elem_type(w, ty);
-            w.put_u32(shift);
-            w.put_bool(saturating);
-        }
-        Instruction::MomRowToMmx { vd, ms, row } => {
-            w.put_u8(27);
-            w.put_u8(vd);
-            w.put_u8(ms);
-            w.put_u8(row);
-        }
-        Instruction::MomRowFromMmx { md, va, row } => {
-            w.put_u8(28);
-            w.put_u8(md);
-            w.put_u8(va);
-            w.put_u8(row);
-        }
-    }
-}
-
-fn get_instruction(r: &mut ByteReader) -> Result<Instruction, CodecError> {
-    Ok(match r.get_u8("Instruction")? {
-        0 => Instruction::Li {
-            rd: r.get_u8("Li.rd")?,
-            imm: r.get_i64("Li.imm")?,
-        },
-        1 => Instruction::Alu {
-            op: get_alu_op(r)?,
-            rd: r.get_u8("Alu.rd")?,
-            ra: r.get_u8("Alu.ra")?,
-            rb: r.get_u8("Alu.rb")?,
-        },
-        2 => Instruction::AluImm {
-            op: get_alu_op(r)?,
-            rd: r.get_u8("AluImm.rd")?,
-            ra: r.get_u8("AluImm.ra")?,
-            imm: r.get_i64("AluImm.imm")?,
-        },
-        3 => Instruction::Load {
-            size: get_mem_size(r)?,
-            signed: r.get_bool("Load.signed")?,
-            rd: r.get_u8("Load.rd")?,
-            base: r.get_u8("Load.base")?,
-            offset: r.get_i64("Load.offset")?,
-        },
-        4 => Instruction::Store {
-            size: get_mem_size(r)?,
-            rs: r.get_u8("Store.rs")?,
-            base: r.get_u8("Store.base")?,
-            offset: r.get_i64("Store.offset")?,
-        },
-        5 => Instruction::Branch {
-            cond: get_branch_cond(r)?,
-            ra: r.get_u8("Branch.ra")?,
-            rb: r.get_u8("Branch.rb")?,
-            target: Label(r.get_u64("Branch.target")? as usize),
-        },
-        6 => Instruction::Nop,
-        7 => Instruction::MmxLoad {
-            vd: r.get_u8("MmxLoad.vd")?,
-            base: r.get_u8("MmxLoad.base")?,
-            offset: r.get_i64("MmxLoad.offset")?,
-            ty: get_elem_type(r)?,
-        },
-        8 => Instruction::MmxStore {
-            vs: r.get_u8("MmxStore.vs")?,
-            base: r.get_u8("MmxStore.base")?,
-            offset: r.get_i64("MmxStore.offset")?,
-            ty: get_elem_type(r)?,
-        },
-        9 => Instruction::MmxOp {
-            op: get_packed_op(r)?,
-            ty: get_elem_type(r)?,
-            vd: r.get_u8("MmxOp.vd")?,
-            va: r.get_u8("MmxOp.va")?,
-            vb: r.get_u8("MmxOp.vb")?,
-        },
-        10 => Instruction::MmxSplat {
-            vd: r.get_u8("MmxSplat.vd")?,
-            ra: r.get_u8("MmxSplat.ra")?,
-            ty: get_elem_type(r)?,
-        },
-        11 => Instruction::MmxToInt {
-            rd: r.get_u8("MmxToInt.rd")?,
-            va: r.get_u8("MmxToInt.va")?,
-        },
-        12 => Instruction::MmxFromInt {
-            vd: r.get_u8("MmxFromInt.vd")?,
-            ra: r.get_u8("MmxFromInt.ra")?,
-        },
-        13 => Instruction::AccClear {
-            acc: r.get_u8("AccClear.acc")?,
-        },
-        14 => Instruction::AccStep {
-            op: get_accum_op(r)?,
-            ty: get_elem_type(r)?,
-            acc: r.get_u8("AccStep.acc")?,
-            va: r.get_u8("AccStep.va")?,
-            vb: r.get_u8("AccStep.vb")?,
-        },
-        15 => Instruction::AccRead {
-            vd: r.get_u8("AccRead.vd")?,
-            acc: r.get_u8("AccRead.acc")?,
-            ty: get_elem_type(r)?,
-            shift: r.get_u32("AccRead.shift")?,
-            saturating: r.get_bool("AccRead.saturating")?,
-        },
-        16 => Instruction::AccReadScalar {
-            rd: r.get_u8("AccReadScalar.rd")?,
-            acc: r.get_u8("AccReadScalar.acc")?,
-        },
-        17 => Instruction::SetVlImm {
-            vl: r.get_u8("SetVlImm.vl")?,
-        },
-        18 => Instruction::SetVl {
-            ra: r.get_u8("SetVl.ra")?,
-        },
-        19 => Instruction::MomLoad {
-            md: r.get_u8("MomLoad.md")?,
-            base: r.get_u8("MomLoad.base")?,
-            stride: r.get_u8("MomLoad.stride")?,
-            ty: get_elem_type(r)?,
-        },
-        20 => Instruction::MomStore {
-            ms: r.get_u8("MomStore.ms")?,
-            base: r.get_u8("MomStore.base")?,
-            stride: r.get_u8("MomStore.stride")?,
-            ty: get_elem_type(r)?,
-        },
-        21 => Instruction::MomOp {
-            op: get_packed_op(r)?,
-            ty: get_elem_type(r)?,
-            md: r.get_u8("MomOp.md")?,
-            ma: r.get_u8("MomOp.ma")?,
-            mb: get_mom_operand(r)?,
-        },
-        22 => Instruction::MomTranspose {
-            md: r.get_u8("MomTranspose.md")?,
-            ms: r.get_u8("MomTranspose.ms")?,
-            ty: get_elem_type(r)?,
-        },
-        23 => Instruction::MomAccClear {
-            acc: r.get_u8("MomAccClear.acc")?,
-        },
-        24 => Instruction::MomAccStep {
-            op: get_accum_op(r)?,
-            ty: get_elem_type(r)?,
-            acc: r.get_u8("MomAccStep.acc")?,
-            ma: r.get_u8("MomAccStep.ma")?,
-            mb: get_mom_operand(r)?,
-        },
-        25 => Instruction::MomAccReadScalar {
-            rd: r.get_u8("MomAccReadScalar.rd")?,
-            acc: r.get_u8("MomAccReadScalar.acc")?,
-        },
-        26 => Instruction::MomAccRead {
-            vd: r.get_u8("MomAccRead.vd")?,
-            acc: r.get_u8("MomAccRead.acc")?,
-            ty: get_elem_type(r)?,
-            shift: r.get_u32("MomAccRead.shift")?,
-            saturating: r.get_bool("MomAccRead.saturating")?,
-        },
-        27 => Instruction::MomRowToMmx {
-            vd: r.get_u8("MomRowToMmx.vd")?,
-            ms: r.get_u8("MomRowToMmx.ms")?,
-            row: r.get_u8("MomRowToMmx.row")?,
-        },
-        28 => Instruction::MomRowFromMmx {
-            md: r.get_u8("MomRowFromMmx.md")?,
-            va: r.get_u8("MomRowFromMmx.va")?,
-            row: r.get_u8("MomRowFromMmx.row")?,
-        },
-        tag => {
-            return Err(CodecError::BadTag {
-                what: "Instruction",
-                tag,
-            })
-        }
-    })
+fn narrow<T: TryFrom<u64>>(value: u64, what: &'static str) -> Result<T, CodecError> {
+    T::try_from(value).map_err(|_| CodecError::Invalid(format!("{what} {value} out of range")))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Machine, Memory};
+    use mom_isa::prelude::*;
     use proptest::prelude::*;
+    use std::sync::OnceLock;
 
-    fn arb_elem_type() -> impl Strategy<Value = ElemType> {
-        prop::sample::select(vec![
-            ElemType::U8,
-            ElemType::I8,
-            ElemType::U16,
-            ElemType::I16,
-            ElemType::U32,
-            ElemType::I32,
-        ])
+    /// A small loop touching memory through every access shape: scalar,
+    /// packed and strided matrix loads and stores.
+    fn program() -> &'static Program {
+        static PROGRAM: OnceLock<Program> = OnceLock::new();
+        PROGRAM.get_or_init(|| {
+            let mut b = AsmBuilder::new(IsaKind::Mom);
+            b.li(1, 0x100);
+            b.li(2, 16);
+            b.li(3, 3);
+            b.set_vl_imm(4);
+            b.label("loop");
+            b.load(MemSize::Half, false, 4, 1, 6);
+            b.mmx_load(0, 1, 8, ElemType::U8);
+            b.mom_load(0, 1, 2, ElemType::U8);
+            b.mom_store(0, 1, 2, ElemType::U8);
+            b.addi(1, 1, 64);
+            b.addi(3, 3, -1);
+            b.branch(BranchCond::Gt, 3, 31, "loop");
+            b.finish()
+        })
     }
 
-    fn arb_overflow() -> impl Strategy<Value = Overflow> {
-        prop::sample::select(vec![Overflow::Wrap, Overflow::Saturate])
+    fn recorded() -> Trace {
+        let mut trace = Trace::for_program(program());
+        Machine::new(Memory::new(0x1000))
+            .run_with_sink(program(), &mut trace)
+            .expect("the loop runs");
+        trace
     }
 
-    fn arb_packed_op() -> impl Strategy<Value = PackedOp> {
-        (any::<u8>(), any::<u32>(), arb_elem_type(), arb_overflow()).prop_map(
-            |(tag, shift, ty, ov)| match tag % 27 {
-                0 => PackedOp::Add(ov),
-                1 => PackedOp::Sub(ov),
-                2 => PackedOp::MulLow,
-                3 => PackedOp::MulHigh,
-                4 => PackedOp::MulRoundShift(shift),
-                5 => PackedOp::MaddPairs,
-                6 => PackedOp::AbsDiff,
-                7 => PackedOp::Sad,
-                8 => PackedOp::Ssd,
-                9 => PackedOp::Avg,
-                10 => PackedOp::Min,
-                11 => PackedOp::Max,
-                12 => PackedOp::CmpEq,
-                13 => PackedOp::CmpGt,
-                14 => PackedOp::And,
-                15 => PackedOp::Or,
-                16 => PackedOp::Xor,
-                17 => PackedOp::AndNot,
-                18 => PackedOp::SllImm(shift),
-                19 => PackedOp::SrlImm(shift),
-                20 => PackedOp::SraImm(shift),
-                21 => PackedOp::PackSat(ty),
-                22 => PackedOp::UnpackLow,
-                23 => PackedOp::UnpackHigh,
-                24 => PackedOp::WidenLow,
-                25 => PackedOp::WidenHigh,
-                _ => PackedOp::HSum,
+    fn arb_mem() -> impl Strategy<Value = Option<MemAccess>> {
+        (
+            any::<bool>(),
+            any::<u64>(),
+            any::<u32>(),
+            any::<u16>(),
+            any::<i64>(),
+            any::<bool>(),
+        )
+            .prop_map(|(some, addr, row_bytes, rows, stride, is_store)| {
+                some.then_some(MemAccess {
+                    addr,
+                    row_bytes,
+                    rows,
+                    stride,
+                    is_store,
+                })
+            })
+    }
+
+    /// Arbitrary steps over [`program`]: any pc, vl, taken bit and access
+    /// (the codec does not check that they form a walk).
+    fn arb_walk(len: std::ops::Range<usize>) -> impl Strategy<Value = Trace> {
+        let pcs = program().len();
+        prop::collection::vec((0..pcs, any::<u16>(), any::<bool>(), arb_mem()), len).prop_map(
+            |steps| {
+                let mut trace = Trace::for_program(program());
+                for (pc, vl, taken, mem) in steps {
+                    trace.push_step(Step { pc, vl, taken, mem });
+                }
+                trace
             },
         )
     }
 
-    fn arb_accum_op() -> impl Strategy<Value = AccumOp> {
-        prop::sample::select(vec![
-            AccumOp::MulAdd,
-            AccumOp::AbsDiffAdd,
-            AccumOp::SqrDiffAdd,
-            AccumOp::AddAcc,
-        ])
+    fn round_trip(trace: &Trace) -> (Trace, TraceStats) {
+        decode_trace(&encode_trace(trace, &trace.stats()), program()).expect("decode")
     }
 
-    fn arb_instruction() -> impl Strategy<Value = Instruction> {
-        (
-            any::<u8>(),
-            (any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()),
-            any::<i64>(),
-            (arb_packed_op(), arb_accum_op(), arb_elem_type()),
-            (any::<u32>(), any::<bool>(), any::<u64>()),
-        )
-            .prop_map(
-                |(variant, (a, b, c, d), imm, (pop, aop, ty), (shift, flag, word))| {
-                    let operand = match word % 3 {
-                        0 => MomOperand::Mat(a),
-                        1 => MomOperand::Mmx(b),
-                        _ => MomOperand::Imm(word),
-                    };
-                    match variant % 29 {
-                        0 => Instruction::Li { rd: a, imm },
-                        1 => Instruction::Alu {
-                            op: AluOp::ALL[b as usize % AluOp::ALL.len()],
-                            rd: a,
-                            ra: c,
-                            rb: d,
-                        },
-                        2 => Instruction::AluImm {
-                            op: AluOp::ALL[b as usize % AluOp::ALL.len()],
-                            rd: a,
-                            ra: c,
-                            imm,
-                        },
-                        3 => Instruction::Load {
-                            size: [MemSize::Byte, MemSize::Half, MemSize::Word, MemSize::Quad]
-                                [b as usize % 4],
-                            signed: flag,
-                            rd: a,
-                            base: c,
-                            offset: imm,
-                        },
-                        4 => Instruction::Store {
-                            size: [MemSize::Byte, MemSize::Half, MemSize::Word, MemSize::Quad]
-                                [b as usize % 4],
-                            rs: a,
-                            base: c,
-                            offset: imm,
-                        },
-                        5 => Instruction::Branch {
-                            cond: [
-                                BranchCond::Eq,
-                                BranchCond::Ne,
-                                BranchCond::Lt,
-                                BranchCond::Ge,
-                                BranchCond::Le,
-                                BranchCond::Gt,
-                                BranchCond::Always,
-                            ][b as usize % 7],
-                            ra: a,
-                            rb: c,
-                            target: Label(shift as usize),
-                        },
-                        6 => Instruction::Nop,
-                        7 => Instruction::MmxLoad {
-                            vd: a,
-                            base: b,
-                            offset: imm,
-                            ty,
-                        },
-                        8 => Instruction::MmxStore {
-                            vs: a,
-                            base: b,
-                            offset: imm,
-                            ty,
-                        },
-                        9 => Instruction::MmxOp {
-                            op: pop,
-                            ty,
-                            vd: a,
-                            va: b,
-                            vb: c,
-                        },
-                        10 => Instruction::MmxSplat { vd: a, ra: b, ty },
-                        11 => Instruction::MmxToInt { rd: a, va: b },
-                        12 => Instruction::MmxFromInt { vd: a, ra: b },
-                        13 => Instruction::AccClear { acc: a },
-                        14 => Instruction::AccStep {
-                            op: aop,
-                            ty,
-                            acc: a,
-                            va: b,
-                            vb: c,
-                        },
-                        15 => Instruction::AccRead {
-                            vd: a,
-                            acc: b,
-                            ty,
-                            shift,
-                            saturating: flag,
-                        },
-                        16 => Instruction::AccReadScalar { rd: a, acc: b },
-                        17 => Instruction::SetVlImm { vl: a },
-                        18 => Instruction::SetVl { ra: a },
-                        19 => Instruction::MomLoad {
-                            md: a,
-                            base: b,
-                            stride: c,
-                            ty,
-                        },
-                        20 => Instruction::MomStore {
-                            ms: a,
-                            base: b,
-                            stride: c,
-                            ty,
-                        },
-                        21 => Instruction::MomOp {
-                            op: pop,
-                            ty,
-                            md: a,
-                            ma: b,
-                            mb: operand,
-                        },
-                        22 => Instruction::MomTranspose { md: a, ms: b, ty },
-                        23 => Instruction::MomAccClear { acc: a },
-                        24 => Instruction::MomAccStep {
-                            op: aop,
-                            ty,
-                            acc: a,
-                            ma: b,
-                            mb: operand,
-                        },
-                        25 => Instruction::MomAccReadScalar { rd: a, acc: b },
-                        26 => Instruction::MomAccRead {
-                            vd: a,
-                            acc: b,
-                            ty,
-                            shift,
-                            saturating: flag,
-                        },
-                        27 => Instruction::MomRowToMmx {
-                            vd: a,
-                            ms: b,
-                            row: c,
-                        },
-                        _ => Instruction::MomRowFromMmx {
-                            md: a,
-                            va: b,
-                            row: c,
-                        },
-                    }
-                },
-            )
-    }
-
-    fn arb_entry() -> impl Strategy<Value = TraceEntry> {
-        (
-            arb_instruction(),
-            any::<u16>(),
-            any::<bool>(),
-            any::<bool>(),
-            (
-                any::<u64>(),
-                any::<u32>(),
-                any::<u16>(),
-                any::<i64>(),
-                any::<bool>(),
-            ),
-        )
-            .prop_map(
-                |(instr, vl, taken, has_mem, (addr, row_bytes, rows, stride, is_store))| {
-                    TraceEntry {
-                        instr,
-                        vl,
-                        taken,
-                        mem: has_mem.then_some(MemAccess {
-                            addr,
-                            row_bytes,
-                            rows,
-                            stride,
-                            is_store,
-                        }),
-                    }
-                },
-            )
+    #[test]
+    fn a_recorded_walk_round_trips() {
+        let trace = recorded();
+        assert!(trace.walk().any(|s| s.taken) && trace.walk().any(|s| s.mem.is_some()));
+        let (decoded, stats) = round_trip(&trace);
+        assert!(decoded.walk().eq(trace.walk()));
+        assert_eq!(stats, trace.stats());
+        // A straight-line step costs three bytes, an access a few more.
+        let bytes = encode_trace(&trace, &stats).len();
+        assert!(bytes < 80 + 8 * trace.len(), "{bytes} bytes");
     }
 
     proptest! {
         #[test]
-        fn trace_round_trips(entries in prop::collection::vec(arb_entry(), 0..200)) {
-            let trace: Trace = entries.iter().copied().collect();
-            let stats = trace.stats();
-            let bytes = encode_trace(&trace, &stats);
-            let (decoded, decoded_stats) = decode_trace(&bytes).expect("decode");
-            prop_assert_eq!(decoded.entries(), trace.entries());
-            prop_assert_eq!(decoded_stats, stats);
+        fn trace_round_trips(trace in arb_walk(0..200)) {
+            let (decoded, decoded_stats) = round_trip(&trace);
+            prop_assert!(decoded.walk().eq(trace.walk()));
+            prop_assert_eq!(decoded_stats, trace.stats());
         }
 
         #[test]
-        fn truncation_never_panics(entries in prop::collection::vec(arb_entry(), 1..50),
-                                   cut in 0usize..1000) {
-            let trace: Trace = entries.iter().copied().collect();
+        fn truncation_never_panics(trace in arb_walk(1..50), cut in 0usize..1000) {
             let bytes = encode_trace(&trace, &trace.stats());
             let cut = cut % bytes.len();
-            prop_assert!(decode_trace(&bytes[..cut]).is_err());
+            prop_assert!(decode_trace(&bytes[..cut], program()).is_err());
         }
 
         #[test]
-        fn bit_flips_never_panic(entries in prop::collection::vec(arb_entry(), 1..30),
+        fn bit_flips_never_panic(trace in arb_walk(1..30),
                                  byte in 0usize..10_000, bit in 0u8..8) {
-            let trace: Trace = entries.iter().copied().collect();
-            let stats = trace.stats();
-            let mut bytes = encode_trace(&trace, &stats);
+            let mut bytes = encode_trace(&trace, &trace.stats());
             let byte = byte % bytes.len();
             bytes[byte] ^= 1 << bit;
             // Either the flip is detected, or it decodes to *something* —
             // but it must never panic. (The store layer's checksum catches
-            // silent flips before this codec ever runs in production.)
-            let _ = decode_trace(&bytes);
+            // silent flips before this codec ever runs in production, and
+            // its walk verification rejects a pc that is not a successor.)
+            let _ = decode_trace(&bytes, program());
         }
     }
 
     #[test]
     fn wrong_version_is_rejected() {
-        let trace: Trace = std::iter::once(TraceEntry {
-            instr: Instruction::Nop,
-            vl: 1,
-            taken: false,
-            mem: None,
-        })
-        .collect();
+        let trace = recorded();
         let mut bytes = encode_trace(&trace, &trace.stats());
-        bytes[0] = bytes[0].wrapping_add(1);
+        bytes[0] = bytes[0].wrapping_sub(1);
         assert!(matches!(
-            decode_trace(&bytes),
-            Err(CodecError::BadVersion { .. })
+            decode_trace(&bytes, program()),
+            Err(CodecError::BadVersion { got: 1, .. })
         ));
     }
 
     #[test]
     fn trailing_bytes_are_rejected() {
-        let trace = Trace::new();
+        let trace = Trace::for_program(program());
         let mut bytes = encode_trace(&trace, &trace.stats());
         bytes.push(0);
         assert!(matches!(
-            decode_trace(&bytes),
+            decode_trace(&bytes, program()),
             Err(CodecError::TrailingBytes { .. })
         ));
+    }
+
+    #[test]
+    fn a_pc_past_the_program_is_rejected() {
+        let mut trace = Trace::for_program(program());
+        trace.push_step(Step {
+            pc: program().len() - 1,
+            vl: 1,
+            taken: false,
+            mem: None,
+        });
+        let mut bytes = encode_trace(&trace, &trace.stats());
+        // The single step's pc delta is the byte after its flags.
+        let at = bytes.len() - 2;
+        bytes[at] += 2;
+        assert!(matches!(
+            decode_trace(&bytes, program()),
+            Err(CodecError::Invalid(_))
+        ));
+    }
+
+    #[test]
+    fn varints_cover_the_whole_range() {
+        for value in [0, 1, 127, 128, 300, u32::MAX as u64, u64::MAX - 1, u64::MAX] {
+            let mut w = ByteWriter::new();
+            put_varint(&mut w, value);
+            let bytes = w.into_bytes();
+            let mut r = ByteReader::new(&bytes);
+            assert_eq!(get_varint(&mut r, "v").unwrap(), value);
+            assert!(r.finish().is_ok());
+        }
+        for value in [0, -1, 1, i64::MIN, i64::MAX] {
+            assert_eq!(unzigzag(zigzag(value)), value);
+        }
+        // An eleventh byte, or a tenth carrying more than the top bit, is
+        // an overflow, not a wrap.
+        let mut r = ByteReader::new(&[0xff; 11]);
+        assert!(get_varint(&mut r, "v").is_err());
+        let mut r = ByteReader::new(&[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02]);
+        assert!(get_varint(&mut r, "v").is_err());
     }
 }

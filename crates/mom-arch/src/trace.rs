@@ -6,13 +6,41 @@
 //! (graduated) instruction into a [`TraceSink`] — the software analogue of
 //! the paper's producer/consumer split between the ATOM-instrumented
 //! instruction stream and the Jinks timing simulator.  Anything can consume
-//! the stream: a [`Trace`] materialises it, a [`TraceStats`] folds it into
+//! the stream: a [`Trace`] records it, a [`TraceStats`] folds it into
 //! the quantities the paper's Tables 1–9 report (instruction counts,
 //! operation counts, the fraction of vector instructions *F*, the average
 //! vector lengths VLx and VLy), and `mom_pipeline`'s incremental consumer
 //! times it — all in one bounded-memory pass.
+//!
+//! # Traces as program walks
+//!
+//! ATOM streamed branch outcomes and effective addresses against a static
+//! binary; a [`Trace`] keeps the same split.  It holds an **instruction
+//! table** and one 8-byte step per dynamic instruction: the pc into the
+//! table, the vector length, a taken bit and a has-memory bit.  The
+//! [`MemAccess`] of each step that has one sits in a side array, packed
+//! into 16 bytes (an access whose stride or row size does not fit keeps
+//! all 24 bytes in a second array).  A recorded kernel run costs about 12
+//! resident bytes per entry instead of a 64-byte [`TraceEntry`].
+//!
+//! * [`Trace::for_program`] records a walk over a shared `&'static`
+//!   [`Program`]: the table *is* the program, and each step's pc is the
+//!   successor ([`successor`]) of the one before.
+//! * [`Trace::new`] (and `collect`) builds a hand-made trace, whose table
+//!   interns the instructions pushed into it.
+//!
+//! [`Trace::walk`] yields the compact steps; replay consumers decode the
+//! table once and index it by pc.  [`Trace::stream`] materialises
+//! [`TraceEntry`]s one at a time for everything else, and
+//! [`Trace::entries`] keeps a materialised slice for inspection.
 
-use mom_isa::Instruction;
+use mom_isa::{Instruction, Program};
+use std::collections::HashMap;
+use std::sync::OnceLock;
+
+/// Entries the default [`TraceSink::retire_repeated`] materialises per
+/// [`TraceSink::retire_many`] call.
+const CHUNK: usize = 256;
 
 /// A consumer of the dynamic instruction stream.
 ///
@@ -40,33 +68,41 @@ pub trait TraceSink {
     /// Semantically identical to calling [`TraceSink::retire`] once per
     /// entry in order — which is what the default implementation does.
     /// Batch-oriented consumers override it to process the run at a
-    /// coarser grain: the timing fan-out sweeps its shared decoded batch
-    /// through every machine configuration per run instead of per entry,
-    /// and a sampled simulator fast-forwards a whole run through the
-    /// cache model in one tight loop instead of re-entering its interval
-    /// state machine per entry.  The default
-    /// [`TraceSink::retire_repeated`] feeds sinks through this hook, so a
-    /// memoised single-invocation trace hands the sink each replication as
-    /// one slice.
+    /// coarser grain: a sampled simulator fast-forwards a whole run
+    /// through the cache model in one tight loop instead of re-entering
+    /// its interval state machine per entry.  The default
+    /// [`TraceSink::retire_repeated`] feeds sinks through this hook in
+    /// bounded chunks of materialised entries.
     fn retire_many(&mut self, entries: &[TraceEntry]) {
         for entry in entries {
             self.retire(*entry);
         }
     }
 
-    /// Consumes the same run of retired instructions `times` times back to
-    /// back — one kernel invocation repeated, as [`Trace::replay_into`]
-    /// hands it over.
+    /// Consumes the walk of `trace` `times` times back to back — one
+    /// kernel invocation repeated, as [`Trace::replay_into`] hands it over.
     ///
-    /// Semantically identical to calling [`TraceSink::retire_many`] `times`
-    /// times, which is what the default implementation does.  Sinks whose
-    /// state can repeat override it: [`TraceStats`] records the invocation
-    /// once and scales its counters, and the timing consumers of
-    /// `mom_pipeline` jump over whole periods once their pipeline state
-    /// repeats at an invocation boundary.
-    fn retire_repeated(&mut self, entries: &[TraceEntry], times: usize) {
+    /// Semantically identical to retiring every entry of
+    /// [`Trace::stream`] `times` times.  The default implementation
+    /// materialises the entries in chunks of a few hundred and hands each
+    /// chunk to [`TraceSink::retire_many`].  Sinks whose state can repeat
+    /// override it: [`TraceStats`] scales the trace's own statistics, and
+    /// the timing consumers of `mom_pipeline` decode the trace's
+    /// instruction table once, index it by pc, and jump over whole periods
+    /// once their pipeline state repeats at an invocation boundary.
+    fn retire_repeated(&mut self, trace: &Trace, times: usize) {
+        let mut chunk = Vec::with_capacity(CHUNK);
         for _ in 0..times {
-            self.retire_many(entries);
+            for entry in trace.stream() {
+                chunk.push(entry);
+                if chunk.len() == CHUNK {
+                    self.retire_many(&chunk);
+                    chunk.clear();
+                }
+            }
+        }
+        if !chunk.is_empty() {
+            self.retire_many(&chunk);
         }
     }
 }
@@ -80,8 +116,8 @@ impl<S: TraceSink + ?Sized> TraceSink for &mut S {
         (**self).retire_many(entries);
     }
 
-    fn retire_repeated(&mut self, entries: &[TraceEntry], times: usize) {
-        (**self).retire_repeated(entries, times);
+    fn retire_repeated(&mut self, trace: &Trace, times: usize) {
+        (**self).retire_repeated(trace, times);
     }
 }
 
@@ -96,9 +132,9 @@ impl<A: TraceSink, B: TraceSink> TraceSink for (A, B) {
         self.1.retire_many(entries);
     }
 
-    fn retire_repeated(&mut self, entries: &[TraceEntry], times: usize) {
-        self.0.retire_repeated(entries, times);
-        self.1.retire_repeated(entries, times);
+    fn retire_repeated(&mut self, trace: &Trace, times: usize) {
+        self.0.retire_repeated(trace, times);
+        self.1.retire_repeated(trace, times);
     }
 }
 
@@ -115,10 +151,10 @@ impl<A: TraceSink, B: TraceSink, C: TraceSink> TraceSink for (A, B, C) {
         self.2.retire_many(entries);
     }
 
-    fn retire_repeated(&mut self, entries: &[TraceEntry], times: usize) {
-        self.0.retire_repeated(entries, times);
-        self.1.retire_repeated(entries, times);
-        self.2.retire_repeated(entries, times);
+    fn retire_repeated(&mut self, trace: &Trace, times: usize) {
+        self.0.retire_repeated(trace, times);
+        self.1.retire_repeated(trace, times);
+        self.2.retire_repeated(trace, times);
     }
 }
 
@@ -135,9 +171,9 @@ impl<S: TraceSink> TraceSink for [S] {
         }
     }
 
-    fn retire_repeated(&mut self, entries: &[TraceEntry], times: usize) {
+    fn retire_repeated(&mut self, trace: &Trace, times: usize) {
         for sink in self.iter_mut() {
-            sink.retire_repeated(entries, times);
+            sink.retire_repeated(trace, times);
         }
     }
 }
@@ -151,8 +187,8 @@ impl<S: TraceSink> TraceSink for Vec<S> {
         self.as_mut_slice().retire_many(entries);
     }
 
-    fn retire_repeated(&mut self, entries: &[TraceEntry], times: usize) {
-        self.as_mut_slice().retire_repeated(entries, times);
+    fn retire_repeated(&mut self, trace: &Trace, times: usize) {
+        self.as_mut_slice().retire_repeated(trace, times);
     }
 }
 
@@ -287,69 +323,316 @@ impl TraceEntry {
     }
 }
 
-/// A dynamic instruction trace.
+/// The pc that follows `pc` in a walk of `program`: the resolved target
+/// of a taken branch, otherwise the next instruction.  The functional
+/// simulator steps this way, [`Trace::for_program`] records it, and the
+/// trace store's load-time verification checks every stored step
+/// against it.
+pub fn successor(program: &Program, pc: usize, taken: bool) -> usize {
+    match program.instr(pc) {
+        Instruction::Branch { target, .. } if taken => program.resolve(*target),
+        _ => pc + 1,
+    }
+}
+
+/// One dynamic instruction of a [`Trace`]'s walk, by value: everything of
+/// a [`TraceEntry`] except the instruction, which is the trace's
+/// instruction table at [`Step::pc`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Step {
+    /// Index of the executed instruction in [`Trace::instructions`].
+    pub pc: usize,
+    /// The effective vector length (see [`TraceEntry::vl`]).
+    pub vl: u16,
+    /// Whether a branch was taken (see [`TraceEntry::taken`]).
+    pub taken: bool,
+    /// The recorded memory access (see [`TraceEntry::mem`]).
+    pub mem: Option<MemAccess>,
+}
+
+/// Flag bit of `PackedStep::flags`: the branch was taken.
+const STEP_TAKEN: u8 = 1 << 0;
+/// Flag bit: the step has a memory access in a side array.
+const STEP_MEM: u8 = 1 << 1;
+/// Flag bit: the access writes memory.
+const STEP_STORE: u8 = 1 << 2;
+/// Flag bit: the access is in `Trace::wide_mems`, not `Trace::mems`.
+const STEP_WIDE: u8 = 1 << 3;
+
+/// The resident form of a [`Step`]: 8 bytes.
+#[derive(Debug, Clone, Copy)]
+struct PackedStep {
+    pc: u32,
+    vl: u16,
+    /// `STEP_*` bits.
+    flags: u8,
+}
+
+/// The resident form of a [`MemAccess`] whose stride fits 32 bits and
+/// whose row size fits 16 (every access the functional simulator
+/// records): 16 bytes.  The store bit lives in the step.
+#[derive(Debug, Clone, Copy)]
+struct PackedMem {
+    addr: u64,
+    stride: i32,
+    row_bytes: u16,
+    rows: u16,
+}
+
+impl PackedMem {
+    fn pack(mem: &MemAccess) -> Option<PackedMem> {
+        Some(PackedMem {
+            addr: mem.addr,
+            stride: i32::try_from(mem.stride).ok()?,
+            row_bytes: u16::try_from(mem.row_bytes).ok()?,
+            rows: mem.rows,
+        })
+    }
+
+    fn unpack(self, is_store: bool) -> MemAccess {
+        MemAccess {
+            addr: self.addr,
+            row_bytes: self.row_bytes as u32,
+            rows: self.rows,
+            stride: self.stride as i64,
+            is_store,
+        }
+    }
+}
+
+/// The instruction table a trace's pcs index.
+#[derive(Debug, Clone)]
+enum Table {
+    /// A shared program: each step is the successor of the one before.
+    Program(&'static Program),
+    /// A hand-built trace's own table, one row per distinct instruction.
+    Interned {
+        instrs: Vec<Instruction>,
+        index: HashMap<Instruction, u32>,
+    },
+}
+
+impl Default for Table {
+    fn default() -> Self {
+        Table::Interned {
+            instrs: Vec::new(),
+            index: HashMap::new(),
+        }
+    }
+}
+
+/// A dynamic instruction trace: a walk over an instruction table (see the
+/// [module documentation](self)).
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
-    entries: Vec<TraceEntry>,
+    table: Table,
+    steps: Vec<PackedStep>,
+    /// The accesses of the steps flagged `STEP_MEM` but not `STEP_WIDE`,
+    /// in step order.
+    mems: Vec<PackedMem>,
+    /// The accesses of the steps flagged `STEP_WIDE`, in step order.
+    wide_mems: Vec<MemAccess>,
+    /// The materialised entries behind [`Trace::entries`], built on first
+    /// use.  No replay path asks for them.
+    view: OnceLock<Vec<TraceEntry>>,
 }
 
 impl Trace {
-    /// Creates an empty trace.
+    /// Creates an empty hand-built trace, whose instruction table interns
+    /// the instructions pushed into it.
     pub fn new() -> Self {
         Trace::default()
     }
 
+    /// Creates an empty walk over `program`.  Each pushed entry must be the
+    /// instruction at the successor of the previous step (pc 0 first), as
+    /// [`crate::Machine::run_with_sink`] retires them for one run.
+    pub fn for_program(program: &'static Program) -> Self {
+        Trace {
+            table: Table::Program(program),
+            ..Trace::default()
+        }
+    }
+
+    /// The instruction table that [`Step::pc`] indexes.
+    pub fn instructions(&self) -> &[Instruction] {
+        match &self.table {
+            Table::Program(program) => program.instructions(),
+            Table::Interned { instrs, .. } => instrs,
+        }
+    }
+
     /// Appends an entry.
+    ///
+    /// # Panics
+    /// Panics if the trace walks a program and `entry` is not the
+    /// instruction at the successor of the previous step.
     pub fn push(&mut self, entry: TraceEntry) {
-        self.entries.push(entry);
+        let next = self
+            .steps
+            .last()
+            .map(|s| (s.pc as usize, s.flags & STEP_TAKEN != 0));
+        let pc = match &mut self.table {
+            Table::Program(program) => {
+                let pc = next.map_or(0, |(pc, taken)| successor(program, pc, taken));
+                assert!(
+                    program.instructions().get(pc) == Some(&entry.instr),
+                    "{:?} does not follow the program walk at pc {pc}",
+                    entry.instr
+                );
+                pc
+            }
+            Table::Interned { instrs, index } => *index.entry(entry.instr).or_insert_with(|| {
+                instrs.push(entry.instr);
+                (instrs.len() - 1) as u32
+            }) as usize,
+        };
+        self.push_step(Step {
+            pc,
+            vl: entry.vl,
+            taken: entry.taken,
+            mem: entry.mem,
+        });
+    }
+
+    /// Appends a step without checking that it follows the walk: the
+    /// codec's way in, which the trace store follows with its walk
+    /// verification.
+    ///
+    /// # Panics
+    /// Panics if `step.pc` is not a row of [`Trace::instructions`].
+    pub fn push_step(&mut self, step: Step) {
+        let rows = self.instructions().len();
+        assert!(
+            step.pc < rows,
+            "pc {} outside a {rows}-row instruction table",
+            step.pc
+        );
+        let mut flags = if step.taken { STEP_TAKEN } else { 0 };
+        if let Some(mem) = step.mem {
+            flags |= STEP_MEM;
+            if mem.is_store {
+                flags |= STEP_STORE;
+            }
+            match PackedMem::pack(&mem) {
+                Some(packed) => self.mems.push(packed),
+                None => {
+                    flags |= STEP_WIDE;
+                    self.wide_mems.push(mem);
+                }
+            }
+        }
+        self.steps.push(PackedStep {
+            pc: step.pc as u32,
+            vl: step.vl,
+            flags,
+        });
+        self.view.take();
     }
 
     /// Number of dynamic instructions.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.steps.len()
     }
 
     /// Whether the trace is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.steps.is_empty()
     }
 
-    /// The trace entries in program (graduation) order.
+    /// The walk, one [`Step`] per dynamic instruction in program
+    /// (graduation) order.
+    pub fn walk(&self) -> impl Iterator<Item = Step> + '_ {
+        let mut mems = self.mems.iter();
+        let mut wide_mems = self.wide_mems.iter();
+        self.steps.iter().map(move |step| Step {
+            pc: step.pc as usize,
+            vl: step.vl,
+            taken: step.flags & STEP_TAKEN != 0,
+            mem: match step.flags & (STEP_MEM | STEP_WIDE) {
+                0 => None,
+                STEP_MEM => mems
+                    .next()
+                    .map(|mem| mem.unpack(step.flags & STEP_STORE != 0)),
+                _ => wide_mems.next().copied(),
+            },
+        })
+    }
+
+    /// The entries in program (graduation) order, materialised one at a
+    /// time.
+    pub fn stream(&self) -> impl Iterator<Item = TraceEntry> + '_ {
+        let instrs = self.instructions();
+        self.walk().map(move |step| TraceEntry {
+            instr: instrs[step.pc],
+            vl: step.vl,
+            taken: step.taken,
+            mem: step.mem,
+        })
+    }
+
+    /// The entries in program (graduation) order, as a slice.  The first
+    /// call materialises them and keeps them with the trace (64 bytes an
+    /// entry, counted by [`Trace::resident_bytes`]); prefer
+    /// [`Trace::stream`] or [`Trace::walk`] outside tests.
     pub fn entries(&self) -> &[TraceEntry] {
-        &self.entries
+        self.view.get_or_init(|| self.stream().collect())
     }
 
-    /// Iterates over the entries.
-    pub fn iter(&self) -> impl Iterator<Item = &TraceEntry> {
-        self.entries.iter()
+    /// Iterates over [`Trace::entries`].
+    pub fn iter(&self) -> std::slice::Iter<'_, TraceEntry> {
+        self.entries().iter()
     }
 
-    /// Concatenates another trace onto this one (used when a kernel is run
-    /// for several iterations to reach a steady state).
+    /// Appends another trace's entries (used when a kernel is run for
+    /// several iterations to reach a steady state).
     pub fn extend(&mut self, other: &Trace) {
-        self.entries.extend_from_slice(&other.entries);
+        for entry in other.stream() {
+            self.push(entry);
+        }
+    }
+
+    /// Drops spare capacity once recording is done.
+    pub fn shrink_to_fit(&mut self) {
+        self.steps.shrink_to_fit();
+        self.mems.shrink_to_fit();
+        self.wide_mems.shrink_to_fit();
+    }
+
+    /// Heap bytes of the walk: the steps, the memory-access side arrays
+    /// and any materialised [`Trace::entries`].  The instruction table is
+    /// not counted.
+    pub fn resident_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.steps.capacity() * size_of::<PackedStep>()
+            + self.mems.capacity() * size_of::<PackedMem>()
+            + self.wide_mems.capacity() * size_of::<MemAccess>()
+            + self
+                .view
+                .get()
+                .map_or(0, |v| v.capacity() * size_of::<TraceEntry>())
     }
 
     /// Replays the trace into a sink `times` back to back, **by
-    /// reference**: each [`TraceEntry`] is a `Copy` handed to the sink per
-    /// retirement, and the trace itself is never re-collected or cloned —
+    /// reference**: the trace itself is never re-collected or cloned —
     /// this is how a memoised single-invocation trace stands in for a long
     /// steady-state stream at zero materialisation cost.
     ///
     /// The trace and the repeat count are handed to the sink in one
     /// [`TraceSink::retire_repeated`] call.  Sinks whose state repeats
     /// (the statistics, the timing consumers) skip the repeated work; for
-    /// everything else the default method hands each replication over as
-    /// one [`TraceSink::retire_many`] slice.
+    /// everything else the default method hands the entries over in
+    /// [`TraceSink::retire_many`] chunks.
     pub fn replay_into<S: TraceSink + ?Sized>(&self, times: usize, sink: &mut S) {
-        sink.retire_repeated(&self.entries, times);
+        sink.retire_repeated(self, times);
     }
 
     /// Computes the summary statistics of the trace.
     pub fn stats(&self) -> TraceStats {
+        let instrs = self.instructions();
         let mut s = TraceStats::default();
-        for e in &self.entries {
-            s.record(e);
+        for step in &self.steps {
+            s.count(&instrs[step.pc as usize], step.vl);
         }
         s
     }
@@ -363,9 +646,11 @@ impl TraceSink for Trace {
 
 impl FromIterator<TraceEntry> for Trace {
     fn from_iter<T: IntoIterator<Item = TraceEntry>>(iter: T) -> Self {
-        Trace {
-            entries: iter.into_iter().collect(),
+        let mut trace = Trace::new();
+        for entry in iter {
+            trace.push(entry);
         }
+        trace
     }
 }
 
@@ -393,14 +678,10 @@ impl TraceSink for TraceStats {
         self.record(&entry);
     }
 
-    /// Records the invocation once and scales it: every counter is a sum
-    /// over entries, so `times` replications add `times` copies of it.
-    fn retire_repeated(&mut self, entries: &[TraceEntry], times: usize) {
-        let mut once = TraceStats::default();
-        for entry in entries {
-            once.record(entry);
-        }
-        self.merge_scaled(&once, times as u64);
+    /// Scales the trace's own statistics: every counter is a sum over
+    /// entries, so `times` replications add `times` copies of them.
+    fn retire_repeated(&mut self, trace: &Trace, times: usize) {
+        self.merge_scaled(&trace.stats(), times as u64);
     }
 }
 
@@ -408,17 +689,21 @@ impl TraceStats {
     /// Folds one retired instruction into the statistics. [`Trace::stats`]
     /// and the streaming sink both reduce through this.
     pub fn record(&mut self, e: &TraceEntry) {
+        self.count(&e.instr, e.vl);
+    }
+
+    fn count(&mut self, instr: &Instruction, vl: u16) {
         self.instructions += 1;
-        self.operations += e.ops();
-        if e.instr.is_media() {
+        self.operations += instr.ops(vl as u64);
+        if instr.is_media() {
             self.media_instructions += 1;
-            self.sum_vlx += e.instr.vlx();
-            if e.instr.is_vl_dependent() {
+            self.sum_vlx += instr.vlx();
+            if instr.is_vl_dependent() {
                 self.matrix_instructions += 1;
-                self.sum_vly += e.vl as u64;
+                self.sum_vly += vl as u64;
             }
         }
-        if e.instr.is_memory() {
+        if instr.is_memory() {
             self.memory_instructions += 1;
         }
     }
@@ -483,6 +768,7 @@ impl TraceStats {
 mod tests {
     use super::*;
     use mom_isa::prelude::*;
+    use std::sync::OnceLock;
 
     fn entry(instr: Instruction, vl: u16) -> TraceEntry {
         TraceEntry {
@@ -508,6 +794,108 @@ mod tests {
         let mut empty = CountingSink::default();
         trace.replay_into(0, &mut empty);
         assert_eq!(empty.retired, 0);
+    }
+
+    /// `for i in 0..3 { load; i -= 1 }`: a walk with a taken back edge.
+    fn loop_program() -> &'static Program {
+        static PROGRAM: OnceLock<Program> = OnceLock::new();
+        PROGRAM.get_or_init(|| {
+            let mut b = AsmBuilder::new(IsaKind::Alpha);
+            b.li(1, 3);
+            b.label("loop");
+            b.load(MemSize::Quad, false, 2, 31, 0x40);
+            b.addi(1, 1, -1);
+            b.branch(BranchCond::Gt, 1, 31, "loop");
+            b.finish()
+        })
+    }
+
+    fn loop_walk() -> Trace {
+        let mut trace = Trace::for_program(loop_program());
+        crate::Machine::new(crate::Memory::new(0x100))
+            .run_with_sink(loop_program(), &mut trace)
+            .unwrap();
+        trace.shrink_to_fit();
+        trace
+    }
+
+    #[test]
+    fn a_program_walk_records_successor_pcs_and_side_accesses() {
+        let trace = loop_walk();
+        let pcs: Vec<usize> = trace.walk().map(|s| s.pc).collect();
+        assert_eq!(pcs, [0, 1, 2, 3, 1, 2, 3, 1, 2, 3]);
+        assert_eq!(trace.instructions(), loop_program().instructions());
+        let mems: Vec<_> = trace.walk().filter_map(|s| s.mem).collect();
+        assert_eq!(mems, [MemAccess::unit(0x40, 8, false); 3]);
+        // 8 bytes a step and 16 an access, the program not counted.
+        assert_eq!(trace.resident_bytes(), 8 * 10 + 16 * 3);
+        assert_eq!(trace.stream().count(), 10);
+        assert_eq!(trace.entries().len(), 10);
+        assert_eq!(trace.resident_bytes(), 8 * 10 + 16 * 3 + 64 * 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not follow the program walk")]
+    fn a_program_walk_rejects_an_entry_off_the_walk() {
+        let mut trace = Trace::for_program(loop_program());
+        trace.push(entry(Instruction::Li { rd: 1, imm: 3 }, 1));
+        // The successor of pc 0 is the load, not another `li`.
+        trace.push(entry(Instruction::Li { rd: 1, imm: 3 }, 1));
+    }
+
+    #[test]
+    fn a_hand_built_trace_interns_its_table() {
+        let li = Instruction::Li { rd: 1, imm: 7 };
+        let t: Trace = [entry(li, 1), entry(Instruction::Nop, 1), entry(li, 1)]
+            .into_iter()
+            .collect();
+        assert_eq!(t.instructions(), [li, Instruction::Nop]);
+        assert_eq!(t.walk().map(|s| s.pc).collect::<Vec<_>>(), [0, 1, 0]);
+    }
+
+    #[test]
+    fn every_access_round_trips_through_the_side_arrays() {
+        let load = Instruction::Load {
+            size: MemSize::Quad,
+            signed: false,
+            rd: 1,
+            base: 2,
+            offset: 0,
+        };
+        let accesses = [
+            Some(MemAccess::unit(u64::MAX - 3, 8, true)),
+            None,
+            Some(MemAccess::strided(0x1000, 8, 4, -64, false)),
+            Some(MemAccess::strided(0, 8, 2, i64::MIN, true)),
+            Some(MemAccess::strided(0x20, u32::MAX, u16::MAX, 1 << 40, false)),
+            Some(MemAccess::unit(0x20, 1 << 16, false)),
+        ];
+        let entries: Vec<TraceEntry> = accesses
+            .iter()
+            .enumerate()
+            .map(|(i, &mem)| TraceEntry {
+                instr: load,
+                vl: i as u16,
+                taken: i % 2 == 0,
+                mem,
+            })
+            .collect();
+        let t: Trace = entries.iter().copied().collect();
+        assert!(t.stream().eq(entries.iter().copied()));
+        assert_eq!(t.entries(), entries);
+    }
+
+    #[test]
+    fn the_default_replay_hands_over_chunks_across_invocations() {
+        // 100 entries × 7 replays cross several chunk boundaries, one of
+        // them inside an invocation.
+        let trace: Trace = (0..100)
+            .map(|i| entry(Instruction::Li { rd: 1, imm: i }, 1))
+            .collect();
+        let mut sink = Trace::new();
+        trace.replay_into(7, &mut sink);
+        assert_eq!(sink.len(), 700);
+        assert!(sink.stream().eq((0..7).flat_map(|_| trace.stream())));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! observed through the `Machine` must agree with the packed-operation
 //! primitives applied directly, for arbitrary data.
 
-use mom_arch::{Machine, Memory, TraceEntry, TraceSink, TraceStats};
+use mom_arch::{Machine, Memory, Trace, TraceEntry, TraceSink, TraceStats};
 use mom_isa::prelude::*;
 use proptest::prelude::*;
 
@@ -297,8 +297,9 @@ proptest! {
                 TraceEntry { instr, vl, taken: false, mem: None }
             })
             .collect();
+        let trace: Trace = entries.iter().copied().collect();
         let mut scaled = TraceStats::default();
-        scaled.retire_repeated(&entries, times);
+        scaled.retire_repeated(&trace, times);
         let mut stepped = TraceStats::default();
         for _ in 0..times {
             for entry in &entries {

@@ -88,7 +88,7 @@ impl FromIterator<Reg> for RegList {
 /// Scalar register operands are `u8` indices into the integer register file;
 /// packed/matrix operands are indices into the MMX or MOM register files.
 /// See [`crate::reg::Reg`] for the architectural name spaces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Instruction {
     // ------------------------------------------------------------------
     // Scalar baseline ("Alpha-like")

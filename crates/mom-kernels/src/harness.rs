@@ -6,7 +6,7 @@
 //! [`run_kernel_with_sink`] drives every iteration of a kernel straight into
 //! a [`TraceSink`] (statistics fold, timing simulator, fan-out — anything),
 //! so peak memory is independent of the iteration count.  [`run_kernel`]
-//! wraps it for callers that want a materialised single-invocation [`Trace`]
+//! wraps it for callers that want a recorded single-invocation [`Trace`]
 //! plus whole-run statistics.
 
 use crate::layout::MEMORY_SIZE;
@@ -140,8 +140,8 @@ impl std::error::Error for KernelError {
 
 /// The outcome of running a kernel functionally.
 ///
-/// The materialised [`trace`](KernelRun::trace) covers exactly **one**
-/// invocation — iterations of a kernel are identical instruction streams
+/// The recorded [`trace`](KernelRun::trace) — a walk over the shared
+/// program of `(kernel, isa)` — covers exactly **one** invocation — iterations of a kernel are identical instruction streams
 /// (the workloads have no data-dependent control flow), so keeping one copy
 /// bounds memory no matter how many iterations ran.  The
 /// [`stats`](KernelRun::stats) cover the **whole run** (every iteration,
@@ -164,8 +164,8 @@ pub struct KernelRun {
 impl KernelRun {
     /// Replays the whole run — the single-invocation trace repeated
     /// [`invocations`](KernelRun::invocations) times — into a sink, by
-    /// reference (see [`Trace::replay_into`]: one `Copy` per retired entry,
-    /// no re-collection of the trace per iteration).
+    /// reference (see [`Trace::replay_into`]: no re-collection of the
+    /// trace per iteration).
     pub fn replay_into<S: TraceSink + ?Sized>(&self, sink: &mut S) {
         self.trace.replay_into(self.invocations, sink);
     }
@@ -232,7 +232,7 @@ pub fn run_phase_with_sink<S: TraceSink + ?Sized>(
     Ok(stats)
 }
 
-/// Runs `iterations` invocations of a kernel, materialising the trace of the
+/// Runs `iterations` invocations of a kernel, recording the trace of the
 /// **first** invocation only and accumulating statistics over all of them —
 /// so peak memory no longer grows with `iterations`.
 ///
@@ -248,7 +248,7 @@ pub fn run_kernel(
     assert!(iterations >= 1, "at least one iteration is required");
     let (spec, program, mut machine) = setup(kernel, isa, seed)?;
     let mut stats = TraceStats::default();
-    let mut trace = Trace::new();
+    let mut trace = Trace::for_program(program);
     for iteration in 0..iterations {
         if iteration == 0 {
             let mut tee = (&mut stats, &mut trace);
@@ -275,6 +275,7 @@ pub fn run_kernel(
             )?;
         }
     }
+    trace.shrink_to_fit();
     Ok(KernelRun {
         kernel,
         isa,

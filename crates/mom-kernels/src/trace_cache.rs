@@ -15,18 +15,24 @@
 //! application pipelines all replay the same [`KernelRun`]s instead of
 //! re-executing the functional simulator.
 //!
-//! Since PR 7 the cache is the **memory tier** of the persistent artifact
+//! The cache is also the **memory tier** of the persistent artifact
 //! store ([`mom_store`]): a verified run is also encoded
 //! ([`mom_arch::codec`]) and written to the store's disk tier under a
 //! **content hash** of everything the trace depends on — the disassembled
 //! program text (so codegen changes self-invalidate without a version
 //! knob), the kernel, the ISA, the seed, and the workload-layout
-//! fingerprint ([`crate::layout::fingerprint`]).  The next process starts
-//! warm: a lookup decodes the blob and **re-verifies it before first use**
-//! (recomputed stats must match the stored stats, and the entry stream
-//! must replay as a valid control-flow walk of the *current* program);
-//! anything corrupt, truncated or stale is treated as a miss and silently
-//! recomputed.
+//! fingerprint ([`crate::layout::fingerprint`]).  A trace is a walk over
+//! the shared program of its (kernel, ISA) (see [`mom_arch::trace`]), so
+//! the blob holds only the walk: a pc, `vl`, taken and has-memory bits per
+//! step, and the memory accesses.  The next process starts warm: a lookup
+//! decodes the blob against the current program and **re-verifies it
+//! before first use** — the recomputed stats must match the stored stats,
+//! and the stored pcs must walk the program ([`trace_matches_program`]):
+//! the first step is pc 0, each later one the successor of the one before
+//! (`pc + 1`, or the resolved target of a taken branch), the walk ends at
+//! the program's length, and only memory instructions carry an access.
+//! Anything corrupt, truncated, stale or written by an older codec is
+//! treated as a miss and silently recomputed, and the fill overwrites it.
 //!
 //! Error memoisation is deliberately asymmetric: *deterministic* failures
 //! (a program that fails validation, a golden-reference mismatch) are
@@ -46,6 +52,7 @@
 use crate::harness::{run_kernel, KernelError, KernelRun};
 use crate::{layout, KernelId};
 use mom_arch::codec;
+use mom_arch::trace::successor;
 use mom_isa::{Instruction, IsaKind, Program};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
@@ -121,28 +128,32 @@ pub fn trace_content_key(kernel: KernelId, isa: IsaKind, seed: u64) -> Key {
     h.finish()
 }
 
-/// Verification-on-load: a decoded trace is accepted only if its entry
-/// stream replays as a valid control-flow walk of the *current* program —
-/// every entry must match the instruction at the walked pc, taken branches
-/// must follow their resolved targets, and the walk must run the program to
-/// completion.  This is the golden reference for a trace (the trace *is*
-/// the recorded execution path); together with the recomputed-stats check
-/// it rejects any blob whose damage survived the store's checksum, and any
-/// blob recorded against a different program than the one compiled today.
+/// Verification-on-load: a decoded trace is accepted only if its stored
+/// pcs walk the *current* program — the first step is pc 0, each later
+/// one is the [`successor`] of the step before, and the walk ends at the
+/// program's length — and each step's taken bit, vector length and
+/// memory access fit the instruction at its pc.  This is the golden
+/// reference for a trace (the trace *is* the recorded execution path);
+/// together with the recomputed-stats check it rejects any blob whose
+/// damage survived the store's checksum, and any blob recorded against a
+/// different program than the one compiled today.
 fn trace_matches_program(trace: &mom_arch::Trace, program: &Program) -> bool {
     let instrs = program.instructions();
-    let mut pc = 0usize;
-    for entry in trace.iter() {
-        match instrs.get(pc) {
-            Some(instr) if *instr == entry.instr => {}
-            _ => return false,
-        }
-        pc = match entry.instr {
-            Instruction::Branch { target, .. } if entry.taken => program.resolve(target),
-            _ => pc + 1,
+    let mut next = 0;
+    for step in trace.walk() {
+        let Some(instr) = instrs.get(step.pc) else {
+            return false;
         };
+        if step.pc != next
+            || (step.taken && !matches!(instr, Instruction::Branch { .. }))
+            || (step.vl != 1 && !instr.is_vl_dependent())
+            || step.mem.is_some() != instr.is_memory()
+        {
+            return false;
+        }
+        next = successor(program, step.pc, step.taken);
     }
-    pc >= instrs.len()
+    next == instrs.len()
 }
 
 /// Tries to serve `(kernel, isa, seed)` from the store's disk tier.
@@ -155,11 +166,9 @@ fn load_from_store(
 ) -> Option<Arc<KernelRun>> {
     let bytes = store.get_disk(NS_TRACE, key)?;
     let _span = mom_obs::span_fmt("decode", || format!("decode-trace {kernel:?}/{isa:?}"));
-    let (trace, stats) = codec::decode_trace(&bytes).ok()?;
-    if trace.stats() != stats {
-        return None;
-    }
-    if !trace_matches_program(&trace, shared_program(kernel, isa)) {
+    let program = shared_program(kernel, isa);
+    let (trace, stats) = codec::decode_trace(&bytes, program).ok()?;
+    if trace.stats() != stats || !trace_matches_program(&trace, program) {
         return None;
     }
     Some(Arc::new(KernelRun {
@@ -250,13 +259,35 @@ pub fn shared_kernel_run_in(
         SlotState::Empty => {}
     }
     let key = trace_content_key(kernel, isa, seed);
-    if let Some(run) = load_from_store(store, key, kernel, isa) {
-        *state = SlotState::Ready(Arc::clone(&run));
-        return Ok(run);
+    let result = match load_from_store(store, key, kernel, isa) {
+        Some(run) => {
+            *state = SlotState::Ready(Arc::clone(&run));
+            Ok(run)
+        }
+        None => {
+            let (next, result) = fill(store, key, kernel, isa, seed);
+            *state = next;
+            result
+        }
+    };
+    if let Ok(run) = &result {
+        trace_cache_bytes_gauge().add(run.trace.resident_bytes() as i64);
     }
-    let (next, result) = fill(store, key, kernel, isa, seed);
-    *state = next;
     result
+}
+
+/// The resident bytes of every trace the process cache holds (steps and
+/// memory-access side arrays; the shared programs are not counted),
+/// registered as `momsim_trace_cache_bytes` and raised once per resolved
+/// slot.
+fn trace_cache_bytes_gauge() -> &'static mom_obs::Gauge {
+    static GAUGE: OnceLock<mom_obs::Gauge> = OnceLock::new();
+    GAUGE.get_or_init(|| {
+        mom_obs::gauge(
+            "momsim_trace_cache_bytes",
+            "Resident bytes of the functional trace cache (walk steps and memory accesses).",
+        )
+    })
 }
 
 /// Number of (kernel, ISA, seed) triples resolved so far — successful or
@@ -279,6 +310,7 @@ pub fn cached_runs() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mom_arch::trace::Step;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -365,6 +397,132 @@ mod tests {
         assert_eq!(loaded.trace.entries(), first.trace.entries());
         assert_eq!(loaded.stats, first.stats);
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// Collects the entries the functional simulator retires.
+    struct Collected(Vec<mom_arch::TraceEntry>);
+
+    impl mom_arch::TraceSink for Collected {
+        fn retire(&mut self, entry: mom_arch::TraceEntry) {
+            self.0.push(entry);
+        }
+    }
+
+    #[test]
+    fn every_registered_walk_streams_the_functional_entries_and_round_trips() {
+        for kernel in KernelId::ALL {
+            for isa in IsaKind::ALL {
+                let program = shared_program(kernel, isa);
+                for seed in [0x5C99, 0xA11CE] {
+                    let context = format!("{kernel:?}/{isa:?} seed {seed:#x}");
+                    let run = run_kernel(kernel, isa, seed, 1).unwrap();
+                    let mut streamed = Collected(Vec::new());
+                    crate::harness::run_kernel_with_sink(kernel, isa, seed, 1, &mut streamed)
+                        .unwrap();
+                    assert!(
+                        run.trace.stream().eq(streamed.0.iter().copied()),
+                        "{context}: the walk materialises the functional stream"
+                    );
+                    let (decoded, stats) =
+                        codec::decode_trace(&codec::encode_trace(&run.trace, &run.stats), program)
+                            .unwrap();
+                    assert!(decoded.walk().eq(run.trace.walk()), "{context}");
+                    assert_eq!(stats, run.stats, "{context}");
+                    assert!(trace_matches_program(&decoded, program), "{context}");
+                    for trace in [&run.trace, &decoded] {
+                        assert!(
+                            trace.resident_bytes() <= 16 * trace.len(),
+                            "{context}: {} resident bytes for {} entries",
+                            trace.resident_bytes(),
+                            trace.len()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_version_1_blob_is_a_miss_and_the_fill_overwrites_it() {
+        let (store, dir) = temp_store();
+        let (kernel, isa, seed) = (KernelId::Motion2, IsaKind::Mmx, 0x0DD1);
+        let key = trace_content_key(kernel, isa, seed);
+        let run = run_kernel(kernel, isa, seed, 1).unwrap();
+        let mut old = codec::encode_trace(&run.trace, &run.stats);
+        old[..2].copy_from_slice(&1u16.to_le_bytes());
+        store.put_disk(NS_TRACE, key, &old);
+        assert!(
+            load_from_store(&store, key, kernel, isa).is_none(),
+            "a version-1 payload must not decode"
+        );
+        let filled = shared_kernel_run_in(&store, kernel, isa, seed).unwrap();
+        let rewritten = store
+            .get_disk(NS_TRACE, key)
+            .expect("the fill writes a blob");
+        assert_eq!(rewritten[..2], codec::TRACE_CODEC_VERSION.to_le_bytes());
+        let loaded = load_from_store(&store, key, kernel, isa).expect("the rewritten blob loads");
+        assert!(loaded.trace.walk().eq(filled.trace.walk()));
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// Stores `steps` as the walk of `(kernel, isa, seed)`, with the walk's
+    /// own stats so that only the walk verification can reject it, and
+    /// loads it back.
+    fn load_walk(
+        kernel: KernelId,
+        isa: IsaKind,
+        seed: u64,
+        steps: impl Iterator<Item = mom_arch::trace::Step>,
+    ) -> Option<Arc<KernelRun>> {
+        let (store, dir) = temp_store();
+        let mut walk = mom_arch::Trace::for_program(shared_program(kernel, isa));
+        steps.for_each(|step| walk.push_step(step));
+        let key = trace_content_key(kernel, isa, seed);
+        store.put_disk(NS_TRACE, key, &codec::encode_trace(&walk, &walk.stats()));
+        let loaded = load_from_store(&store, key, kernel, isa);
+        let _ = std::fs::remove_dir_all(dir);
+        loaded
+    }
+
+    #[test]
+    fn a_stored_walk_off_the_program_is_rejected_on_load() {
+        // Straight-line set-up code around a loop with taken back edges.
+        let (kernel, isa, seed) = (KernelId::Motion1, IsaKind::Alpha, 0x3A1C);
+        let run = run_kernel(kernel, isa, seed, 1).unwrap();
+        let steps = || run.trace.walk();
+        assert!(steps().any(|s| s.taken));
+        assert!(
+            load_walk(kernel, isa, seed, steps()).is_some(),
+            "the recorded walk loads"
+        );
+        // One pc one instruction past the successor of the step before.
+        let skipped = steps().enumerate().map(|(i, s)| {
+            if i == 3 {
+                Step { pc: s.pc + 1, ..s }
+            } else {
+                s
+            }
+        });
+        assert!(
+            load_walk(kernel, isa, seed, skipped).is_none(),
+            "a non-successor pc must be a miss"
+        );
+        // A memory access on an instruction that does not touch memory.
+        let at = steps().position(|s| s.mem.is_none()).unwrap();
+        let stray = steps().enumerate().map(|(i, s)| {
+            if i == at {
+                Step {
+                    mem: Some(mom_arch::MemAccess::unit(0x40, 8, false)),
+                    ..s
+                }
+            } else {
+                s
+            }
+        });
+        assert!(
+            load_walk(kernel, isa, seed, stray).is_none(),
+            "a has-memory bit on a non-memory instruction must be a miss"
+        );
     }
 
     #[test]

@@ -45,11 +45,13 @@
 //!
 //! # Decoding and the window
 //!
-//! What the model needs of a trace entry apart from its dependences — the
-//! register ids it reads and writes, its unit class, flags and operation
-//! count — is a [`StaticEntry`].  A replay ([`TraceSink::retire_repeated`])
-//! decodes the invocation once into a transient table of these (16 bytes
-//! an entry) and, for every invocation, only *renames* each row against the
+//! What the model needs of an instruction apart from its dependences —
+//! the register ids it reads and writes, its unit class, flags and
+//! operation count per row — is a [`StaticEntry`].  A trace is a walk over
+//! an instruction table ([`mom_arch::trace`]), so a replay
+//! ([`TraceSink::retire_repeated`]) decodes the *table* once into a
+//! transient table of these (16 bytes a row) and, for every step of every
+//! invocation, only indexes it by pc and *renames* the row against the
 //! last-writer scoreboard ([`Renamer::rename`]); single entries take the
 //! same path through [`StaticEntry::of`].  Nothing decoded outlives the
 //! call.
@@ -122,8 +124,8 @@
 use crate::cache::CacheSim;
 use crate::config::PipelineConfig;
 use crate::stats::SimResult;
-use mom_arch::{Trace, TraceEntry, TraceSink};
-use mom_isa::FuClass;
+use mom_arch::{MemAccess, Trace, TraceEntry, TraceSink};
+use mom_isa::{FuClass, Instruction};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -290,12 +292,12 @@ const FLAG_MEMORY: u8 = 1 << 2;
 /// Flag bit: store instruction.
 const FLAG_STORE: u8 = 1 << 3;
 
-/// What the timing model needs of one trace entry apart from its
+/// What the timing model needs of one instruction apart from its
 /// dependences: the register ids it reads and writes (the zero register
-/// dropped), its functional-unit class, flags and operation count.  None
-/// of it depends on the stream's history or the machine configuration, so
-/// a replay decodes each entry of the invocation once into a table of
-/// these and only renames against it for every invocation
+/// dropped), its functional-unit class, flags and operation count per row.
+/// None of it depends on the stream's history, the vector length or the
+/// machine configuration, so a replay decodes each row of the trace's
+/// instruction table once and only renames against it for every step
 /// ([`Renamer::rename`]).
 #[derive(Debug, Clone, Copy)]
 struct StaticEntry {
@@ -311,14 +313,14 @@ struct StaticEntry {
     fu: FuClass,
     /// `FLAG_*` bits.
     flags: u8,
-    /// Elementary operations performed (at most 8 lanes × `u16::MAX` rows).
+    /// Elementary operations performed at a vector length of 1; a
+    /// `FLAG_VL_DEPENDENT` instruction performs this many per row.
     ops: u32,
 }
 
 impl StaticEntry {
-    /// Decodes one trace entry.
-    fn of(entry: &TraceEntry) -> StaticEntry {
-        let instr = &entry.instr;
+    /// Decodes one instruction.
+    fn of(instr: &Instruction) -> StaticEntry {
         let mut decoded = StaticEntry {
             sources: [0; 4],
             dests: [0; 4],
@@ -326,7 +328,7 @@ impl StaticEntry {
             dest_count: 0,
             fu: instr.fu_class(),
             flags: 0,
-            ops: entry.ops() as u32,
+            ops: instr.ops(1) as u32,
         };
         // `RegList` holds at most four registers, so neither list can
         // overflow its four slots.
@@ -351,10 +353,10 @@ impl StaticEntry {
         decoded
     }
 
-    /// Decodes every entry of one invocation: the transient table a replay
-    /// renames against ([`TraceSink::retire_repeated`]).
-    fn table(entries: &[TraceEntry]) -> Vec<StaticEntry> {
-        entries.iter().map(StaticEntry::of).collect()
+    /// Decodes a trace's instruction table: the transient table a replay
+    /// indexes by pc and renames against ([`TraceSink::retire_repeated`]).
+    fn table(trace: &Trace) -> Vec<StaticEntry> {
+        trace.instructions().iter().map(StaticEntry::of).collect()
     }
 }
 
@@ -405,9 +407,10 @@ impl Renamer {
         }
     }
 
-    /// Renames one trace entry, given its decoded static part, against the
-    /// last-writer scoreboard.
-    fn rename(&mut self, decoded: &StaticEntry, entry: &TraceEntry) -> DecodedEntry {
+    /// Renames one dynamic instruction, given its decoded static part, its
+    /// vector length and its memory access, against the last-writer
+    /// scoreboard.
+    fn rename(&mut self, decoded: &StaticEntry, vl: u16, mem: Option<MemAccess>) -> DecodedEntry {
         let seq = self.next_seq;
         self.next_seq += 1;
         let mut deps = [0u64; 4];
@@ -426,10 +429,14 @@ impl Renamer {
             dep_count,
             fu: decoded.fu,
             flags: decoded.flags,
-            vl: entry.vl,
-            ops: decoded.ops,
-            mem: entry.mem,
-            mem_span: entry.mem.map_or(UNKNOWN_SPAN, |m| m.span()),
+            vl,
+            ops: if decoded.flags & FLAG_VL_DEPENDENT != 0 {
+                decoded.ops * vl.max(1) as u32
+            } else {
+                decoded.ops
+            },
+            mem,
+            mem_span: mem.map_or(UNKNOWN_SPAN, |m| m.span()),
         }
     }
 }
@@ -840,15 +847,17 @@ impl PipelineSim {
     /// instructions plus the reorder buffer — bounded memory regardless of
     /// stream length.
     pub fn feed(&mut self, entry: TraceEntry) {
-        let decoded = self.renamer.rename(&StaticEntry::of(&entry), &entry);
+        let decoded = self
+            .renamer
+            .rename(&StaticEntry::of(&entry.instr), entry.vl, entry.mem);
         self.feed_decoded(&decoded);
     }
 
-    /// Feeds one invocation, renaming each entry against its row of the
-    /// invocation's decoded table.
-    fn feed_invocation(&mut self, table: &[StaticEntry], entries: &[TraceEntry]) {
-        for (decoded, entry) in table.iter().zip(entries) {
-            let decoded = self.renamer.rename(decoded, entry);
+    /// Feeds one invocation, renaming each step against the row of the
+    /// decoded instruction table at its pc.
+    fn feed_invocation(&mut self, table: &[StaticEntry], trace: &Trace) {
+        for step in trace.walk() {
+            let decoded = self.renamer.rename(&table[step.pc], step.vl, step.mem);
             self.feed_decoded(&decoded);
         }
     }
@@ -1618,13 +1627,13 @@ impl TraceSink for PipelineSim {
     /// state at the first boundary after each [`CHECK_ENTRIES`] entries;
     /// once one is found, jumps over every whole period left and steps
     /// only the remainder.
-    fn retire_repeated(&mut self, entries: &[TraceEntry], times: usize) {
-        let table = StaticEntry::table(entries);
+    fn retire_repeated(&mut self, trace: &Trace, times: usize) {
+        let table = StaticEntry::table(trace);
         let mut steady = SteadyState::default();
         let mut since_check = 0;
         for done in 1..=times {
-            self.feed_invocation(&table, entries);
-            since_check += entries.len();
+            self.feed_invocation(&table, trace);
+            since_check += trace.len();
             if times < MIN_REPEATS || since_check < CHECK_ENTRIES {
                 continue;
             }
@@ -1633,7 +1642,7 @@ impl TraceSink for PipelineSim {
                 let left = (times - done) as u64;
                 self.fast_forward(&period, left / period.invocations);
                 for _ in 0..left % period.invocations {
-                    self.feed_invocation(&table, entries);
+                    self.feed_invocation(&table, trace);
                 }
                 return;
             }
@@ -1644,9 +1653,10 @@ impl TraceSink for PipelineSim {
 /// How many decoded entries [`PipelineFanout`] accumulates before sweeping
 /// the batch through its consumers: large enough to amortise the per-sweep
 /// loop overhead and keep each consumer's state hot for a whole sweep,
-/// small enough that the shared batch (88 bytes per entry) stays resident
-/// in L1/L2 while every consumer reads it.
+/// small enough that the shared batch (at most 88 bytes per entry, pinned
+/// below) stays resident in L1/L2 while every consumer reads it.
 const FANOUT_BATCH: usize = 256;
+const _: () = assert!(std::mem::size_of::<DecodedEntry>() <= 88);
 
 /// Entries a replay feeds between two steady-state checks (rounded up to
 /// the next invocation boundary).  A quarter batch: a fan-out sweeps its
@@ -1726,7 +1736,9 @@ impl PipelineFanout {
     /// extraction) happens once, immediately; the timing consumers advance
     /// when the shared batch fills.
     pub fn feed(&mut self, entry: TraceEntry) {
-        let decoded = self.renamer.rename(&StaticEntry::of(&entry), &entry);
+        let decoded = self
+            .renamer
+            .rename(&StaticEntry::of(&entry.instr), entry.vl, entry.mem);
         self.batch.push(decoded);
         if self.batch.len() >= FANOUT_BATCH {
             self.sweep();
@@ -1780,8 +1792,8 @@ impl TraceSink for PipelineFanout {
     /// its own steady state there, jumps on its own, and then takes only
     /// its remaining entries from the shared batches.  Decoding stops as
     /// soon as every consumer has all it needs.
-    fn retire_repeated(&mut self, entries: &[TraceEntry], times: usize) {
-        let table = StaticEntry::table(entries);
+    fn retire_repeated(&mut self, trace: &Trace, times: usize) {
+        let table = StaticEntry::table(trace);
         self.sweep();
         let mut budgets = vec![u64::MAX; self.sims.len()];
         let mut steady: Vec<SteadyState> =
@@ -1792,13 +1804,14 @@ impl TraceSink for PipelineFanout {
         let mut done = 0;
         while done < last {
             done += 1;
-            for (decoded, entry) in table.iter().zip(entries) {
-                self.batch.push(self.renamer.rename(decoded, entry));
+            for step in trace.walk() {
+                let decoded = self.renamer.rename(&table[step.pc], step.vl, step.mem);
+                self.batch.push(decoded);
                 if self.batch.len() >= FANOUT_BATCH {
                     self.sweep_within(&mut budgets);
                 }
             }
-            since_check += entries.len();
+            since_check += trace.len();
             if times < MIN_REPEATS || since_check < CHECK_ENTRIES {
                 continue;
             }
@@ -1811,7 +1824,7 @@ impl TraceSink for PipelineFanout {
                 }
                 if let Some(period) = steady.observe(sim, &self.renamer, done as u64, checked) {
                     sim.fast_forward(&period, left / period.invocations);
-                    *budget = left % period.invocations * entries.len() as u64;
+                    *budget = left % period.invocations * trace.len() as u64;
                 }
             }
             // The batch is empty here, so each budget is whole invocations.
@@ -1819,7 +1832,7 @@ impl TraceSink for PipelineFanout {
                 .iter()
                 .map(|&b| match b {
                     u64::MAX => times,
-                    b => done + (b / entries.len() as u64) as usize,
+                    b => done + (b / trace.len() as u64) as usize,
                 })
                 .max()
                 .unwrap_or(times);
@@ -1866,13 +1879,11 @@ impl Pipeline {
         PipelineSim::new(self.config.clone())
     }
 
-    /// Replays a materialised dynamic trace — a convenience wrapper that
+    /// Replays a recorded dynamic trace once — a convenience wrapper that
     /// feeds the whole trace through the incremental consumer.
     pub fn simulate(&self, trace: &Trace) -> SimResult {
         let mut sim = self.streaming();
-        for e in trace.iter() {
-            sim.feed(*e);
-        }
+        trace.replay_into(1, &mut sim);
         sim.finish()
     }
 }
@@ -2019,7 +2030,7 @@ mod tests {
     fn first_jump(
         config: &PipelineConfig,
         prefix: &[TraceEntry],
-        invocation: &[TraceEntry],
+        invocation: &Trace,
         times: usize,
     ) -> Option<(u64, bool)> {
         let mut sim = PipelineSim::new(config.clone());
@@ -2061,7 +2072,7 @@ mod tests {
                 .map(filler)
                 .find(|prefix| {
                     matches!(
-                        first_jump(&config, prefix, &invocation, times),
+                        first_jump(&config, prefix, &trace, times),
                         Some((shift, true)) if shift % ring != 0
                     )
                 })
@@ -2527,6 +2538,43 @@ mod tests {
             unknown.cycles,
             known_disjoint.cycles
         );
+    }
+
+    #[test]
+    fn a_hand_built_memory_entry_without_an_access_replays_as_fed() {
+        // Hand-built traces may leave a memory instruction's access out.
+        // The walk keeps `mem: None`, and a replay times such entries as
+        // feeding them does — an unknown span, and an L1 hit under the
+        // hierarchy — and as the reference engine does.
+        let mom_load = Instruction::MomLoad {
+            md: 0,
+            base: 2,
+            stride: 3,
+            ty: ElemType::U8,
+        };
+        let entries = vec![
+            entry(load(1, 10), 1),
+            entry(store(1, 11), 1),
+            entry_at(load(3, 12), 1, MemAccess::unit(0x200, 8, false)),
+            entry(mom_load, 8),
+            entry(add(4, 3, 1), 1),
+        ];
+        let trace: Trace = entries.iter().copied().collect();
+        assert!(trace.stream().eq(entries.iter().copied()));
+        for memory in [MemoryModel::Fixed { latency: 50 }, MemoryModel::CACHE] {
+            let config = PipelineConfig::way_with_memory(4, memory);
+            let mut replayed = PipelineSim::new(config.clone());
+            trace.replay_into(5, &mut replayed);
+            let mut fed = PipelineSim::new(config.clone());
+            let mut reference = ReferenceSim::new(config);
+            for e in (0..5).flat_map(|_| &entries) {
+                fed.feed(*e);
+                reference.feed(*e);
+            }
+            let fed = fed.finish();
+            assert_eq!(replayed.finish(), fed, "{memory}");
+            assert_eq!(reference.finish(), fed, "{memory}");
+        }
     }
 
     // -----------------------------------------------------------------

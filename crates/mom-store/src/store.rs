@@ -699,9 +699,15 @@ pub fn global() -> &'static Store {
 /// Refreshes the registry's store gauges (`momsim_store_disk_blobs` /
 /// `momsim_store_disk_bytes` per namespace) from a disk scan of the
 /// process-global store.  Called at scrape/snapshot time — gauges describe
-/// a current footprint, not a stream of events.
+/// a current footprint, not a stream of events.  A disabled store
+/// (`--cold`) publishes none: the run did not use the directory, so its
+/// footprint says nothing about the run.
 pub fn publish_gauges() {
-    let report = global().report();
+    let store = global();
+    if !store.enabled {
+        return;
+    }
+    let report = store.report();
     for ns in &report.namespaces {
         mom_obs::gauge_with(
             "momsim_store_disk_blobs",

@@ -11,6 +11,9 @@
 //! on: a cold `momsim run` of a many-invocation kernel reports extrapolated
 //! invocations in its `--stats` snapshot and steps fewer entries than it
 //! replays, while a single-invocation run steps every entry.
+//!
+//! A `--stats` snapshot reports the trace cache's resident bytes, and the
+//! store's disk gauges only when the store was on.
 
 use momsim::bench::cli::sweep_documents;
 use momsim::serve::json::parse;
@@ -103,9 +106,10 @@ fn tracing_is_neutral_and_the_chrome_export_is_well_formed() {
 }
 
 /// A cold `momsim --stats run` of one kernel on one ISA (the default 4-way
-/// machine): the `--stats` counter snapshot and the committed instruction
-/// count of the single grid point, read from its `--json` report.
-fn cold_run(kernel: &str, isa: &str) -> (Vec<(String, u64)>, u64) {
+/// machine): the `--stats` metric snapshot, and the committed instruction
+/// count and invocation count of the single grid point, read from its
+/// `--json` report.
+fn cold_run(kernel: &str, isa: &str) -> (Vec<(String, u64)>, u64, u64) {
     let json = std::env::temp_dir().join(format!(
         "mom-observability-{}-{kernel}-{isa}.json",
         std::process::id()
@@ -128,7 +132,7 @@ fn cold_run(kernel: &str, isa: &str) -> (Vec<(String, u64)>, u64) {
     let stdout = String::from_utf8(out.stdout).expect("utf-8 output");
     let counters = stdout
         .lines()
-        .filter(|line| line.starts_with("momsim_timing_"))
+        .filter(|line| line.starts_with("momsim_"))
         .filter_map(|line| {
             let (name, value) = line.split_once(' ')?;
             Some((name.to_string(), value.trim().parse().ok()?))
@@ -142,11 +146,13 @@ fn cold_run(kernel: &str, isa: &str) -> (Vec<(String, u64)>, u64) {
         .and_then(momsim::bench::json::Json::as_arr)
         .expect("a points array");
     assert_eq!(points.len(), 1, "one kernel, one ISA, one configuration");
-    let instructions = points[0]
-        .get("instructions")
-        .and_then(momsim::bench::json::Json::as_u64)
-        .expect("an instruction count");
-    (counters, instructions)
+    let field = |name: &str| {
+        points[0]
+            .get(name)
+            .and_then(momsim::bench::json::Json::as_u64)
+            .unwrap_or_else(|| panic!("the point has {name}"))
+    };
+    (counters, field("instructions"), field("invocations"))
 }
 
 fn counter(counters: &[(String, u64)], name: &str) -> u64 {
@@ -162,7 +168,7 @@ fn a_cold_replayed_kernel_run_extrapolates_invocations() {
     // motion1/MOM replays a 16-instruction invocation 250 times: the
     // pipeline state repeats long before the end, so the engine jumps and
     // steps only part of the replayed stream.
-    let (counters, instructions) = cold_run("motion1", "mom");
+    let (counters, instructions, _) = cold_run("motion1", "mom");
     assert!(
         counter(&counters, "momsim_timing_invocations_extrapolated_total") > 0,
         "a cold motion1/MOM run must jump over steady-state periods"
@@ -179,7 +185,7 @@ fn a_cold_replayed_kernel_run_extrapolates_invocations() {
 fn a_single_invocation_run_steps_every_entry() {
     // ltppar/Alpha is one long invocation: nothing repeats, so every
     // replayed entry goes through the stepped path.
-    let (counters, instructions) = cold_run("ltppar", "alpha");
+    let (counters, instructions, _) = cold_run("ltppar", "alpha");
     assert_eq!(
         counter(&counters, "momsim_timing_invocations_extrapolated_total"),
         0
@@ -189,4 +195,46 @@ fn a_single_invocation_run_steps_every_entry() {
         instructions
     );
     assert!(counter(&counters, "momsim_timing_cycles_stepped_total") > 0);
+}
+
+#[test]
+fn the_trace_cache_gauge_reports_at_most_16_bytes_an_entry() {
+    // One cold run resolves exactly one trace: motion1/MOM's walk.
+    let (metrics, instructions, invocations) = cold_run("motion1", "mom");
+    let entries = instructions / invocations;
+    let bytes = counter(&metrics, "momsim_trace_cache_bytes");
+    assert!(
+        0 < bytes && bytes <= 16 * entries,
+        "{bytes} resident bytes for a {entries}-entry trace"
+    );
+}
+
+/// Whether `momsim [store flags] --stats run --kernels idct --isas mom`
+/// prints a store disk gauge.
+fn prints_disk_gauges(store_flags: &[&str]) -> bool {
+    let out = Command::new(env!("CARGO_BIN_EXE_momsim"))
+        .args(store_flags)
+        .args(["--stats", "run", "--kernels", "idct", "--isas", "mom"])
+        .output()
+        .expect("momsim runs");
+    assert!(out.status.success(), "momsim run failed: {out:?}");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 output");
+    stdout
+        .lines()
+        .any(|line| line.starts_with("momsim_store_disk_"))
+}
+
+#[test]
+fn a_cold_snapshot_says_the_store_was_off() {
+    assert!(
+        !prints_disk_gauges(&["--cold"]),
+        "a --cold run must not report a disk footprint"
+    );
+    let dir = std::env::temp_dir().join(format!("mom-observability-gauges-{}", std::process::id()));
+    let store = dir.to_str().expect("a UTF-8 temp path");
+    assert!(
+        prints_disk_gauges(&["--store", store]),
+        "a store-on run reports its disk footprint"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
