@@ -524,7 +524,7 @@ pub fn run_command(args: &[String]) -> Result<(), CliError> {
 mod tests {
     use super::*;
     use crate::ExperimentSpec;
-    use mom_pipeline::{MemoryModel, SamplingConfig};
+    use mom_pipeline::MemoryModel;
 
     /// A command line, split at whitespace.
     fn words(line: &str) -> Vec<String> {
@@ -560,20 +560,6 @@ mod tests {
         assert_eq!(robs, vec![16, 16, 32, 32], "2 rob x 2 lane values");
         let lanes: Vec<usize> = spec.configs.iter().map(|c| c.media_lanes).collect();
         assert_eq!(lanes, vec![1, 2, 1, 2]);
-    }
-
-    #[test]
-    fn sampled_flag_takes_an_optional_schedule() {
-        for line in ["--sampled --widths 2", "--widths 2 --sampled"] {
-            let spec = run_spec(line).unwrap();
-            assert_eq!(spec.sampling, Some(SamplingConfig::DEFAULT), "{line}");
-            assert_eq!(spec.configs[0].width, 2, "{line}");
-        }
-        let spec = run_spec("--sampled 100:900:20").unwrap();
-        assert_eq!(spec.sampling, Some("100:900:20".parse().unwrap()));
-        let err = run_spec("--sampled nonsense").unwrap_err();
-        assert_eq!(err.exit_code(), 2, "{err}");
-        assert_eq!(run_spec("--widths 4").unwrap().sampling, None);
     }
 
     #[test]
@@ -617,6 +603,8 @@ mod tests {
             "fig4 --frobnicate",
             "fig4 --widths 2",
             "--seed",
+            // A flag never takes the next flag as its operand.
+            "--widths --isas mom",
         ] {
             let err = run_args(&words(bad)).unwrap_err();
             assert_eq!(err.exit_code(), 2, "run {bad}: {err}");

@@ -57,9 +57,7 @@ use json::Json;
 use mom_arch::TraceStats;
 use mom_isa::IsaKind;
 use mom_kernels::{shared_kernel_run, KernelError, KernelId};
-use mom_pipeline::{
-    MemoryModel, PipelineConfig, PipelineFanout, SampledFanout, SamplingConfig, SimResult,
-};
+use mom_pipeline::{MemoryModel, PipelineConfig, PipelineFanout, SimResult};
 use std::borrow::Cow;
 
 /// Seed used by every experiment (the workloads are deterministic).
@@ -69,12 +67,6 @@ pub const EXPERIMENT_SEED: u64 = 0x5C99;
 /// invocation is replicated until the stream is at least this long,
 /// mirroring the paper's "simulated a certain number of times in a loop".
 pub const STEADY_STATE_INSTRUCTIONS: usize = 4000;
-
-/// Minimum number of complete measurement intervals a stream must be
-/// able to hold before a sampled [`simulate_configs`] actually
-/// fast-forwards; shorter streams (a few long invocations) run fully
-/// detailed and report exact timing.
-pub const MIN_SAMPLED_INTERVALS: u64 = 3;
 
 /// Number of invocations needed for a kernel whose single invocation
 /// retires `instructions_per_invocation` instructions to produce a stream
@@ -159,39 +151,26 @@ pub fn steady_state_trace(
 /// their fresh points are written back.  With a fully warm store no
 /// functional execution and no timing simulation happens at all.
 /// Subsetting the fan-out is sound because consumers are independent
-/// (lockstep batching is a performance device, and a sampled run's schedule
-/// derives from the sampling config and the stream alone, not from the
-/// consumer set).
+/// (lockstep batching is a performance device).
 ///
 /// The stream is one verified kernel invocation from the process-wide trace
 /// cache ([`shared_kernel_run`]), replayed **by reference** until it is at
 /// least `replication` instructions long (see [`invocations_for`]), so it is
-/// never materialised beyond one invocation.  With `sampling` set, the
-/// stream is timed by **systematic sampling** instead: detailed intervals
-/// with cache-only fast-forward between them, an extrapolated cycle count
-/// and a confidence interval in [`SimResult::sampled`].  Architectural
-/// counters stay exact.  The schedule is
-/// [aligned](SamplingConfig::aligned_to) to the kernel's invocation length,
-/// and a stream too short to hold [`MIN_SAMPLED_INTERVALS`] measurement
-/// intervals runs fully detailed (its points report the exact cycle count
-/// with a zero-width interval): extrapolating from a single measurement
-/// dominated by the cold-start head of the stream is exactly the bias
-/// sampling must avoid.
+/// never materialised beyond one invocation.
 pub fn simulate_configs(
     kernel: KernelId,
     isa: IsaKind,
     configs: &[PipelineConfig],
     seed: u64,
     replication: usize,
-    sampling: Option<SamplingConfig>,
 ) -> Result<Vec<ExperimentPoint>, KernelError> {
     let persistent = mom_store::global();
     if !persistent.is_active() {
-        return simulate_uncached(kernel, isa, configs, seed, replication, sampling);
+        return simulate_uncached(kernel, isa, configs, seed, replication);
     }
     let keys: Vec<mom_store::Key> = configs
         .iter()
-        .map(|config| store::result_key(kernel, isa, seed, config, replication, sampling))
+        .map(|config| store::result_key(kernel, isa, seed, config, replication, None))
         .collect();
     let mut points: Vec<Option<ExperimentPoint>> = keys
         .iter()
@@ -209,7 +188,7 @@ pub fn simulate_configs(
         let _span = mom_obs::span_fmt("simulate", || {
             format!("simulate {kernel:?}/{isa:?} x{}", subset.len())
         });
-        let fresh = simulate_uncached(kernel, isa, &subset, seed, replication, sampling)?;
+        let fresh = simulate_uncached(kernel, isa, &subset, seed, replication)?;
         for (&index, point) in missing.iter().zip(fresh) {
             persistent.put(
                 mom_store::NS_RESULT,
@@ -226,54 +205,22 @@ pub fn simulate_configs(
 }
 
 /// The fill path of [`simulate_configs`]: one replay of the pair's stream
-/// into a [`PipelineFanout`] (exact) or an invocation-aligned
-/// [`SampledFanout`] over `configs`.
+/// into a [`PipelineFanout`] over `configs`.
 fn simulate_uncached(
     kernel: KernelId,
     isa: IsaKind,
     configs: &[PipelineConfig],
     seed: u64,
     replication: usize,
-    sampling: Option<SamplingConfig>,
 ) -> Result<Vec<ExperimentPoint>, KernelError> {
     let run = shared_kernel_run(kernel, isa, seed)?;
     let invocations = invocations_for(replication, run.trace.len());
     let mut stats = TraceStats::default();
-    let results = match sampling {
-        None => {
-            let mut fanout = PipelineFanout::new(configs.iter().cloned());
-            run.trace
-                .replay_into(invocations, &mut (&mut stats, &mut fanout));
-            fanout.finish()
-        }
-        Some(sampling) => {
-            // Align the schedule to whole invocations: the stream is one
-            // kernel invocation replayed, and invocation-aligned intervals
-            // measure whole loop iterations at a fixed phase instead of
-            // aliasing against it.
-            let entries = run.trace.len() as u64;
-            let total = entries * invocations as u64;
-            let mut sampling = sampling.aligned_to(entries);
-            // Completing k measurement intervals takes (k - 1) periods plus
-            // one final warm-up + detailed span; streams that cannot hold
-            // MIN_SAMPLED_INTERVALS of them run fully detailed instead.
-            let min_stream = (MIN_SAMPLED_INTERVALS - 1) * sampling.period()
-                + sampling.warmup
-                + sampling.detailed;
-            if total < min_stream {
-                sampling = SamplingConfig {
-                    detailed: total,
-                    fastforward: sampling.fastforward,
-                    warmup: 0,
-                };
-            }
-            let mut fanout = SampledFanout::new(configs.iter().cloned(), sampling);
-            run.trace
-                .replay_into(invocations, &mut (&mut stats, &mut fanout));
-            fanout.finish()
-        }
-    };
-    Ok(results
+    let mut fanout = PipelineFanout::new(configs.iter().cloned());
+    run.trace
+        .replay_into(invocations, &mut (&mut stats, &mut fanout));
+    Ok(fanout
+        .finish()
         .into_iter()
         .zip(configs)
         .map(|(result, config)| ExperimentPoint {
@@ -676,32 +623,23 @@ pub fn app_point_json(r: &mom_apps::AppSpeedup) -> Json {
 /// Formats a raw measured grid (ad-hoc `momsim run` sweeps) as an aligned
 /// text table.
 pub fn format_grid(grid: &GridResult) -> String {
-    let sampled = grid.spec.sampling;
     let mut out = String::new();
     out.push_str(&format!(
-        "Experiment grid: {} kernels x {} ISAs x {} configs (seed {:#x}, replication {}{})\n",
+        "Experiment grid: {} kernels x {} ISAs x {} configs (seed {:#x}, replication {})\n",
         grid.spec.kernels.len(),
         grid.spec.isas.len(),
         grid.spec.configs.len(),
         grid.spec.seed,
         grid.spec.replication,
-        match sampled {
-            Some(schedule) => format!(", sampled {schedule}"),
-            None => String::new(),
-        }
     ));
     out.push_str(&format!(
-        "{:<10} {:>6} {:>6} {:>5} {:>6} {:>7} {:>12} {:>7} {:>7} {:>8}",
+        "{:<10} {:>6} {:>6} {:>5} {:>6} {:>7} {:>12} {:>7} {:>7} {:>8}\n",
         "kernel", "isa", "width", "rob", "lanes", "memory", "cyc/invoc", "IPC", "OPI", "L1-MPKI"
     ));
-    if sampled.is_some() {
-        out.push_str(&format!(" {:>7}", "ci95"));
-    }
-    out.push('\n');
     for (index, p) in grid.points.iter().enumerate() {
         let config = &grid.spec.configs[index % grid.spec.configs.len()];
         out.push_str(&format!(
-            "{:<10} {:>6} {:>6} {:>5} {:>6} {:>7} {:>12.1} {:>7.2} {:>7.2} {:>8.2}",
+            "{:<10} {:>6} {:>6} {:>5} {:>6} {:>7} {:>12.1} {:>7.2} {:>7.2} {:>8.2}\n",
             p.kernel.name(),
             p.isa.name(),
             config.width,
@@ -713,25 +651,18 @@ pub fn format_grid(grid: &GridResult) -> String {
             p.result.opi(),
             p.result.l1_mpki()
         ));
-        if let Some(estimate) = &p.result.sampled {
-            out.push_str(&format!(
-                " {:>6.1}%",
-                estimate.relative_half_width(p.result.cycles) * 100.0
-            ));
-        }
-        out.push('\n');
     }
     out
 }
 
 /// One grid point as a JSON row: the coordinates (`config_index` names the
 /// spec configuration the point was measured on), the raw counters, the
-/// derived rates, and the sampling estimate when present.  This is the row
+/// derived rates.  This is the row
 /// shape shared by [`grid_json`] and the `momsim serve` daemon's streamed
 /// job results, so a point fetched over HTTP is field-identical to the same
 /// point in a `momsim run --json` report.
 pub fn point_json(p: &ExperimentPoint, config_index: usize) -> Json {
-    let mut fields = vec![
+    Json::obj([
         ("kernel", Json::str(p.kernel.name())),
         ("isa", Json::str(p.isa.name())),
         ("config", Json::int(config_index as i64)),
@@ -748,34 +679,14 @@ pub fn point_json(p: &ExperimentPoint, config_index: usize) -> Json {
         ("opi", Json::Num(p.result.opi())),
         ("l1_mpki", Json::Num(p.result.l1_mpki())),
         ("l2_mpki", Json::Num(p.result.l2_mpki())),
-    ];
-    if let Some(estimate) = &p.result.sampled {
-        fields.push((
-            "sampled",
-            Json::obj([
-                ("intervals", Json::int(estimate.intervals as i64)),
-                (
-                    "detailed_instructions",
-                    Json::int(estimate.detailed_instructions as i64),
-                ),
-                ("cpi_mean", Json::Num(estimate.cpi_mean)),
-                ("cpi_stddev", Json::Num(estimate.cpi_stddev)),
-                ("half_width_cycles", Json::Num(estimate.half_width_cycles)),
-                (
-                    "relative_half_width",
-                    Json::Num(estimate.relative_half_width(p.result.cycles)),
-                ),
-            ]),
-        ));
-    }
-    Json::obj(fields)
+    ])
 }
 
 /// A raw measured grid as a machine-readable JSON report, spec axes
 /// included.
 pub fn grid_json(grid: &GridResult) -> Json {
     let spec = &grid.spec;
-    let mut doc = vec![
+    Json::obj([
         ("schema", Json::int(1)),
         ("experiment", Json::str("grid")),
         // As a hex string (matching the text header): the seed is a full
@@ -817,12 +728,7 @@ pub fn grid_json(grid: &GridResult) -> Json {
                     .collect(),
             ),
         ),
-    ];
-    if let Some(schedule) = spec.sampling {
-        // After the replication axis it qualifies.
-        doc.insert(4, ("sampling", Json::str(schedule.to_string())));
-    }
-    Json::obj(doc)
+    ])
 }
 
 /// A derived experiment report: what a registered or ad-hoc experiment
@@ -899,6 +805,14 @@ impl Report {
 mod tests {
     use super::*;
 
+    /// Serialises the unit tests that hold a [`mom_store::bypass_guard`]
+    /// — it suspends every store in the process — against those that
+    /// assert what the store holds.
+    pub(crate) fn store_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     #[test]
     fn steady_invocations_reach_the_target_length() {
         let run =
@@ -921,7 +835,6 @@ mod tests {
             &[config],
             EXPERIMENT_SEED,
             STEADY_STATE_INSTRUCTIONS,
-            None,
         )
         .unwrap()
         .remove(0)
@@ -938,6 +851,7 @@ mod tests {
 
     #[test]
     fn fanout_sweep_matches_individual_simulations() {
+        let _lock = store_lock();
         let _cold = mom_store::bypass_guard();
         let configs = [PipelineConfig::way(1), PipelineConfig::way(8)];
         let fanned = simulate_configs(
@@ -946,7 +860,6 @@ mod tests {
             &configs,
             EXPERIMENT_SEED,
             STEADY_STATE_INSTRUCTIONS,
-            None,
         )
         .unwrap();
         assert_eq!(fanned.len(), 2);

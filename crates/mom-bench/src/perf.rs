@@ -24,9 +24,7 @@ use crate::json::Json;
 use crate::{steady_state_trace, ExperimentError, EXPERIMENT_SEED};
 use mom_isa::IsaKind;
 use mom_kernels::KernelId;
-use mom_pipeline::{
-    MemoryModel, PipelineConfig, PipelineSim, ReferenceSim, SamplingConfig, TraceSink,
-};
+use mom_pipeline::{MemoryModel, PipelineConfig, PipelineSim, ReferenceSim, TraceSink};
 use std::time::Instant;
 
 /// One pinned engine workload: a kernel stream timed on one machine
@@ -121,47 +119,6 @@ impl EngineMeasurement {
     }
 }
 
-/// The sampled-vs-full comparison: the full kernel × ISA grid timed once
-/// with the exact engine and once with systematic sampling
-/// ([`mom_pipeline::sample`]), with the error of every sampled estimate
-/// checked against its exact counterpart.
-///
-/// The wall times are machine-dependent measurements; the error statistics
-/// are **deterministic** (the simulators are) and therefore part of the
-/// committed structure [`check_structure`] verifies.
-#[derive(Debug, Clone)]
-pub struct SampledComparison {
-    /// The sampling schedule measured.
-    pub sampling: SamplingConfig,
-    /// Points in the compared grid.
-    pub grid_points: usize,
-    /// Wall seconds for the full-fidelity grid run.
-    pub full_seconds: f64,
-    /// Wall seconds for the sampled grid run.
-    pub sampled_seconds: f64,
-    /// Largest relative cycle-count error of any sampled point against its
-    /// full-fidelity counterpart (deterministic).
-    pub max_relative_error: f64,
-    /// Points whose reported confidence interval covers the exact cycle
-    /// count (deterministic; the error-bound test pins this to all).
-    pub covered_points: usize,
-}
-
-impl SampledComparison {
-    /// Wall-time speed-up of the sampled run over the full run.
-    pub fn speedup(&self) -> f64 {
-        if self.sampled_seconds == 0.0 {
-            return 0.0;
-        }
-        self.full_seconds / self.sampled_seconds
-    }
-
-    /// Whether every point's confidence interval covered the exact count.
-    pub fn all_within_ci(&self) -> bool {
-        self.covered_points == self.grid_points
-    }
-}
-
 /// The full `momsim bench` outcome.
 #[derive(Debug, Clone)]
 pub struct PerfReport {
@@ -176,8 +133,6 @@ pub struct PerfReport {
     /// Wall seconds for the whole registered-experiment set (one process,
     /// shared trace cache).
     pub sweep_seconds: f64,
-    /// The sampled-vs-full grid comparison.
-    pub sampled: SampledComparison,
 }
 
 impl PerfReport {
@@ -274,58 +229,12 @@ pub fn time_full_set() -> Result<(usize, f64), ExperimentError> {
     Ok((points, start.elapsed().as_secs_f64()))
 }
 
-/// Runs the sampled-vs-full comparison on the full kernel × ISA grid (the
-/// `tables` spec): one exact run, one sampled run on the default schedule,
-/// then a point-by-point error check of the estimates.
-pub fn sampled_comparison() -> Result<SampledComparison, ExperimentError> {
-    let sampling = SamplingConfig::DEFAULT;
-    let full_spec = crate::spec::tables_spec();
-    let sampled_spec = crate::ExperimentSpec {
-        sampling: Some(sampling),
-        ..full_spec.clone()
-    };
-
-    let start = Instant::now();
-    let full = full_spec.run()?;
-    let full_seconds = start.elapsed().as_secs_f64();
-    let start = Instant::now();
-    let sampled = sampled_spec.run()?;
-    let sampled_seconds = start.elapsed().as_secs_f64();
-
-    let mut max_relative_error: f64 = 0.0;
-    let mut covered_points = 0;
-    for (exact, estimated) in full.points.iter().zip(&sampled.points) {
-        let reference = exact.result.cycles;
-        let estimate = estimated
-            .result
-            .sampled
-            .as_ref()
-            .expect("a sampled grid reports its estimates");
-        let error =
-            (estimated.result.cycles as f64 - reference as f64).abs() / reference.max(1) as f64;
-        max_relative_error = max_relative_error.max(error);
-        if estimate.covers(estimated.result.cycles, reference) {
-            covered_points += 1;
-        }
-    }
-    Ok(SampledComparison {
-        sampling,
-        grid_points: full.points.len(),
-        full_seconds,
-        sampled_seconds,
-        max_relative_error,
-        covered_points,
-    })
-}
-
 /// Runs the whole perf suite.
 ///
 /// The sweep is timed **first**, so the committed `sweep_seconds` reflects
 /// a cold functional-trace cache — the same state a fresh `momsim sweep`
 /// process starts from — rather than one pre-warmed by the engine
-/// benchmarks.  The sampled-vs-full comparison runs last, on the warm
-/// trace cache, so both of its runs pay identical functional costs and the
-/// wall-time ratio isolates the timing engines.
+/// benchmarks.
 pub fn run(quick: bool) -> Result<PerfReport, ExperimentError> {
     // Perf measures the *simulators*: suspend the persistent artifact store
     // for the whole suite, or a warm store would turn the sweep wall time
@@ -333,14 +242,12 @@ pub fn run(quick: bool) -> Result<PerfReport, ExperimentError> {
     let _bypass = mom_store::bypass_guard();
     let (sweep_points, sweep_seconds) = time_full_set()?;
     let engine = engine_benchmarks(quick)?;
-    let sampled = sampled_comparison()?;
     Ok(PerfReport {
         quick,
         engine,
         sweep_experiments: sweep_experiment_names().len(),
         sweep_points,
         sweep_seconds,
-        sampled,
     })
 }
 
@@ -370,27 +277,15 @@ pub fn format_perf(report: &PerfReport) -> String {
         "Full registered-experiment set ({} experiments, {} points): {:.3}s wall\n",
         report.sweep_experiments, report.sweep_points, report.sweep_seconds
     ));
-    let s = &report.sampled;
-    out.push_str(&format!(
-        "\nSampled vs full timing (kernel x ISA grid, schedule {}): {} points\n",
-        s.sampling, s.grid_points
-    ));
-    out.push_str(&format!(
-        "full {:.3}s, sampled {:.3}s ({:.2}x), max rel error {:.2}%, {}/{} within 95% CI\n",
-        s.full_seconds,
-        s.sampled_seconds,
-        s.speedup(),
-        s.max_relative_error * 100.0,
-        s.covered_points,
-        s.grid_points
-    ));
     out
 }
 
 /// The report as the machine-readable `BENCH_perf.json` document.
 ///
 /// Everything except the keys listed in [`MEASURED_KEYS`] is deterministic
-/// structure; [`check_structure`] relies on that split.
+/// structure; [`check_structure`] relies on that split.  The engines'
+/// absolute rates stay out: they follow the host's load, and only their
+/// ratio is gated ([`check_performance`]).
 pub fn perf_json(report: &PerfReport) -> Json {
     Json::obj([
         ("schema", Json::int(1)),
@@ -417,8 +312,6 @@ pub fn perf_json(report: &PerfReport) -> Json {
                         Json::obj([
                             ("workload", Json::str(m.workload.id())),
                             ("instructions", Json::int(m.instructions as i64)),
-                            ("optimized_instrs_per_sec", Json::Num(m.optimized_ips)),
-                            ("reference_instrs_per_sec", Json::Num(m.reference_ips)),
                             ("speedup", Json::Num(m.speedup())),
                         ])
                     })
@@ -429,43 +322,13 @@ pub fn perf_json(report: &PerfReport) -> Json {
             "engine_speedup_geomean",
             Json::Num(report.engine_speedup_geomean()),
         ),
-        (
-            "sampled",
-            Json::obj([
-                ("sampling", Json::str(report.sampled.sampling.to_string())),
-                ("grid_points", Json::int(report.sampled.grid_points as i64)),
-                // Deterministic (the simulators are): part of the checked
-                // structure, pinning the estimator's accuracy in the repo.
-                (
-                    "max_relative_error",
-                    Json::Num(report.sampled.max_relative_error),
-                ),
-                (
-                    "covered_points",
-                    Json::int(report.sampled.covered_points as i64),
-                ),
-                // Machine-dependent wall times.
-                ("full_seconds", Json::Num(report.sampled.full_seconds)),
-                ("sampled_seconds", Json::Num(report.sampled.sampled_seconds)),
-                ("sampled_speedup", Json::Num(report.sampled.speedup())),
-            ]),
-        ),
     ])
 }
 
 /// JSON keys of `BENCH_perf.json` whose values are measured timings
 /// (machine-dependent); every other line of the document is deterministic
 /// structure.
-pub const MEASURED_KEYS: [&str; 8] = [
-    "sweep_seconds",
-    "optimized_instrs_per_sec",
-    "reference_instrs_per_sec",
-    "speedup",
-    "engine_speedup_geomean",
-    "full_seconds",
-    "sampled_seconds",
-    "sampled_speedup",
-];
+pub const MEASURED_KEYS: [&str; 3] = ["sweep_seconds", "speedup", "engine_speedup_geomean"];
 
 /// Strips the measured-timing lines from a rendered `BENCH_perf.json`,
 /// leaving only the deterministic structure.
@@ -625,14 +488,6 @@ mod tests {
             sweep_experiments: sweep_experiment_names().len(),
             sweep_points: 322,
             sweep_seconds: 0.5,
-            sampled: SampledComparison {
-                sampling: SamplingConfig::DEFAULT,
-                grid_points: 36,
-                full_seconds: 0.08,
-                sampled_seconds: 0.02,
-                max_relative_error: 0.013,
-                covered_points: 36,
-            },
         }
     }
 
@@ -678,26 +533,21 @@ mod tests {
         assert!(text.contains("motion1/alpha/4w/1"), "{text}");
         assert!(text.contains("geomean"), "{text}");
         assert!(text.contains("6 experiments"), "{text}");
-        assert!(text.contains("Sampled vs full"), "{text}");
-        assert!(text.contains("36/36 within 95% CI"), "{text}");
     }
 
     #[test]
-    fn structure_check_pins_the_sampling_accuracy_but_not_its_wall_times() {
+    fn structure_check_ignores_wall_times_and_speedups() {
         let report = tiny_report();
         let committed = perf_json(&report).pretty();
-        // Different machine, different wall times: still the same structure.
-        let mut retimed = report.clone();
-        retimed.sampled.full_seconds = 1.5;
-        retimed.sampled.sampled_seconds = 0.2;
+        // Only the ratios are committed, not the rates behind them.
+        assert!(!committed.contains("instrs_per_sec"), "{committed}");
+        // Different machine, different wall times and engine ratios: still
+        // the same structure.
+        let mut retimed = report;
+        retimed.sweep_seconds = 1.5;
+        retimed.engine[0].optimized_ips = 4.0e7;
+        retimed.engine[0].reference_ips = 0.5e7;
         assert!(check_structure(&committed, &retimed).is_ok());
-        // A different error statistic is a real behavioural change: fails.
-        let mut drifted = report.clone();
-        drifted.sampled.max_relative_error = 0.5;
-        assert!(check_structure(&committed, &drifted).is_err());
-        let mut uncovered = report;
-        uncovered.sampled.covered_points -= 1;
-        assert!(check_structure(&committed, &uncovered).is_err());
     }
 
     #[test]

@@ -12,15 +12,14 @@
 //! is served to the other for free.  [`plan`] decomposes a spec into jobs
 //! in grid order; the daemon's workers compute them one at a time.
 //!
-//! Per-point timing equals fanned-out timing — exact and sampled alike,
-//! since consumers are independent and a sampled schedule derives from the
-//! stream alone — pinned by `point_jobs_match_the_grid_run`.
+//! Per-point timing equals fanned-out timing, since consumers are
+//! independent — pinned by `point_jobs_match_the_grid_run`.
 
 use crate::spec::ExperimentSpec;
 use crate::{store, ExperimentPoint};
 use mom_isa::IsaKind;
 use mom_kernels::{KernelError, KernelId};
-use mom_pipeline::{PipelineConfig, SamplingConfig};
+use mom_pipeline::PipelineConfig;
 
 /// One grid point as a schedulable, content-addressed unit of work.
 #[derive(Debug, Clone)]
@@ -35,8 +34,6 @@ pub struct PointJob {
     pub seed: u64,
     /// Target dynamic-stream length in instructions.
     pub replication: usize,
-    /// Systematic-sampling schedule; `None` is exact timing.
-    pub sampling: Option<SamplingConfig>,
 }
 
 impl PointJob {
@@ -50,7 +47,7 @@ impl PointJob {
             self.seed,
             &self.config,
             self.replication,
-            self.sampling,
+            None,
         )
     }
 
@@ -71,7 +68,6 @@ impl PointJob {
             std::slice::from_ref(&self.config),
             self.seed,
             self.replication,
-            self.sampling,
         )?;
         Ok(points
             .into_iter()
@@ -95,7 +91,6 @@ pub fn plan(spec: &ExperimentSpec) -> Vec<PointJob> {
                     config: config.clone(),
                     seed: spec.seed,
                     replication: spec.replication,
-                    sampling: spec.sampling,
                 });
             }
         }
@@ -151,36 +146,26 @@ mod tests {
     #[test]
     fn point_jobs_match_the_grid_run() {
         // The daemon computes every submission one point at a time; each
-        // point must equal the pair fan-out's, exact and sampled alike.
-        // Standard replication, so sampled streams really fast-forward.
+        // point must equal the pair fan-out's.
+        let _lock = crate::tests::store_lock();
         let _cold = mom_store::bypass_guard();
-        for sampling in [None, Some(SamplingConfig::DEFAULT)] {
-            let spec = ExperimentSpec {
-                sampling,
-                replication: crate::STEADY_STATE_INSTRUCTIONS,
-                ..small_spec()
-            };
-            let grid = spec.run().unwrap();
-            let jobs = plan(&spec);
-            assert_eq!(grid.points.len(), jobs.len());
-            for (want, job) in grid.points.iter().zip(&jobs) {
-                let got = job.compute().unwrap();
-                let what = format!("{:?}/{:?}/{}", job.kernel, job.isa, want.width);
-                assert_eq!(
-                    (got.kernel, got.isa, got.width),
-                    (want.kernel, want.isa, want.width)
-                );
-                assert_eq!(got.result, want.result, "{what} {sampling:?}");
-                assert_eq!(got.stats, want.stats, "{what} {sampling:?}");
-                assert_eq!(got.invocations, want.invocations, "{what} {sampling:?}");
-            }
-            let skipped = grid.points.iter().any(|p| {
-                p.result
-                    .sampled
-                    .as_ref()
-                    .is_some_and(|e| e.detailed_instructions < p.result.instructions)
-            });
-            assert_eq!(skipped, sampling.is_some(), "sampling fast-forwards");
+        let spec = ExperimentSpec {
+            replication: crate::STEADY_STATE_INSTRUCTIONS,
+            ..small_spec()
+        };
+        let grid = spec.run().unwrap();
+        let jobs = plan(&spec);
+        assert_eq!(grid.points.len(), jobs.len());
+        for (want, job) in grid.points.iter().zip(&jobs) {
+            let got = job.compute().unwrap();
+            let what = format!("{:?}/{:?}/{}", job.kernel, job.isa, want.width);
+            assert_eq!(
+                (got.kernel, got.isa, got.width),
+                (want.kernel, want.isa, want.width)
+            );
+            assert_eq!(got.result, want.result, "{what}");
+            assert_eq!(got.stats, want.stats, "{what}");
+            assert_eq!(got.invocations, want.invocations, "{what}");
         }
     }
 }

@@ -22,7 +22,7 @@ use crate::{
 };
 use mom_isa::IsaKind;
 use mom_kernels::{KernelError, KernelId};
-use mom_pipeline::{MemoryModel, PipelineConfig, SamplingConfig};
+use mom_pipeline::{MemoryModel, PipelineConfig};
 use std::collections::BTreeMap;
 use std::str::FromStr;
 
@@ -64,14 +64,6 @@ pub struct ExperimentSpec {
     pub replication: usize,
     /// Seed for the deterministic synthetic workloads.
     pub seed: u64,
-    /// When set, the grid is timed by **systematic sampling**
-    /// ([`mom_pipeline::sample`]): detailed intervals in the timing engine
-    /// with cache-warming fast-forward between them, an extrapolated cycle
-    /// count, and a confidence interval in every point's
-    /// [`mom_pipeline::SimResult::sampled`].  `None` (the default, and the
-    /// setting of every registered experiment) is exact full-fidelity
-    /// timing.
-    pub sampling: Option<SamplingConfig>,
 }
 
 impl Default for ExperimentSpec {
@@ -84,7 +76,6 @@ impl Default for ExperimentSpec {
             configs: vec![PipelineConfig::default()],
             replication: STEADY_STATE_INSTRUCTIONS,
             seed: EXPERIMENT_SEED,
-            sampling: None,
         }
     }
 }
@@ -132,9 +123,6 @@ impl ExperimentSpec {
                 ));
             }
         }
-        if let Some(sampling) = &self.sampling {
-            sampling.validate()?;
-        }
         Ok(())
     }
 
@@ -159,14 +147,7 @@ impl ExperimentSpec {
             .collect();
         let threads = jobs.unwrap_or_else(|| worker_count(pairs.len()));
         let measured = parallel_map_with(pairs, threads, |(kernel, isa)| {
-            simulate_configs(
-                kernel,
-                isa,
-                &self.configs,
-                self.seed,
-                self.replication,
-                self.sampling,
-            )
+            simulate_configs(kernel, isa, &self.configs, self.seed, self.replication)
         });
         let mut points = Vec::with_capacity(self.points());
         for pair_points in measured {
@@ -176,6 +157,20 @@ impl ExperimentSpec {
             spec: self.clone(),
             points,
         })
+    }
+}
+
+/// What `momsim run --sampled`, `momsim submit --sampled` and a
+/// `POST /jobs` body with a `"sampled"` key answer: the axis is gone, and
+/// the exact engine it approximated is the faster of the two.
+pub const SAMPLED_TIMING_REMOVED: &str = "sampled timing was removed: exact timing now runs \
+     faster than the sampled estimate did; drop --sampled (or the \"sampled\" key)";
+
+/// Fails on the name of a removed axis.
+fn refuse_removed(name: &str) -> Result<(), String> {
+    match name {
+        "sampled" => Err(SAMPLED_TIMING_REMOVED.to_string()),
+        _ => Ok(()),
     }
 }
 
@@ -199,7 +194,7 @@ pub struct GridAxes {
 
 impl GridAxes {
     /// The axis names.
-    const NAMES: [&'static str; 9] = [
+    const NAMES: [&'static str; 8] = [
         "kernels",
         "isas",
         "widths",
@@ -208,36 +203,32 @@ impl GridAxes {
         "lanes",
         "replication",
         "seed",
-        "sampled",
     ];
 
-    /// Parses axis flags (`--kernels idct,motion1 --widths 2,4`).  The
-    /// schedule of `--sampled` is optional: a following flag is not taken
-    /// as its operand.
+    /// Parses axis flags (`--kernels idct,motion1 --widths 2,4`).
     pub fn from_flags(args: &[String]) -> Result<GridAxes, String> {
         let mut axes = GridAxes::default();
         let mut args = args.iter().peekable();
         while let Some(flag) = args.next() {
-            let Some(name) = flag.strip_prefix("--").filter(|n| Self::NAMES.contains(n)) else {
+            let name = flag.strip_prefix("--").unwrap_or_default();
+            refuse_removed(name)?;
+            if !Self::NAMES.contains(&name) {
                 return Err(format!("unknown argument {flag} (see `momsim help`)"));
-            };
+            }
             // The operand is the JSON string form of the same key.
-            let value = match args.next_if(|next| !next.starts_with("--")) {
-                Some(operand) => Json::str(operand.as_str()),
-                None if name == "sampled" => Json::Bool(true),
-                None => return Err(format!("{flag} needs a value")),
-            };
-            axes.apply_json(name, &value)?;
+            let operand = args
+                .next_if(|next| !next.starts_with("--"))
+                .ok_or_else(|| format!("{flag} needs a value"))?;
+            axes.apply_json(name, &Json::str(operand.as_str()))?;
         }
         Ok(axes)
     }
 
     /// Sets axis `name` from its JSON value: a string is the command-line
-    /// operand, an array holds its items (strings, or integers below 2^53
-    /// — send larger ones, like big seeds, as decimal strings), and
-    /// `"sampled"` also takes `true` (the default schedule) or `false`
-    /// (exact timing).
+    /// operand, and an array holds its items (strings, or integers below
+    /// 2^53 — send larger ones, like big seeds, as decimal strings).
     pub fn apply_json(&mut self, name: &str, value: &Json) -> Result<(), String> {
+        refuse_removed(name)?;
         let Some(&name) = Self::NAMES.iter().find(|&&n| n == name) else {
             return Err(format!(
                 "unknown key \"{name}\" (expected experiment, or label and any of: {})",
@@ -252,11 +243,6 @@ impl GridAxes {
             _ => Err(format!("{name}: expected strings or integers")),
         };
         let items = match value {
-            Json::Bool(false) if name == "sampled" => {
-                self.given.remove(name);
-                return Ok(());
-            }
-            Json::Bool(true) if name == "sampled" => Vec::new(),
             Json::Str(operand) => operand
                 .split(',')
                 .map(str::trim)
@@ -325,10 +311,6 @@ impl GridAxes {
             "media" => IsaKind::MEDIA.to_vec(),
             _ => self.list("isas")?.unwrap_or(defaults.isas),
         };
-        let sampling = match self.given.get("sampled") {
-            Some(items) if items.is_empty() => Some(SamplingConfig::DEFAULT),
-            _ => self.one("sampled")?,
-        };
         let optional = |values: Option<Vec<usize>>| -> Vec<Option<usize>> {
             match values {
                 Some(values) => values.into_iter().map(Some).collect(),
@@ -361,7 +343,6 @@ impl GridAxes {
             configs,
             replication: self.one("replication")?.unwrap_or(defaults.replication),
             seed: self.one("seed")?.unwrap_or(defaults.seed),
-            sampling,
         };
         spec.validate()?;
         Ok(spec)
@@ -794,34 +775,6 @@ mod tests {
             ..ExperimentSpec::default()
         };
         assert!(matches!(invalid.run(), Err(ExperimentError::Spec(_))));
-    }
-
-    #[test]
-    fn sampled_grid_carries_estimates_and_validates_schedule() {
-        let spec = ExperimentSpec {
-            kernels: vec![KernelId::AddBlock],
-            isas: vec![IsaKind::Mom],
-            configs: vec![PipelineConfig::way(2), PipelineConfig::way(4)],
-            sampling: Some(SamplingConfig::DEFAULT),
-            ..ExperimentSpec::default()
-        };
-        let grid = spec.run().unwrap();
-        assert_eq!(grid.points.len(), 2);
-        for point in &grid.points {
-            assert!(
-                point.result.sampled.is_some(),
-                "sampled grids must report the estimate"
-            );
-            assert!(point.result.cycles > 0);
-        }
-        let bad = ExperimentSpec {
-            sampling: Some(SamplingConfig {
-                fastforward: 0,
-                ..SamplingConfig::DEFAULT
-            }),
-            ..ExperimentSpec::default()
-        };
-        assert!(bad.validate().is_err());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! disassembled program, kernel, ISA, seed and workload layout — and (b)
 //! the **engine fingerprint**: every semantic field of the
 //! [`PipelineConfig`] (pools, lanes, ROB, the full cache-hierarchy
-//! geometry), the replication target, the sampling schedule, and
+//! geometry), the replication target, and
 //! [`mom_pipeline::ENGINE_VERSION`].  [`result_key`] hashes all of it, so
 //! there is no invalidation protocol: changing the engine's semantics (a
 //! version bump), a machine axis, or anything the trace depends on simply
@@ -28,15 +28,16 @@ use mom_arch::TraceStats;
 use mom_isa::{FuClass, IsaKind};
 use mom_kernels::{trace_content_key, KernelId};
 use mom_pipeline::{
-    CacheConfig, FuPool, HierarchyConfig, MemoryModel, PipelineConfig, SamplingConfig,
-    SamplingEstimate, SimResult, ENGINE_VERSION,
+    CacheConfig, FuPool, HierarchyConfig, MemoryModel, PipelineConfig, SimResult, ENGINE_VERSION,
 };
 use mom_store::{ByteReader, ByteWriter, CodecError, Hasher, Key, NS_RESULT};
+use std::convert::Infallible;
 
 /// Version of the result-blob **byte layout** (not of the engine's
 /// semantics — that is [`ENGINE_VERSION`]).  Bump when the encoded shape of
 /// a point changes; old blobs then fail to decode and are recomputed.
-pub const RESULT_CODEC_VERSION: u16 = 1;
+/// Version 2 dropped version 1's sampled-estimate tag byte.
+pub const RESULT_CODEC_VERSION: u16 = 2;
 
 // ---------------------------------------------------------------------------
 // The engine fingerprint
@@ -117,24 +118,20 @@ pub fn config_fingerprint(h: &mut Hasher, config: &PipelineConfig) {
 
 /// The content hash addressing one finished grid point: the trace content
 /// key of the measured stream × the engine fingerprint (configuration,
-/// replication, sampling schedule, [`ENGINE_VERSION`]).
+/// replication, [`ENGINE_VERSION`]).
+///
+/// The last parameter only keeps the argument list of the perfbench call
+/// sites, which still pass the `None` of the removed sampling schedule;
+/// it goes when a change to the benchmark drops those `None`s.
 pub fn result_key(
     kernel: KernelId,
     isa: IsaKind,
     seed: u64,
     config: &PipelineConfig,
     replication: usize,
-    sampling: Option<SamplingConfig>,
+    _removed_sampling: Option<Infallible>,
 ) -> Key {
-    result_key_versioned(
-        ENGINE_VERSION,
-        kernel,
-        isa,
-        seed,
-        config,
-        replication,
-        sampling,
-    )
+    result_key_versioned(ENGINE_VERSION, kernel, isa, seed, config, replication)
 }
 
 /// [`result_key`] with an explicit engine version — the testing seam for
@@ -146,7 +143,6 @@ pub fn result_key_versioned(
     seed: u64,
     config: &PipelineConfig,
     replication: usize,
-    sampling: Option<SamplingConfig>,
 ) -> Key {
     let mut h = Hasher::new();
     h.write_str("momsim result");
@@ -154,10 +150,9 @@ pub fn result_key_versioned(
     h.write_key(trace_content_key(kernel, isa, seed));
     config_fingerprint(&mut h, config);
     h.write_usize(replication);
-    match sampling {
-        Some(schedule) => h.write_str(&schedule.to_string()),
-        None => h.write_str("exact"),
-    }
+    // Exact timing is the only timing: the literal keeps every key equal
+    // to the one written while a sampled schedule could stand here.
+    h.write_str("exact");
     h.finish()
 }
 
@@ -190,17 +185,6 @@ fn put_sim_result(w: &mut ByteWriter, result: &SimResult) {
     w.put_u64(result.cache.l1_misses);
     w.put_u64(result.cache.l2_hits);
     w.put_u64(result.cache.l2_misses);
-    match &result.sampled {
-        None => w.put_u8(0),
-        Some(estimate) => {
-            w.put_u8(1);
-            w.put_usize(estimate.intervals);
-            w.put_u64(estimate.detailed_instructions);
-            w.put_f64(estimate.cpi_mean);
-            w.put_f64(estimate.cpi_stddev);
-            w.put_f64(estimate.half_width_cycles);
-        }
-    }
 }
 
 fn get_sim_result(r: &mut ByteReader) -> Result<SimResult, CodecError> {
@@ -234,22 +218,6 @@ fn get_sim_result(r: &mut ByteReader) -> Result<SimResult, CodecError> {
     result.cache.l1_misses = r.get_u64("l1 misses")?;
     result.cache.l2_hits = r.get_u64("l2 hits")?;
     result.cache.l2_misses = r.get_u64("l2 misses")?;
-    result.sampled = match r.get_u8("sampled tag")? {
-        0 => None,
-        1 => Some(SamplingEstimate {
-            intervals: r.get_usize("sample intervals")?,
-            detailed_instructions: r.get_u64("detailed instructions")?,
-            cpi_mean: r.get_f64("cpi mean")?,
-            cpi_stddev: r.get_f64("cpi stddev")?,
-            half_width_cycles: r.get_f64("ci half width")?,
-        }),
-        tag => {
-            return Err(CodecError::BadTag {
-                what: "sampled tag",
-                tag,
-            })
-        }
-    };
     Ok(result)
 }
 
@@ -490,13 +458,6 @@ mod tests {
         result.cache.l2_misses = 3;
         result.fu_busy_cycles.insert(FuClass::MediaAlu, 400);
         result.fu_busy_cycles.insert(FuClass::IntAlu, 200);
-        result.sampled = Some(SamplingEstimate {
-            intervals: 5,
-            detailed_instructions: 800,
-            cpi_mean: 1.25,
-            cpi_stddev: 0.125,
-            half_width_cycles: 40.5,
-        });
         ExperimentPoint {
             kernel: KernelId::Idct,
             isa: IsaKind::Mom,
@@ -548,6 +509,47 @@ mod tests {
             decode_point(&wrong_version),
             Err(CodecError::BadVersion { .. })
         ));
+    }
+
+    #[test]
+    fn a_version_1_blob_is_a_miss_and_the_fill_overwrites_it() {
+        let _lock = crate::tests::store_lock();
+        let store = mom_store::global();
+        let (kernel, isa, seed, replication) = (KernelId::AddBlock, IsaKind::Mom, 0x0DD1, 64);
+        let config = PipelineConfig::way(2);
+        let key = result_key(kernel, isa, seed, &config, replication, None);
+        // Version 1 wrote an exact point as today's bytes plus a zero
+        // sampled-estimate tag between the cache counters and the seven
+        // trace-stat words.
+        let mut old = encode_point(&sample_point());
+        old[..2].copy_from_slice(&1u16.to_le_bytes());
+        old.insert(old.len() - 7 * 8, 0);
+        assert!(matches!(
+            decode_point(&old),
+            Err(CodecError::BadVersion { got: 1, .. })
+        ));
+        store.put(NS_RESULT, key, old);
+        assert!(
+            crate::stored_point_lookup(kernel, isa, &config, key).is_none(),
+            "a version-1 payload must not be served"
+        );
+        let filled = crate::simulate_configs(
+            kernel,
+            isa,
+            std::slice::from_ref(&config),
+            seed,
+            replication,
+        )
+        .unwrap()
+        .remove(0);
+        let rewritten = store
+            .get_disk(NS_RESULT, key)
+            .expect("the fill writes a blob");
+        assert_eq!(rewritten[..2], RESULT_CODEC_VERSION.to_le_bytes());
+        let served = crate::stored_point_lookup(kernel, isa, &config, key)
+            .expect("the rewritten blob is served");
+        assert_eq!(served.result, filled.result);
+        assert_eq!(served.stats, filled.stats);
     }
 
     #[test]
@@ -617,14 +619,6 @@ mod tests {
                 4001,
                 None,
             ),
-            result_key(
-                KernelId::Idct,
-                IsaKind::Mom,
-                EXPERIMENT_SEED,
-                &config,
-                4000,
-                Some(SamplingConfig::DEFAULT),
-            ),
         ] {
             assert_ne!(base, different);
         }
@@ -659,7 +653,6 @@ mod tests {
             EXPERIMENT_SEED,
             &config,
             4000,
-            None,
         );
         let bumped = result_key_versioned(
             ENGINE_VERSION + 1,
@@ -668,7 +661,6 @@ mod tests {
             EXPERIMENT_SEED,
             &config,
             4000,
-            None,
         );
         assert_ne!(current, bumped, "a version bump must re-address results");
         // The trace key is engine-agnostic: bumping the engine re-times old

@@ -49,7 +49,6 @@ fn registered_fig5_spec_reproduces_the_driver_simresults() {
                     &[PipelineConfig::way_with_memory(4, memory)],
                     EXPERIMENT_SEED,
                     STEADY_STATE_INSTRUCTIONS,
-                    None,
                 )
                 .expect("the kernel verifies")
                 .remove(0);

@@ -109,9 +109,7 @@ impl CacheStats {
         self.l1_hits + self.l1_misses
     }
 
-    /// Adds another counter set into this one — how the sampled simulator
-    /// ([`crate::sample`]) combines the counters of its detailed intervals
-    /// and cache-warming fast-forward spans into one exact total.
+    /// Adds another counter set into this one.
     pub fn merge(&mut self, other: &CacheStats) {
         self.l1_hits += other.l1_hits;
         self.l1_misses += other.l1_misses;

@@ -22,10 +22,6 @@
 //!   entry once into a shared batch of decoded entries that every consumer
 //!   reads by reference in lockstep (a replay decodes each entry of its
 //!   invocation once and only renames it per invocation),
-//! * sampled: [`SampledSim`] / [`SampledFanout`] estimate the cycle count
-//!   from systematically sampled detailed intervals with cache-warming
-//!   fast-forward in between, reporting a confidence interval in
-//!   [`SimResult::sampled`] ([`sample`]),
 //! * phase-aware: [`PipelineSim::into_parts`] hands back the warm
 //!   [`CacheSim`] alongside the result and [`PipelineSim::resume`] starts
 //!   the next phase of a multi-kernel application pipeline on it, so
@@ -107,7 +103,7 @@
 /// Version of the timing engine's *semantics*, mixed into every persistent
 /// result-store key by `mom-bench`. Bump this whenever a change can alter
 /// any `SimResult` for an unchanged trace and configuration (latency
-/// fixes, occupancy rules, cache policy, sampling estimator, …) so stored
+/// fixes, occupancy rules, cache policy, …) so stored
 /// grid points from older engines are never served again. Pure
 /// refactorings and performance work that keep results byte-identical do
 /// not bump it.
@@ -117,7 +113,6 @@ pub mod cache;
 pub mod config;
 pub mod ooo;
 pub mod reference;
-pub mod sample;
 pub mod stats;
 
 pub use cache::{CacheConfig, CacheSim, CacheStats, HierarchyConfig};
@@ -126,8 +121,7 @@ pub use config::{
 };
 pub use ooo::{timing_simulations, Pipeline, PipelineFanout, PipelineSim};
 pub use reference::ReferenceSim;
-pub use sample::{SampledFanout, SampledSim, SamplingConfig};
-pub use stats::{SamplingEstimate, SimResult};
+pub use stats::SimResult;
 
 // Re-export the trace types most callers need alongside the pipeline.
 pub use mom_arch::{Trace, TraceEntry, TraceSink};

@@ -130,17 +130,17 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 /// Process-wide count of timing simulations constructed (every
-/// [`PipelineSim`] built, including resumed app phases and the detailed
-/// intervals inside sampled runs), registered in the `mom-obs` metrics
-/// registry as `momsim_timing_simulations_total`. The incremental-sweep
-/// tests assert this stays flat across a warm sweep: results served from
-/// the artifact store must not build a single simulator.
+/// [`PipelineSim`] built, including resumed app phases), registered in the
+/// `mom-obs` metrics registry as `momsim_timing_simulations_total`. The
+/// incremental-sweep tests assert this stays flat across a warm sweep:
+/// results served from the artifact store must not build a single
+/// simulator.
 fn timing_simulations_counter() -> &'static mom_obs::Counter {
     static COUNTER: std::sync::OnceLock<mom_obs::Counter> = std::sync::OnceLock::new();
     COUNTER.get_or_init(|| {
         mom_obs::counter(
             "momsim_timing_simulations_total",
-            "Out-of-order timing simulators constructed (one per simulated interval).",
+            "Out-of-order timing simulators constructed (one per simulation or app phase).",
         )
     })
 }
@@ -940,24 +940,6 @@ impl PipelineSim {
         while self.pending_len() >= self.config.width {
             self.step_cycle();
         }
-    }
-
-    /// The measurement probe of the sampling driver ([`crate::sample`]):
-    /// the cycle count the engine would report if the stream ended at the
-    /// entries fed so far.  Clones the consumer — minus the cache
-    /// hierarchy, which draining never consults, since memory latencies
-    /// were charged at rename time — and runs the clone to completion; the
-    /// consumer itself is untouched, so the difference between two probes
-    /// measures the cycles attributable to the instructions fed between
-    /// them.
-    pub(crate) fn drained_cycle_count(&mut self) -> u64 {
-        let cache = self.dcache.take();
-        let mut probe = self.clone();
-        self.dcache = cache;
-        while probe.committed < probe.next_seq {
-            probe.step_cycle();
-        }
-        probe.cycle
     }
 
     /// Runs the simulation to completion and returns the result.

@@ -29,60 +29,6 @@ pub struct SimResult {
     /// Data-cache hit/miss counters (all zero under a fixed-latency memory
     /// model).
     pub cache: CacheStats,
-    /// Present when the result came from a sampled run
-    /// ([`crate::sample::SampledSim`]): how the cycle count was estimated
-    /// and its confidence interval.  `None` — and therefore invisible to
-    /// equality comparisons and report emitters — for every full-fidelity
-    /// simulation.
-    pub sampled: Option<SamplingEstimate>,
-}
-
-/// How a sampled simulation arrived at its cycle estimate (see
-/// [`crate::sample`]): the per-interval CPI statistics and the confidence
-/// interval they imply on [`SimResult::cycles`].
-///
-/// In a sampled [`SimResult`] the architectural counters (instructions,
-/// operations, media/memory mix, cache hit/miss counters) are **exact** —
-/// every trace entry is observed, detailed or not — and only the timing
-/// (`cycles`, and with it the per-interval `fu_busy_cycles`,
-/// `max_rob_occupancy` and `dispatch_stall_cycles`, which cover the
-/// detailed windows only) is estimated.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SamplingEstimate {
-    /// Number of detailed measurement intervals that contributed a CPI
-    /// sample.
-    pub intervals: usize,
-    /// Instructions simulated in detail and measured (excluding warm-up).
-    pub detailed_instructions: u64,
-    /// The weighted mean cycles-per-instruction over the detailed
-    /// intervals — the extrapolation factor behind [`SimResult::cycles`].
-    pub cpi_mean: f64,
-    /// Weighted sample standard deviation of the per-interval CPI.
-    pub cpi_stddev: f64,
-    /// Half-width of the ~95% confidence interval on [`SimResult::cycles`],
-    /// in cycles: the Student-t interval of the CPI samples widened by a
-    /// conservative relative floor for the systematic error the interval
-    /// estimator cannot see (drain boundaries, phase aliasing).  Zero when
-    /// the whole stream was simulated in detail (the estimate is exact).
-    pub half_width_cycles: f64,
-}
-
-impl SamplingEstimate {
-    /// Whether a full-fidelity cycle count lies within this estimate's
-    /// confidence interval of the estimated `cycles`.
-    pub fn covers(&self, cycles: u64, reference: u64) -> bool {
-        (cycles as f64 - reference as f64).abs() <= self.half_width_cycles
-    }
-
-    /// The confidence-interval half-width relative to the estimate (e.g.
-    /// `0.05` = ±5%).
-    pub fn relative_half_width(&self, cycles: u64) -> f64 {
-        if cycles == 0 {
-            0.0
-        } else {
-            self.half_width_cycles / cycles as f64
-        }
-    }
 }
 
 impl SimResult {

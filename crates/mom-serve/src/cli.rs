@@ -407,7 +407,6 @@ pub fn shutdown_command(args: &[String]) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::JobRequest;
 
     /// A command line, split at whitespace.
     fn words(line: &str) -> Vec<String> {
@@ -463,16 +462,5 @@ mod tests {
             let err = submit_args(&words(bad)).unwrap_err();
             assert_eq!(err.exit_code(), 2, "{bad}: {err}");
         }
-    }
-
-    #[test]
-    fn sampled_without_a_schedule_keeps_the_next_flag() {
-        let (body, wait, _) =
-            submit_args(&words("--kernels idct --isas mom --sampled --wait")).unwrap();
-        assert!(wait, "--wait is not the sampling schedule");
-        let Ok(JobRequest::Grid { spec, .. }) = parse_submit(&body) else {
-            panic!("{body} is a grid");
-        };
-        assert_eq!(spec.sampling, Some(mom_pipeline::SamplingConfig::DEFAULT));
     }
 }

@@ -140,7 +140,7 @@ mod tests {
     use super::*;
     use mom_isa::IsaKind;
     use mom_kernels::KernelId;
-    use mom_pipeline::{MemoryModel, PipelineConfig, SamplingConfig};
+    use mom_pipeline::{MemoryModel, PipelineConfig};
 
     /// The grid variant's parts, as a `Result` so tests can `?`/`unwrap`
     /// with a real error message instead of panicking in a match arm.
@@ -174,7 +174,8 @@ mod tests {
     }
 
     /// The body shapes clients (and the journal, which replays stored
-    /// bodies) have always sent keep their spec.
+    /// bodies) have always sent keep their spec — except the removed
+    /// `"sampled"` key, which is refused in every form it took.
     #[test]
     fn axes_assemble_the_cross_product() {
         let config = PipelineConfig::way_with_memory;
@@ -182,7 +183,7 @@ mod tests {
         let cases = [
             (
                 r#"{"kernels": ["idct", "motion1"], "isas": "media", "widths": [2, 4],
-                    "memory": ["l1l2", 12], "replication": 128, "sampled": false}"#,
+                    "memory": ["l1l2", 12], "replication": 128}"#,
                 ExperimentSpec {
                     kernels: vec![KernelId::Idct, KernelId::Motion1],
                     isas: IsaKind::MEDIA.to_vec(),
@@ -197,17 +198,15 @@ mod tests {
                 },
             ),
             (
-                r#"{"kernels": "all", "isas": "all", "seed": 7, "sampled": true}"#,
+                r#"{"kernels": "all", "isas": "all", "seed": 7}"#,
                 ExperimentSpec {
                     configs: vec![config(4, MemoryModel::PERFECT)],
                     seed: 7,
-                    sampling: Some(SamplingConfig::DEFAULT),
                     ..ExperimentSpec::default()
                 },
             ),
             (
-                r#"{"kernels": ["addblock"], "isas": ["mom"], "rob": [32], "lanes": [2],
-                    "sampled": "100:900:20"}"#,
+                r#"{"kernels": ["addblock"], "isas": ["mom"], "rob": [32], "lanes": [2]}"#,
                 ExperimentSpec {
                     kernels: vec![KernelId::AddBlock],
                     isas: vec![IsaKind::Mom],
@@ -217,13 +216,25 @@ mod tests {
                         .lanes(2)
                         .build()
                         .unwrap()],
-                    sampling: Some("100:900:20".parse().unwrap()),
                     ..ExperimentSpec::default()
                 },
             ),
         ];
         for (body, expected) in cases {
             assert_eq!(parse_text(body), Ok(("ad-hoc".into(), expected)), "{body}");
+        }
+        for body in [
+            r#"{"kernels": ["idct", "motion1"], "isas": "media", "widths": [2, 4],
+                "memory": ["l1l2", 12], "replication": 128, "sampled": false}"#,
+            r#"{"kernels": "all", "isas": "all", "seed": 7, "sampled": true}"#,
+            r#"{"kernels": ["addblock"], "isas": ["mom"], "rob": [32], "lanes": [2],
+                "sampled": "100:900:20"}"#,
+        ] {
+            assert_eq!(
+                parse_text(body),
+                Err(mom_bench::spec::SAMPLED_TIMING_REMOVED.to_string()),
+                "{body}"
+            );
         }
     }
 
@@ -265,8 +276,7 @@ mod tests {
         for line in [
             "--kernels all --isas media",
             "--kernels idct,motion1 --isas all --memory 12,l1l2",
-            "--kernels idct --isas mom --sampled",
-            "--isas mom --sampled 100:900:20 --widths 2,4",
+            "--isas mom --widths 2,4",
             "--isas mmx --seed 9007199254740993 --replication 64",
             "--kernels idct --isas mom --rob 16,32 --lanes 1,2",
         ] {

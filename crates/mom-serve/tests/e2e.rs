@@ -95,6 +95,14 @@ fn daemon_round_trip_dedup_and_shutdown() {
         doc.pretty().contains("config 1 repeats config 0"),
         "the error names both configs: {doc}"
     );
+    // The removed sampled axis is refused, naming the removal.
+    let (status, doc) = post(&addr, "/jobs", "{\"kernels\": \"idct\", \"sampled\": true}");
+    assert_eq!(status, 400, "{doc}");
+    assert_eq!(
+        doc.get("error").and_then(Json::as_str),
+        Some(mom_bench::spec::SAMPLED_TIMING_REMOVED),
+        "{doc}"
+    );
 
     // --- Submit fig4 over HTTP and wait for it. ---
     let fig4 = mom_bench::find_experiment("fig4").expect("registered");

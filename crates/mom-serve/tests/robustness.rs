@@ -203,6 +203,47 @@ fn journal_recovery_requeues_only_the_lost_units() {
 }
 
 #[test]
+fn a_journaled_sampled_submission_is_skipped_and_the_rest_recovers() {
+    let _serial = serial();
+    private_store_dir();
+    // A journal written before the sampled axis was removed: one sampled
+    // submission next to a plain one, neither finished.
+    let path = std::env::temp_dir().join(format!(
+        "mom-serve-robust-sampled-{}.wal",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    {
+        let (journal, _) = Journal::open(&path).unwrap();
+        journal.append(&Record::Submit {
+            job: 3,
+            body: r#"{"kernels": ["addblock"], "isas": ["mom"], "widths": [4], "replication": 64, "sampled": true}"#
+                .to_string(),
+        });
+        journal.append(&Record::Submit {
+            job: 4,
+            body: r#"{"kernels": ["addblock"], "isas": ["mom"], "widths": [2], "replication": 64}"#
+                .to_string(),
+        });
+    }
+    let (_, records) = Journal::open(&path).unwrap();
+    assert_eq!(records.len(), 2);
+    let daemon = Daemon::with_options(0, 4, 64, fast_supervision());
+    let (summary, live) = journal::recover(&daemon, &records);
+    assert_eq!(summary.jobs, 1, "only the plain job is re-admitted");
+    assert!(daemon.snapshot(3).is_none(), "the sampled job is skipped");
+    assert!(daemon.snapshot(4).is_some(), "the plain job is back");
+    assert!(
+        live.iter()
+            .all(|record| matches!(record, Record::Submit { job: 4, .. })),
+        "compaction keeps no sampled submission: {live:?}"
+    );
+    daemon.shutdown();
+    daemon.join_workers();
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
 fn a_stalled_request_head_gets_408() {
     let _serial = serial();
     let server = serve_with_timeout(Daemon::new(0, 1), "127.0.0.1:0", Duration::from_millis(150))

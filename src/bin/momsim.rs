@@ -13,7 +13,7 @@
 //! momsim bench --json BENCH_perf.json
 //! momsim serve --workers 4 &
 //! momsim submit fig4 --wait
-//! momsim submit --kernels idct --isas media --widths 2,4 --sampled --wait
+//! momsim submit --kernels idct --isas media --widths 2,4 --wait
 //! momsim report fig4 --out BENCH_fig4.json
 //! momsim stats --addr 127.0.0.1:5099
 //! momsim shutdown
@@ -53,10 +53,8 @@ USAGE:
         --lanes N,N,..         multimedia lane counts (default: width-derived)
         --replication N        min dynamic instructions (default: 4000)
         --seed N               workload seed (default: 23705)
-        --sampled [D:F:W]      estimate timing by systematic sampling
-                               (D detailed, F fast-forward, W warm-up
-                               instructions per interval; default 200:671:150)
-                               instead of simulating every instruction
+      Every instruction is timed exactly; the former --sampled estimate
+      was removed (exact timing runs faster) and is now a usage error.
   momsim sweep [--out-dir DIR] [--jobs N]
       Regenerate the full registered-experiment set: BENCH_fig4.json,
       BENCH_fig5.json, BENCH_tables.json, BENCH_apps.json and
@@ -67,13 +65,13 @@ USAGE:
       ISA) pairs on N worker threads (default: one per core); the reports
       are byte-identical at any worker count.
   momsim bench [--quick] [--json PATH] [--check PATH]
-      Measure engine throughput (optimized vs the retained naive reference),
-      the wall time of the full registered-experiment set, and the sampled
-      vs full grid comparison; optionally write BENCH_perf.json or verify a
-      committed one (--check verifies the deterministic structure exactly
-      and fails on engine speed-up regressions beyond the slack thresholds;
-      raw wall times are ignored). Measurements bypass the artifact store;
-      the cache diagnostic is printed after the report.
+      Measure engine throughput (optimized vs the retained naive reference)
+      and the wall time of the full registered-experiment set; optionally
+      write BENCH_perf.json (speed-ups only, not the host-dependent rates)
+      or verify a committed one (--check verifies the deterministic
+      structure exactly and fails on engine speed-up regressions beyond the
+      slack thresholds; raw wall times are ignored). Measurements bypass
+      the artifact store; the cache diagnostic is printed after the report.
   momsim cache [stats|path|gc|clear]
       Inspect or maintain the persistent artifact store: hit/miss counters
       and the on-disk footprint (stats, the default), the store directory

@@ -48,6 +48,15 @@ fn usage_errors_exit_2() {
         "the error names both configs: {stderr}"
     );
 
+    // The removed sampled axis names its removal.
+    let out = momsim(&["run", "--kernels", "idct", "--sampled"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(code(&out), 2, "run --sampled: {stderr}");
+    assert!(
+        stderr.contains(momsim::bench::spec::SAMPLED_TIMING_REMOVED),
+        "run --sampled: {stderr}"
+    );
+
     let out = momsim(&["serve", "--workers", "0"]);
     assert_eq!(code(&out), 2, "a zero-sized worker pool is a usage error");
 
@@ -66,6 +75,10 @@ fn usage_errors_exit_2() {
             "config 1 repeats config 0",
         ),
         (&["fig9000"], "fig4"),
+        (
+            &["--kernels", "idct", "--sampled", "--wait"],
+            momsim::bench::spec::SAMPLED_TIMING_REMOVED,
+        ),
     ] {
         let out = momsim(&[&["submit", "--addr", "127.0.0.1:1"][..], args].concat());
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -131,21 +144,6 @@ fn runtime_failures_exit_1() {
     // Port 1 (tcpmux) is privileged and nothing in this container binds it.
     let out = momsim(&["submit", "fig4", "--addr", "127.0.0.1:1"]);
     assert_eq!(code(&out), 1, "{}", String::from_utf8_lossy(&out.stderr));
-    // A bare `--sampled` leaves `--wait` a flag: the submission parses,
-    // then cannot connect.
-    let out = momsim(&[
-        "submit",
-        "--addr",
-        "127.0.0.1:1",
-        "--kernels",
-        "idct",
-        "--isas",
-        "mom",
-        "--sampled",
-        "--wait",
-    ]);
-    assert_eq!(code(&out), 1, "{}", String::from_utf8_lossy(&out.stderr));
-
     let out = momsim(&["shutdown", "--addr", "127.0.0.1:1"]);
     assert_eq!(code(&out), 1);
 

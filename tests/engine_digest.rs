@@ -19,7 +19,6 @@ const PINNED_DIGEST: &str = "90c264e311393ea21888e53c904f82ad";
 const PINNED_ENGINE_VERSION: u32 = 1;
 
 fn hash_result(h: &mut Hasher, result: &SimResult) {
-    assert!(result.sampled.is_none(), "canonical streams are exact");
     h.write_u64(result.cycles);
     h.write_u64(result.instructions);
     h.write_u64(result.operations);
