@@ -60,7 +60,6 @@ pub fn serve_command(args: &[String]) -> Result<(), CliError> {
             "--addr" => config.addr = value()?.to_string(),
             "--workers" => config.workers = positive("--workers", value()?)?,
             "--queue" => config.queue_limit = positive("--queue", value()?)?,
-            "--retain" => config.retain = positive("--retain", value()?)?,
             "--retries" => config.supervision.retries = count("--retries", value()?)?,
             "--backoff" => {
                 config.supervision.backoff =
@@ -82,7 +81,7 @@ pub fn serve_command(args: &[String]) -> Result<(), CliError> {
             other => {
                 return Err(CliError::Usage(format!(
                     "unknown argument {other} (expected --addr HOST:PORT, --workers N, \
-                     --queue N, --retain N, --retries N, --backoff MS, --deadline SECS, \
+                     --queue N, --retries N, --backoff MS, --deadline SECS, \
                      --no-journal, --inject PLAN, --log-level LEVEL)"
                 )))
             }
@@ -92,8 +91,11 @@ pub fn serve_command(args: &[String]) -> Result<(), CliError> {
         println!("momsim serve: FAULT INJECTION ACTIVE (--inject); not for production use");
         mom_obs::log::warn("serve", "fault injection active (--inject)");
     }
-    let server = crate::serve::serve(&config)
-        .map_err(|e| CliError::Io(format!("cannot bind {}: {e}", config.addr)))?;
+    let server = crate::serve::serve(&config).map_err(|e| match e.kind() {
+        // `--cold`: the daemon refuses to run without the store.
+        std::io::ErrorKind::Unsupported => CliError::Usage(format!("momsim serve: {e}")),
+        _ => CliError::Io(format!("cannot bind {}: {e}", config.addr)),
+    })?;
     println!(
         "momsim serve: listening on {} ({} workers, queue limit {})",
         server.addr(),
@@ -103,11 +105,10 @@ pub fn serve_command(args: &[String]) -> Result<(), CliError> {
     mom_obs::log::info(
         "serve",
         &format!(
-            "listening on {} ({} workers, queue limit {}, retaining {} done units)",
+            "listening on {} ({} workers, queue limit {})",
             server.addr(),
             config.workers,
-            config.queue_limit,
-            config.retain
+            config.queue_limit
         ),
     );
     println!(

@@ -284,7 +284,7 @@ pub fn recover(
                 // A job dedup finished on the spot needs no journal entry;
                 // one still owed units survives compaction.
                 let running = daemon
-                    .snapshot(*job)
+                    .status(*job)
                     .map(|s| s.state == crate::queue::JobState::Running)
                     .unwrap_or(false);
                 if running {

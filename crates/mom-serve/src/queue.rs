@@ -9,6 +9,12 @@
 //! Workers drain the queue through the same store-fronted fill paths the
 //! batch sweep uses, so every computed unit lands in the persistent store.
 //!
+//! The store is the daemon's only result cache: a unit records its
+//! status, never its payload, and [`Daemon::snapshot`] reads each finished
+//! row back from the store when a job document is rendered.  The daemon
+//! therefore needs an active store ([`crate::serve`] refuses to start
+//! without one).
+//!
 //! Lock discipline: the queue lock may be held while reading the store
 //! (submit-time dedup), and the store's internal locks are never held
 //! while acquiring the queue lock — workers compute with no lock held.
@@ -20,13 +26,10 @@ use mom_bench::{schedule, store, ExperimentPoint, ExperimentSpec};
 use mom_kernels::KernelError;
 use mom_pipeline::PipelineConfig;
 use mom_store::faults::{self, FaultSite};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
-
-/// Default cap on finished unit payloads kept in memory (`--retain`).
-pub const DEFAULT_RETAIN: usize = 1024;
 
 fn jobs_submitted_counter() -> &'static mom_obs::Counter {
     static COUNTER: OnceLock<mom_obs::Counter> = OnceLock::new();
@@ -52,16 +55,6 @@ fn units_counter(disposition: &str) -> mom_obs::Counter {
         "Work units by submit-time disposition.",
         &[("disposition", disposition)],
     )
-}
-
-fn evictions_counter() -> &'static mom_obs::Counter {
-    static COUNTER: OnceLock<mom_obs::Counter> = OnceLock::new();
-    COUNTER.get_or_init(|| {
-        mom_obs::counter(
-            "momsim_serve_unit_evictions_total",
-            "Finished unit payloads evicted from memory by the --retain cap.",
-        )
-    })
 }
 
 fn unit_retries_counter() -> &'static mom_obs::Counter {
@@ -191,7 +184,7 @@ pub struct ComputeError {
     pub transient: bool,
 }
 
-/// A finished unit's payload.
+/// A finished unit's payload: what the store holds under its key.
 #[derive(Debug)]
 pub enum UnitResult {
     /// A single grid point.
@@ -204,12 +197,8 @@ pub enum UnitResult {
 enum UnitStatus {
     Queued,
     Running,
-    Done(Arc<UnitResult>),
-    /// Finished successfully, but the payload was dropped by the
-    /// `--retain` LRU cap.  Still counts as completed (the artifact store
-    /// holds the result); a resubmission re-reads the store or, if the
-    /// store was cleared, re-queues the unit.
-    DoneEvicted,
+    /// Finished successfully; the result is in the store.
+    Done,
     Failed(String),
 }
 
@@ -218,9 +207,6 @@ struct Unit {
     payload: WorkUnit,
     status: UnitStatus,
     subscribers: Vec<JobId>,
-    /// LRU stamp (see `State::touch`), refreshed when a snapshot reads
-    /// this unit's finished payload.
-    last_touch: u64,
     /// When the unit entered the queue (unset for store-answered units).
     enqueued_at: Option<Instant>,
     /// Time spent queued before a worker claimed it.
@@ -249,21 +235,22 @@ struct Job {
     scheduled: usize,
     /// Submit-time dedup cost (store lookups under the queue lock).
     dedup_nanos: u64,
-    /// Whether this job's terminal state was already counted in
-    /// `momsim_serve_jobs_completed_total`.
-    done_recorded: bool,
 }
 
 #[derive(Debug, Default)]
 struct State {
     next_job: JobId,
     jobs: BTreeMap<JobId, Job>,
+    /// Jobs not yet counted into `momsim_serve_jobs_completed_total`.
+    /// Every transition that can end a job is followed by
+    /// `record_finished_jobs`, so these are exactly the jobs still owed
+    /// work by the pool: the queue limit counts them without reading
+    /// any finished job.
+    open: BTreeSet<JobId>,
     units: HashMap<mom_store::Key, Unit>,
     queue: VecDeque<mom_store::Key>,
     running: usize,
     shutting_down: bool,
-    /// Monotonic LRU clock for `Unit::last_touch`.
-    touch: u64,
 }
 
 impl State {
@@ -273,34 +260,12 @@ impl State {
             .any(|id| self.jobs.get(id).is_some_and(|job| !job.cancelled))
     }
 
-    /// Jobs still owed work by the pool (queued or running units).
-    fn active_jobs(&self) -> usize {
-        self.jobs
-            .iter()
-            .filter(|(_, job)| {
-                !job.cancelled
-                    && job.keys.iter().any(|key| {
-                        matches!(
-                            self.units.get(key).map(|u| &u.status),
-                            Some(UnitStatus::Queued | UnitStatus::Running)
-                        )
-                    })
-            })
-            .count()
-    }
-
-    fn next_touch(&mut self) -> u64 {
-        self.touch += 1;
-        self.touch
-    }
-
-    /// Derives a job's current state (the same rules
-    /// [`Daemon::snapshot`] applies).
+    /// Derives a job's current state from its units' statuses.
     fn derive_state(&self, job: &Job) -> JobState {
         let (mut pending, mut dropped, mut failed) = (0, 0, 0);
         for key in &job.keys {
             match self.units.get(key).map(|unit| &unit.status) {
-                Some(UnitStatus::Done(_) | UnitStatus::DoneEvicted) => {}
+                Some(UnitStatus::Done) => {}
                 Some(UnitStatus::Failed(_)) => failed += 1,
                 Some(UnitStatus::Queued | UnitStatus::Running) => pending += 1,
                 None => dropped += 1,
@@ -323,43 +288,16 @@ impl State {
     /// job (submit-time full dedup, a worker completion, cancel, drain).
     fn record_finished_jobs(&mut self) -> Vec<(JobId, JobState)> {
         let finished: Vec<(JobId, JobState)> = self
-            .jobs
+            .open
             .iter()
-            .filter(|(_, job)| !job.done_recorded)
-            .map(|(&id, job)| (id, self.derive_state(job)))
+            .map(|id| (*id, self.derive_state(&self.jobs[id])))
             .filter(|(_, state)| *state != JobState::Running)
             .collect();
         for (id, state) in &finished {
-            self.jobs.get_mut(id).expect("job exists").done_recorded = true;
+            self.open.remove(id);
             jobs_completed_counter(*state).inc();
         }
         finished
-    }
-
-    /// Enforces the `--retain` cap: evicts the least recently touched
-    /// finished payloads until at most `retain` remain in memory.  The
-    /// units keep their entries (as [`UnitStatus::DoneEvicted`]) so job
-    /// accounting is unaffected; only the in-memory result is dropped.
-    fn evict_done(&mut self, retain: usize) {
-        loop {
-            let done = self
-                .units
-                .values()
-                .filter(|unit| matches!(unit.status, UnitStatus::Done(_)))
-                .count();
-            if done <= retain {
-                return;
-            }
-            let victim = self
-                .units
-                .iter()
-                .filter(|(_, unit)| matches!(unit.status, UnitStatus::Done(_)))
-                .min_by_key(|(_, unit)| unit.last_touch)
-                .map(|(&key, _)| key)
-                .expect("done > retain >= 0 implies a victim");
-            self.units.get_mut(&victim).expect("victim exists").status = UnitStatus::DoneEvicted;
-            evictions_counter().inc();
-        }
     }
 
     /// Drops queued keys no live job wants any more (after a cancellation
@@ -478,10 +416,11 @@ pub struct JobSnapshot {
     pub scheduled: usize,
     /// Failure messages of failed units.
     pub errors: Vec<String>,
-    /// Finished results, as `(index in the job's unit list, result)`.
-    /// Payloads evicted by the `--retain` cap count in `completed` but
-    /// have no row here (replay them from the store via `/reports`).
-    pub rows: Vec<(usize, Arc<UnitResult>)>,
+    /// Finished results, as `(index in the job's unit list, result)`,
+    /// read from the store when the snapshot was taken (empty for a
+    /// [`Daemon::status`] view).  Every completed unit has its row unless
+    /// the store was cleared in-process after the unit finished.
+    pub rows: Vec<(usize, UnitResult)>,
     /// Submit-time dedup cost (store lookups under the queue lock).
     pub dedup_nanos: u64,
     /// Total time this job's units sat queued before a worker claimed
@@ -544,7 +483,6 @@ pub struct Daemon {
     /// Signalled when a worker finishes a unit (shutdown waits on this).
     idle: Condvar,
     queue_limit: usize,
-    retain_done: usize,
     supervision: Supervision,
     /// The crash journal, when `momsim serve` runs with a store directory.
     /// Lock order: always acquired *after* (or without) the state lock.
@@ -558,25 +496,15 @@ impl Daemon {
     /// Builds a daemon with `workers` pool threads and at most
     /// `queue_limit` concurrently active jobs.  `workers == 0` is allowed
     /// (and used by tests to observe queued states deterministically); the
-    /// CLI validates a positive count.  Finished payloads kept in memory
-    /// are capped at [`DEFAULT_RETAIN`]; see [`Daemon::with_retain`].
+    /// CLI validates a positive count.
     pub fn new(workers: usize, queue_limit: usize) -> Arc<Daemon> {
-        Daemon::with_retain(workers, queue_limit, DEFAULT_RETAIN)
+        Daemon::with_options(workers, queue_limit, Supervision::default())
     }
 
-    /// [`Daemon::new`] with an explicit cap on finished unit payloads held
-    /// in memory (the `--retain` flag); least recently read payloads are
-    /// evicted beyond it.
-    pub fn with_retain(workers: usize, queue_limit: usize, retain_done: usize) -> Arc<Daemon> {
-        Daemon::with_options(workers, queue_limit, retain_done, Supervision::default())
-    }
-
-    /// [`Daemon::with_retain`] with an explicit worker [`Supervision`]
-    /// policy.
+    /// [`Daemon::new`] with an explicit worker [`Supervision`] policy.
     pub fn with_options(
         workers: usize,
         queue_limit: usize,
-        retain_done: usize,
         supervision: Supervision,
     ) -> Arc<Daemon> {
         let daemon = Arc::new(Daemon {
@@ -584,7 +512,6 @@ impl Daemon {
             work: Condvar::new(),
             idle: Condvar::new(),
             queue_limit: queue_limit.max(1),
-            retain_done: retain_done.max(1),
             supervision,
             journal: Mutex::new(None),
             recovery: Mutex::new(None),
@@ -692,7 +619,7 @@ impl Daemon {
             return Err(SubmitError::ShuttingDown);
         }
         if forced.is_none() {
-            let active = state.active_jobs();
+            let active = state.open.len();
             if active >= self.queue_limit {
                 return Err(SubmitError::Busy {
                     active,
@@ -726,68 +653,50 @@ impl Daemon {
         for unit in units {
             let key = unit.key();
             keys.push(key);
-            let touch = state.next_touch();
-            match state.units.entry(key) {
-                std::collections::hash_map::Entry::Occupied(mut entry) => {
-                    let existing = entry.get_mut();
+            // The store reads happen under the queue lock; each is a hash
+            // lookup plus at worst one small file read, and keeps the
+            // check-then-schedule step atomic.
+            match state.units.get_mut(&key) {
+                Some(existing) => {
                     existing.subscribers.push(job_id);
-                    match existing.status {
-                        UnitStatus::Done(_) => {
-                            existing.last_touch = touch;
-                            outcome.deduped += 1;
-                        }
-                        // The payload was evicted by the --retain cap:
-                        // re-read the store, or re-queue if the store no
-                        // longer holds it either.
-                        UnitStatus::DoneEvicted => match existing.payload.cached() {
-                            Some(result) => {
-                                existing.status = UnitStatus::Done(Arc::new(result));
-                                existing.last_touch = touch;
-                                outcome.deduped += 1;
-                            }
-                            None => {
-                                existing.status = UnitStatus::Queued;
-                                existing.enqueued_at = Some(Instant::now());
-                                state.queue.push_back(key);
-                                outcome.scheduled += 1;
-                            }
-                        },
-                        _ => outcome.shared += 1,
+                    if !matches!(existing.status, UnitStatus::Done) {
+                        outcome.shared += 1;
+                        continue;
                     }
+                    if existing.payload.cached().is_some() {
+                        outcome.deduped += 1;
+                        continue;
+                    }
+                    // A finished unit the store no longer holds (after an
+                    // in-process clear or gc) is computed again.
+                    existing.status = UnitStatus::Queued;
+                    existing.enqueued_at = Some(Instant::now());
                 }
-                std::collections::hash_map::Entry::Vacant(entry) => {
-                    // The store read happens under the queue lock; it is a
-                    // hash lookup plus at worst one small file read, and
-                    // keeps the check-then-schedule step atomic.
-                    match unit.cached() {
-                        Some(result) => {
-                            entry.insert(Unit {
-                                payload: unit,
-                                status: UnitStatus::Done(Arc::new(result)),
-                                subscribers: vec![job_id],
-                                last_touch: touch,
-                                enqueued_at: None,
-                                wait_nanos: 0,
-                                compute_nanos: 0,
-                            });
-                            outcome.deduped += 1;
-                        }
-                        None => {
-                            entry.insert(Unit {
-                                payload: unit,
-                                status: UnitStatus::Queued,
-                                subscribers: vec![job_id],
-                                last_touch: touch,
-                                enqueued_at: Some(Instant::now()),
-                                wait_nanos: 0,
-                                compute_nanos: 0,
-                            });
-                            state.queue.push_back(key);
-                            outcome.scheduled += 1;
-                        }
+                None => {
+                    let stored = unit.cached().is_some();
+                    state.units.insert(
+                        key,
+                        Unit {
+                            payload: unit,
+                            status: if stored {
+                                UnitStatus::Done
+                            } else {
+                                UnitStatus::Queued
+                            },
+                            subscribers: vec![job_id],
+                            enqueued_at: (!stored).then(Instant::now),
+                            wait_nanos: 0,
+                            compute_nanos: 0,
+                        },
+                    );
+                    if stored {
+                        outcome.deduped += 1;
+                        continue;
                     }
                 }
             }
+            state.queue.push_back(key);
+            outcome.scheduled += 1;
         }
         let dedup_nanos = elapsed_nanos(dedup_start);
         state.jobs.insert(
@@ -801,18 +710,15 @@ impl Daemon {
                 shared: outcome.shared,
                 scheduled: outcome.scheduled,
                 dedup_nanos,
-                done_recorded: false,
             },
         );
+        state.open.insert(job_id);
         jobs_submitted_counter().inc();
         units_counter("scheduled").add(outcome.scheduled as u64);
         units_counter("deduped").add(outcome.deduped as u64);
         units_counter("shared").add(outcome.shared as u64);
-        // A fully store-answered job is terminal right now; and the dedup
-        // inserts above may have pushed the resident payload count past
-        // the cap.
+        // A fully store-answered job is terminal right now.
         let finished = state.record_finished_jobs();
-        state.evict_done(self.retain_done);
         self.journal_job_ends(&finished);
         if outcome.scheduled > 0 {
             self.work.notify_all();
@@ -870,18 +776,15 @@ impl Daemon {
             }
             let mut guard = self.state.lock().expect("queue state");
             let state = &mut *guard;
-            let touch = state.next_touch();
             if let Some(unit) = state.units.get_mut(&key) {
                 unit.compute_nanos = u64::try_from(compute_elapsed.as_nanos()).unwrap_or(u64::MAX);
-                unit.last_touch = touch;
                 unit.status = match result {
-                    Ok(result) => UnitStatus::Done(Arc::new(result)),
+                    Ok(()) => UnitStatus::Done,
                     Err(message) => UnitStatus::Failed(message),
                 };
             }
             state.running -= 1;
             let finished = state.record_finished_jobs();
-            state.evict_done(self.retain_done);
             self.journal_job_ends(&finished);
             self.idle.notify_all();
         }
@@ -893,20 +796,20 @@ impl Daemon {
     /// dead worker).  Transient failures are retried up to the policy's
     /// limit with decorrelated-jitter backoff; the final error message
     /// carries the unit's coordinates and the attempt count.
-    fn supervise(&self, key: mom_store::Key, payload: &WorkUnit) -> Result<UnitResult, String> {
+    fn supervise(&self, key: mom_store::Key, payload: &WorkUnit) -> Result<(), String> {
         let policy = self.supervision;
         let mut backoff = policy.backoff;
         let mut attempt = 0u32;
         loop {
             let error = match attempt_unit(payload, policy.deadline) {
-                Ok(result) => {
+                Ok(()) => {
                     if attempt > 0 {
                         mom_obs::log::info(
                             "worker",
                             &format!("unit {} recovered on attempt {}", key.to_hex(), attempt + 1),
                         );
                     }
-                    return Ok(result);
+                    return Ok(());
                 }
                 Err(error) => error,
             };
@@ -954,20 +857,35 @@ impl Daemon {
         true
     }
 
-    /// A point-in-time view of one job; `None` for an unknown id.
-    /// Reading a finished payload refreshes its LRU stamp, so jobs being
-    /// polled stay resident under the `--retain` cap.
+    /// A point-in-time view of one job with its finished rows, each read
+    /// from the store; `None` for an unknown id.
     pub fn snapshot(&self, id: JobId) -> Option<JobSnapshot> {
-        let mut guard = self.state.lock().expect("queue state");
-        let state = &mut *guard;
-        state.touch += 1;
-        let touch = state.touch;
+        let (mut snapshot, done) = self.view(id, true)?;
+        // Read with the queue lock released: workers finishing units never
+        // wait on a document being rendered.
+        snapshot.rows = done
+            .into_iter()
+            .filter_map(|(index, unit)| Some((index, unit.cached()?)))
+            .collect();
+        Some(snapshot)
+    }
+
+    /// [`Daemon::snapshot`] without rows: the job's state and counters,
+    /// with no store read.  `None` for an unknown id.
+    pub fn status(&self, id: JobId) -> Option<JobSnapshot> {
+        self.view(id, false).map(|(snapshot, _)| snapshot)
+    }
+
+    /// The row-less snapshot of a job, plus (when `rows`) its finished
+    /// units with their indices in the job's unit list.
+    fn view(&self, id: JobId, rows: bool) -> Option<(JobSnapshot, Vec<(usize, WorkUnit)>)> {
+        let state = self.state.lock().expect("queue state");
         let job = state.jobs.get(&id)?;
         let mut snapshot = JobSnapshot {
             id,
             label: job.label.clone(),
             kind: job.kind.clone(),
-            state: JobState::Running,
+            state: state.derive_state(job),
             total: job.keys.len(),
             completed: 0,
             failed: 0,
@@ -980,40 +898,28 @@ impl Daemon {
             queue_wait_nanos: 0,
             simulate_nanos: 0,
         };
-        let mut pending = 0;
-        let mut dropped = 0;
-        let keys: Vec<mom_store::Key> = job.keys.clone();
-        for (index, key) in keys.iter().enumerate() {
-            let Some(unit) = state.units.get_mut(key) else {
-                dropped += 1;
+        let mut done = Vec::new();
+        for (index, key) in job.keys.iter().enumerate() {
+            let Some(unit) = state.units.get(key) else {
                 continue;
             };
             snapshot.queue_wait_nanos += unit.wait_nanos;
             snapshot.simulate_nanos += unit.compute_nanos;
             match &unit.status {
-                UnitStatus::Done(result) => {
+                UnitStatus::Done => {
                     snapshot.completed += 1;
-                    snapshot.rows.push((index, Arc::clone(result)));
-                    unit.last_touch = touch;
+                    if rows {
+                        done.push((index, unit.payload.clone()));
+                    }
                 }
-                UnitStatus::DoneEvicted => snapshot.completed += 1,
                 UnitStatus::Failed(message) => {
                     snapshot.failed += 1;
                     snapshot.errors.push(message.clone());
                 }
-                UnitStatus::Queued | UnitStatus::Running => pending += 1,
+                UnitStatus::Queued | UnitStatus::Running => {}
             }
         }
-        snapshot.state = if state.jobs.get(&id).expect("job exists").cancelled || dropped > 0 {
-            JobState::Cancelled
-        } else if pending > 0 {
-            JobState::Running
-        } else if snapshot.failed > 0 {
-            JobState::Failed
-        } else {
-            JobState::Done
-        };
-        Some(snapshot)
+        Some((snapshot, done))
     }
 
     /// Every job id the daemon has accepted, in submission order.
@@ -1047,7 +953,7 @@ impl Daemon {
             completed_units: state
                 .units
                 .values()
-                .filter(|unit| matches!(unit.status, UnitStatus::Done(_) | UnitStatus::DoneEvicted))
+                .filter(|unit| matches!(unit.status, UnitStatus::Done))
                 .count(),
             dropped_queued,
         }
@@ -1072,7 +978,7 @@ impl Daemon {
             "momsim_serve_jobs_active",
             "Jobs still owed queued or running units.",
         )
-        .set(state.active_jobs() as i64);
+        .set(state.open.len() as i64);
     }
 
     /// Joins the pool threads (call after [`Daemon::shutdown`]).
@@ -1083,20 +989,23 @@ impl Daemon {
         }
     }
 
-    /// Blocks until a job reaches a terminal state; `None` for an unknown
-    /// id.  Test and CLI convenience (the HTTP client polls instead).
+    /// Blocks until a job reaches a terminal state, then returns its full
+    /// [`Daemon::snapshot`]; `None` for an unknown id.  While it waits it
+    /// checks only the job's state, reading nothing from the store.  Test
+    /// and CLI convenience (the HTTP client polls instead).
     pub fn wait(&self, id: JobId) -> Option<JobSnapshot> {
-        loop {
-            let snapshot = self.snapshot(id)?;
-            if snapshot.state != JobState::Running {
-                return Some(snapshot);
-            }
-            let state = self.state.lock().expect("queue state");
-            let _unused = self
+        let mut state = self.state.lock().expect("queue state");
+        while state.derive_state(state.jobs.get(&id)?) == JobState::Running {
+            // Woken by every finished unit; the timeout covers the other
+            // transitions (cancel, drain).
+            state = self
                 .idle
-                .wait_timeout(state, std::time::Duration::from_millis(50))
-                .expect("queue state");
+                .wait_timeout(state, Duration::from_millis(50))
+                .expect("queue state")
+                .0;
         }
+        drop(state);
+        self.snapshot(id)
     }
 }
 
@@ -1104,8 +1013,9 @@ impl Daemon {
 /// can enforce a deadline, with `catch_unwind` turning a panic into a
 /// transient [`ComputeError`].  The fault plane's worker sites fire here,
 /// inside the unwind boundary, so injected panics exercise exactly the
-/// recovery path a real one would.
-fn attempt_unit(payload: &WorkUnit, deadline: Duration) -> Result<UnitResult, ComputeError> {
+/// recovery path a real one would.  The result itself stays in the store;
+/// the attempt reports only whether it got there.
+fn attempt_unit(payload: &WorkUnit, deadline: Duration) -> Result<(), ComputeError> {
     let unit = payload.clone();
     let (tx, rx) = mpsc::channel();
     let handle = match std::thread::Builder::new()
@@ -1114,7 +1024,7 @@ fn attempt_unit(payload: &WorkUnit, deadline: Duration) -> Result<UnitResult, Co
             let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
                 faults::maybe_delay(FaultSite::WorkerDelay);
                 faults::maybe_panic(FaultSite::WorkerPanic);
-                unit.compute()
+                unit.compute().map(drop)
             }));
             let _ = tx.send(outcome);
         }) {

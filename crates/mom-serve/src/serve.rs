@@ -39,9 +39,6 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Most concurrently active jobs before submissions get 429.
     pub queue_limit: usize,
-    /// Most finished unit payloads kept in memory (`--retain`); the least
-    /// recently read beyond this are evicted (the store keeps everything).
-    pub retain: usize,
     /// Worker supervision policy (retries, backoff, deadline).
     pub supervision: Supervision,
     /// Socket read deadline for a request head; the body deadline scales
@@ -58,7 +55,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:5099".to_string(),
             workers: 2,
             queue_limit: 16,
-            retain: crate::queue::DEFAULT_RETAIN,
             supervision: Supervision::default(),
             read_timeout: Duration::from_secs(5),
             journal: true,
@@ -94,19 +90,25 @@ impl Server {
     }
 }
 
+/// Why the daemon refuses to run over a disabled store.
+pub const STORE_REQUIRED: &str =
+    "the daemon needs the artifact store: finished rows are read from it (drop --cold)";
+
 /// Binds the configured address and starts the daemon, replaying the
 /// crash journal first when the artifact store has a directory: every
 /// journalled job without a terminal record is re-admitted through the
 /// ordinary dedup path, so only the units genuinely lost to the crash are
-/// recomputed.
+/// recomputed.  Fails with [`STORE_REQUIRED`] when the process-global
+/// store is disabled: the store is the daemon's only copy of a result.
 pub fn serve(config: &ServeConfig) -> std::io::Result<Server> {
-    let daemon = Daemon::with_options(
-        config.workers,
-        config.queue_limit,
-        config.retain,
-        config.supervision,
-    );
-    if config.journal && mom_store::global().is_active() {
+    if !mom_store::global().is_active() {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::Unsupported,
+            STORE_REQUIRED,
+        ));
+    }
+    let daemon = Daemon::with_options(config.workers, config.queue_limit, config.supervision);
+    if config.journal {
         if let Some(dir) = mom_store::global().dir() {
             let path = dir.join(journal::JOURNAL_FILE);
             match Journal::open(&path) {
@@ -378,7 +380,7 @@ fn route(method: &str, path: &str, body: &[u8], daemon: &Daemon, stop: &Stop) ->
             let entries: Vec<Json> = daemon
                 .job_ids()
                 .into_iter()
-                .filter_map(|id| daemon.snapshot(id))
+                .filter_map(|id| daemon.status(id))
                 .map(|snapshot| job_entry(&snapshot))
                 .collect();
             Response::json(200, &Json::obj([("jobs", Json::Arr(entries))]))

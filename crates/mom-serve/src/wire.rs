@@ -89,7 +89,7 @@ pub fn job_doc(snapshot: &JobSnapshot) -> Json {
     let emit_start = std::time::Instant::now();
     let mut rows = Vec::new();
     for (index, result) in &snapshot.rows {
-        match result.as_ref() {
+        match result {
             UnitResult::Point(point) => {
                 rows.push(mom_bench::point_json(point, index % configs));
             }

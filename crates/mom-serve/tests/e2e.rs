@@ -202,6 +202,12 @@ fn daemon_round_trip_dedup_and_shutdown() {
     let parked = Daemon::new(0, 1);
     let parked_server = serve_with(parked, "127.0.0.1:0").expect("bind");
     let parked_addr = parked_server.addr().to_string();
+    // Jobs the store answers in full finish at submit time and hold no
+    // slot: a queue of one admits job after job of them.
+    for _ in 0..3 {
+        let (status, doc) = post(&parked_addr, "/jobs", "{\"experiment\": \"fig4\"}");
+        assert_eq!((status, u(&doc, "deduped")), (202, points), "{doc}");
+    }
     let body =
         "{\"kernels\": [\"addblock\"], \"isas\": [\"mom\"], \"widths\": [2], \"replication\": 64}";
     let (status, doc) = post(&parked_addr, "/jobs", body);

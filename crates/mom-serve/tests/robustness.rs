@@ -78,7 +78,7 @@ fn injected_worker_panics_are_retried_to_success() {
 
     // The first two attempts panic (budget 2); the third succeeds.
     faults::install(FaultPlan::new(21).with_site(FaultSite::WorkerPanic, 1.0, Some(2)));
-    let daemon = Daemon::with_options(1, 4, 64, fast_supervision());
+    let daemon = Daemon::with_options(1, 4, fast_supervision());
     let outcome = daemon.submit(grid("retry-to-success", &[2])).unwrap();
     let snapshot = daemon.wait(outcome.job).expect("job exists");
     let injected = faults::injected_count(FaultSite::WorkerPanic);
@@ -102,7 +102,7 @@ fn exhausted_retries_fail_the_job_with_unit_coordinates() {
 
     // Every attempt panics: 1 try + 3 retries, then the unit fails.
     faults::install(FaultPlan::new(22).with_site(FaultSite::WorkerPanic, 1.0, None));
-    let daemon = Daemon::with_options(1, 4, 64, fast_supervision());
+    let daemon = Daemon::with_options(1, 4, fast_supervision());
     let outcome = daemon.submit(grid("retries-exhausted", &[4])).unwrap();
     let snapshot = daemon.wait(outcome.job).expect("job exists");
     let injected = faults::injected_count(FaultSite::WorkerPanic);
@@ -161,7 +161,7 @@ fn journal_recovery_requeues_only_the_lost_units() {
     // answered from the store, only the lost width-16 point is requeued.
     let (journal, records) = Journal::open(&path).unwrap();
     assert_eq!(records.len(), 1);
-    let daemon = Daemon::with_options(0, 4, 64, fast_supervision());
+    let daemon = Daemon::with_options(0, 4, fast_supervision());
     let (summary, live) = journal::recover(&daemon, &records);
     assert_eq!(summary.jobs, 1);
     assert_eq!(summary.jobs_skipped, 0);
@@ -191,7 +191,7 @@ fn journal_recovery_requeues_only_the_lost_units() {
             state: "done".to_string(),
         },
     ];
-    let fresh = Daemon::with_options(0, 4, 64, fast_supervision());
+    let fresh = Daemon::with_options(0, 4, fast_supervision());
     let (summary, live) = journal::recover(&fresh, &ended);
     assert_eq!(summary.jobs, 0);
     assert_eq!(summary.jobs_skipped, 1);
@@ -228,7 +228,7 @@ fn a_journaled_sampled_submission_is_skipped_and_the_rest_recovers() {
     }
     let (_, records) = Journal::open(&path).unwrap();
     assert_eq!(records.len(), 2);
-    let daemon = Daemon::with_options(0, 4, 64, fast_supervision());
+    let daemon = Daemon::with_options(0, 4, fast_supervision());
     let (summary, live) = journal::recover(&daemon, &records);
     assert_eq!(summary.jobs, 1, "only the plain job is re-admitted");
     assert!(daemon.snapshot(3).is_none(), "the sampled job is skipped");

@@ -78,20 +78,19 @@ USAGE:
       (path), removal of damaged or stale blobs (gc), full deletion (clear).
       The store directory also holds the daemon's crash journal
       (journal.wal); clearing the store discards it.
-  momsim serve [--addr HOST:PORT] [--workers N] [--queue N] [--retain N]
-               [--retries N] [--backoff MS] [--deadline SECS] [--no-journal]
+  momsim serve [--addr HOST:PORT] [--workers N] [--queue N] [--retries N]
+               [--backoff MS] [--deadline SECS] [--no-journal]
                [--inject PLAN] [--log-level off|error|warn|info|debug]
       Run the simulation job-queue daemon: accept experiment submissions
       over HTTP, deduplicate grid points against the artifact store and
       against each other, and shard the missing ones across a worker pool.
       Serves live Prometheus metrics on GET /metrics; logs startup,
-      shutdown and per-request lines at --log-level (default info); keeps
-      at most --retain finished unit payloads in memory (default 1024),
-      evicting the least recently used (the artifact store still holds
-      everything). Workers are supervised: a unit that panics, fails
-      transiently or exceeds --deadline SECS (default 300) is retried up
-      to --retries times (default 3) with jittered backoff starting at
-      --backoff MS (default 50). Accepted jobs are journaled to
+      shutdown and per-request lines at --log-level (default info). Needs
+      the artifact store (with --cold it exits 2): job documents read
+      their finished rows from it. Workers are supervised: a unit that
+      panics, fails transiently or exceeds --deadline SECS (default 300)
+      is retried up to --retries times (default 3) with jittered backoff
+      starting at --backoff MS (default 50). Accepted jobs are journaled to
       journal.wal in the store directory and re-admitted after a crash
       (--no-journal disables this). --inject PLAN enables the
       deterministic fault-injection harness for chaos testing, e.g.

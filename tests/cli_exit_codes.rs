@@ -2,6 +2,7 @@
 //! 1 on runtime failures — exercised over the real binary so scripts
 //! (and the CI workflow) can branch on it.
 
+use momsim::serve::serve::STORE_REQUIRED;
 use std::net::TcpListener;
 use std::process::{Command, Output};
 
@@ -59,6 +60,15 @@ fn usage_errors_exit_2() {
 
     let out = momsim(&["serve", "--workers", "0"]);
     assert_eq!(code(&out), 2, "a zero-sized worker pool is a usage error");
+
+    // The daemon reads every finished row from the store: it refuses to
+    // start without one, and has no cap on rows held beside it.
+    let out = momsim(&["--cold", "serve", "--addr", "127.0.0.1:0"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(code(&out), 2, "--cold serve: {stderr}");
+    assert!(stderr.contains(STORE_REQUIRED), "{stderr}");
+    let out = momsim(&["serve", "--retain", "5"]);
+    assert_eq!(code(&out), 2, "serve --retain is an unknown flag");
 
     let out = momsim(&["sweep", "--jobs", "0"]);
     assert_eq!(code(&out), 2, "a zero-sized sweep pool is a usage error");
