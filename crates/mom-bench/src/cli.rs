@@ -252,22 +252,42 @@ pub fn cache_command(args: &[String]) -> Result<(), CliError> {
                 .gc()
                 .map_err(|e| CliError::Io(format!("cache gc: {e}")))?;
             println!(
-                "gc: removed {} files ({} bytes), kept {} files ({} bytes)",
-                report.removed_files, report.removed_bytes, report.kept_files, report.kept_bytes
+                "gc: removed {} files ({} bytes), kept {} files ({} bytes){}",
+                report.removed_files,
+                report.removed_bytes,
+                report.kept_files,
+                report.kept_bytes,
+                live_note(&report)
             );
             Ok(())
         }
         Some("clear") => {
-            let (files, bytes) = store
+            let report = store
                 .clear()
                 .map_err(|e| CliError::Io(format!("cache clear: {e}")))?;
-            println!("clear: removed {files} files ({bytes} bytes)");
+            println!(
+                "clear: removed {} files ({} bytes){}",
+                report.removed_files,
+                report.removed_bytes,
+                live_note(&report)
+            );
             Ok(())
         }
         Some(other) => Err(CliError::Usage(format!(
             "unknown cache subcommand '{other}' (expected stats, path, gc, clear)"
         ))),
     }
+}
+
+/// What `cache gc`/`cache clear` left to a live writer, if anything.
+fn live_note(report: &mom_store::GcReport) -> String {
+    if report.live_files == 0 {
+        return String::new();
+    }
+    format!(
+        "; {} segment(s) ({} bytes) held by a live writer",
+        report.live_files, report.live_bytes
+    )
 }
 
 /// One-line store summary printed after a sweep. The warm-run wording is

@@ -148,8 +148,9 @@ pub fn steady_state_trace(
 ///
 /// Every requested configuration is first looked up in the result store;
 /// only the **missing** configurations are fanned out over the stream, and
-/// their fresh points are written back.  With a fully warm store no
-/// functional execution and no timing simulation happens at all.
+/// their fresh points are written back with one store commit.  With a
+/// fully warm store no functional execution and no timing simulation
+/// happens at all.
 /// Subsetting the fan-out is sound because consumers are independent
 /// (lockstep batching is a performance device).
 ///
@@ -189,14 +190,12 @@ pub fn simulate_configs(
             format!("simulate {kernel:?}/{isa:?} x{}", subset.len())
         });
         let fresh = simulate_uncached(kernel, isa, &subset, seed, replication)?;
+        let mut blobs = Vec::with_capacity(missing.len());
         for (&index, point) in missing.iter().zip(fresh) {
-            persistent.put(
-                mom_store::NS_RESULT,
-                keys[index],
-                store::encode_point(&point),
-            );
+            blobs.push((keys[index], store::encode_point(&point)));
             points[index] = Some(point);
         }
+        persistent.put_all(mom_store::NS_RESULT, blobs);
     }
     Ok(points
         .into_iter()

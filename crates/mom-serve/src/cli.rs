@@ -12,13 +12,17 @@ use crate::serve::ServeConfig;
 use crate::wire::parse_submit;
 use mom_bench::cli::{experiment_or_axes, positive, take_flag, take_switch, CliError};
 use mom_bench::json::Json;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const DEFAULT_ADDR: &str = "127.0.0.1:5099";
 
 /// Consecutive failed status polls `submit --wait` rides out (a daemon
 /// restart takes a few seconds; the job is journalled, so it comes back).
 const WAIT_POLL_TOLERANCE: u32 = 10;
+
+/// How long one `submit --wait` long poll asks the daemon to hold the
+/// answer while the job runs.
+const WAIT_POLL: Duration = Duration::from_secs(10);
 
 fn count(flag: &str, value: &str) -> Result<u32, CliError> {
     value
@@ -214,12 +218,19 @@ pub fn submit_command(args: &[String]) -> Result<(), CliError> {
     if !wait {
         return Ok(());
     }
-    // The poll loop tolerates a bounded run of failed polls on top of the
+    // Each poll is a long poll the daemon answers as soon as the job ends.
+    // The loop tolerates a bounded run of failed polls on top of the
     // per-request retries: the job is journalled, so a restarting daemon
     // recovers it under the same id and the wait just resumes.
+    let poll_path = format!("/jobs/{job}?wait={}", WAIT_POLL.as_secs());
+    let poll_policy = RetryPolicy {
+        timeout: policy.timeout.max(WAIT_POLL + Duration::from_secs(10)),
+        ..policy
+    };
     let mut failed_polls = 0u32;
     loop {
-        let poll = request_json_with(&addr, "GET", &format!("/jobs/{job}"), None, &policy);
+        let asked = Instant::now();
+        let poll = request_json_with(&addr, "GET", &poll_path, None, &poll_policy);
         let (status, doc) = match poll {
             Ok(answer) => answer,
             Err(e) => {
@@ -243,7 +254,11 @@ pub fn submit_command(args: &[String]) -> Result<(), CliError> {
         failed_polls = 0;
         let state = doc.get("state").and_then(Json::as_str).unwrap_or("?");
         if state == "running" {
-            std::thread::sleep(Duration::from_millis(100));
+            // An early answer for a running job means the daemon is
+            // draining: its in-flight units are about to finish.
+            if asked.elapsed() < WAIT_POLL {
+                std::thread::sleep(Duration::from_millis(100));
+            }
             continue;
         }
         let total = get_u64(&doc, "points").max(1);

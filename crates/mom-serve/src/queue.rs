@@ -230,6 +230,10 @@ struct Job {
     kind: JobKind,
     keys: Vec<mom_store::Key>,
     cancelled: bool,
+    /// The terminal state `record_finished_jobs` counted and journalled:
+    /// once set it is the job's state for good, even if a later
+    /// submission re-queues one of its units.
+    ended: Option<JobState>,
     deduped: usize,
     shared: usize,
     scheduled: usize,
@@ -260,8 +264,12 @@ impl State {
             .any(|id| self.jobs.get(id).is_some_and(|job| !job.cancelled))
     }
 
-    /// Derives a job's current state from its units' statuses.
+    /// A job's current state: the recorded terminal state of a finished
+    /// job, else derived from its units' statuses.
     fn derive_state(&self, job: &Job) -> JobState {
+        if let Some(state) = job.ended {
+            return state;
+        }
         let (mut pending, mut dropped, mut failed) = (0, 0, 0);
         for key in &job.keys {
             match self.units.get(key).map(|unit| &unit.status) {
@@ -295,6 +303,9 @@ impl State {
             .collect();
         for (id, state) in &finished {
             self.open.remove(id);
+            if let Some(job) = self.jobs.get_mut(id) {
+                job.ended = Some(*state);
+            }
             jobs_completed_counter(*state).inc();
         }
         finished
@@ -480,7 +491,9 @@ pub struct Daemon {
     state: Mutex<State>,
     /// Signalled when the queue gains work or the daemon starts draining.
     work: Condvar,
-    /// Signalled when a worker finishes a unit (shutdown waits on this).
+    /// Signalled on every transition that can end a job — a worker
+    /// finishing a unit, a cancel, the drain — so shutdown and job
+    /// waiters wake at once.
     idle: Condvar,
     queue_limit: usize,
     supervision: Supervision,
@@ -706,6 +719,7 @@ impl Daemon {
                 kind,
                 keys,
                 cancelled: false,
+                ended: None,
                 deduped: outcome.deduped,
                 shared: outcome.shared,
                 scheduled: outcome.scheduled,
@@ -854,6 +868,7 @@ impl Daemon {
         // have finished (as Cancelled) other jobs that shared them.
         let finished = state.record_finished_jobs();
         self.journal_job_ends(&finished);
+        self.idle.notify_all();
         true
     }
 
@@ -941,6 +956,8 @@ impl Daemon {
         state.shutting_down = true;
         let dropped_queued = state.prune_queue(true);
         self.work.notify_all();
+        // Waiters wake to see their dropped units, long polls to answer.
+        self.idle.notify_all();
         while state.running > 0 {
             state = self.idle.wait(state).expect("queue state");
         }
@@ -992,17 +1009,30 @@ impl Daemon {
     /// Blocks until a job reaches a terminal state, then returns its full
     /// [`Daemon::snapshot`]; `None` for an unknown id.  While it waits it
     /// checks only the job's state, reading nothing from the store.  Test
-    /// and CLI convenience (the HTTP client polls instead).
+    /// and CLI convenience.
     pub fn wait(&self, id: JobId) -> Option<JobSnapshot> {
         let mut state = self.state.lock().expect("queue state");
         while state.derive_state(state.jobs.get(&id)?) == JobState::Running {
-            // Woken by every finished unit; the timeout covers the other
-            // transitions (cancel, drain).
-            state = self
-                .idle
-                .wait_timeout(state, Duration::from_millis(50))
-                .expect("queue state")
-                .0;
+            state = self.idle.wait(state).expect("queue state");
+        }
+        drop(state);
+        self.snapshot(id)
+    }
+
+    /// The long poll behind `GET /jobs/<id>?wait=SECS`: blocks until the
+    /// job reaches a terminal state, `limit` passes or the daemon starts
+    /// draining, whichever comes first, then returns the job's
+    /// [`Daemon::snapshot`]; `None` for an unknown id.
+    pub(crate) fn wait_at_most(&self, id: JobId, limit: Duration) -> Option<JobSnapshot> {
+        let deadline = Instant::now() + limit;
+        let mut state = self.state.lock().expect("queue state");
+        while state.derive_state(state.jobs.get(&id)?) == JobState::Running && !state.shutting_down
+        {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            state = self.idle.wait_timeout(state, left).expect("queue state").0;
         }
         drop(state);
         self.snapshot(id)

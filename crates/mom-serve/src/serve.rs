@@ -11,7 +11,9 @@
 //! | `GET /healthz`       | liveness probe                                 |
 //! | `POST /jobs`         | submit (202) / full (429) / draining (503)     |
 //! | `GET /jobs`          | list jobs                                      |
-//! | `GET /jobs/<id>`     | job status + result rows streamed so far       |
+//! | `GET /jobs/<id>`     | job status + result rows streamed so far; with |
+//! |                      | `?wait=SECS` a long poll that answers when the |
+//! |                      | job ends, the daemon drains or SECS pass (≤ 30)|
 //! | `DELETE /jobs/<id>`  | cancel (in-flight finish, queued are dropped)  |
 //! | `GET /reports/<name>`| replay a committed report from the store (409  |
 //! |                      | unless every point is already stored)          |
@@ -404,9 +406,16 @@ fn route(method: &str, path: &str, body: &[u8], daemon: &Daemon, stop: &Stop) ->
         }
         _ => {
             if let Some(rest) = path.strip_prefix("/jobs/") {
-                return match rest.parse::<u64>() {
-                    Ok(id) => job_route(method, id, daemon),
-                    Err(_) => Response::error(404, format!("no such job '{rest}'")),
+                let (id, query) = match rest.split_once('?') {
+                    Some((id, query)) => (id, Some(query)),
+                    None => (rest, None),
+                };
+                let Ok(id) = id.parse::<u64>() else {
+                    return Response::error(404, format!("no such job '{id}'"));
+                };
+                return match query.map(parse_wait).transpose() {
+                    Ok(wait) => job_route(method, id, wait, daemon),
+                    Err(message) => Response::error(400, message),
                 };
             }
             if let Some(name) = path.strip_prefix("/reports/") {
@@ -465,21 +474,37 @@ fn submit_route(body: &[u8], daemon: &Daemon) -> Response {
     }
 }
 
-fn job_route(method: &str, id: u64, daemon: &Daemon) -> Response {
-    match method {
-        "GET" => match daemon.snapshot(id) {
-            Some(snapshot) => Response::json(200, &job_doc(&snapshot)),
-            None => Response::error(404, format!("no such job {id}")),
-        },
-        "DELETE" => {
-            if daemon.cancel(id) {
+/// The longest `GET /jobs/<id>?wait=SECS` long poll the daemon grants.
+const MAX_WAIT: Duration = Duration::from_secs(30);
+
+/// Parses a job query: `wait=SECS`, a whole number of seconds, capped at
+/// [`MAX_WAIT`].
+fn parse_wait(query: &str) -> Result<Duration, String> {
+    query
+        .strip_prefix("wait=")
+        .and_then(|secs| secs.parse::<u64>().ok())
+        .map(|secs| Duration::from_secs(secs).min(MAX_WAIT))
+        .ok_or_else(|| format!("bad job query '{query}': expected wait=SECONDS"))
+}
+
+fn job_route(method: &str, id: u64, wait: Option<Duration>, daemon: &Daemon) -> Response {
+    let snapshot = match (method, wait) {
+        ("GET", None) => daemon.snapshot(id),
+        ("GET", Some(limit)) => daemon.wait_at_most(id, limit),
+        ("DELETE", None) => {
+            return if daemon.cancel(id) {
                 let snapshot = daemon.snapshot(id).expect("job just cancelled");
                 Response::json(200, &job_doc(&snapshot))
             } else {
                 Response::error(404, format!("no such job {id}"))
-            }
+            };
         }
-        _ => Response::error(405, "jobs support GET and DELETE"),
+        ("DELETE", Some(_)) => return Response::error(400, "only GET takes ?wait"),
+        _ => return Response::error(405, "jobs support GET and DELETE"),
+    };
+    match snapshot {
+        Some(snapshot) => Response::json(200, &job_doc(&snapshot)),
+        None => Response::error(404, format!("no such job {id}")),
     }
 }
 

@@ -191,3 +191,45 @@ fn finished_rows_come_from_the_store_alone() {
     );
     server.join();
 }
+
+/// A job counted and journalled as finished stays finished: losing its
+/// rows from the store and resubmitting its grid re-queues the shared
+/// units for the new job only.
+#[test]
+fn a_finished_job_never_reopens() {
+    let _serial = serial();
+    private_store_dir();
+    mom_store::global().clear().expect("start cold");
+    // A long stream, so the recompute is still running when the old job
+    // is looked at.
+    let spec = ExperimentSpec {
+        kernels: vec![KernelId::Motion1],
+        isas: vec![IsaKind::Mom],
+        configs: vec![PipelineConfig::way(4)],
+        replication: 400_000,
+        seed: 11,
+    };
+    let request = || JobRequest::Grid {
+        label: "long".to_string(),
+        spec: spec.clone(),
+    };
+    let daemon = Daemon::new(1, 8);
+    let first = daemon.submit(request()).expect("queue has room");
+    assert_eq!(daemon.wait(first.job).expect("job").state, JobState::Done);
+    mom_store::global().clear().expect("drop every result");
+    let again = daemon.submit(request()).expect("queue has room");
+    assert_eq!(again.scheduled, 1, "the lost point is computed again");
+    assert_eq!(
+        daemon.status(again.job).expect("job").state,
+        JobState::Running
+    );
+    assert_eq!(
+        daemon.status(first.job).expect("job").state,
+        JobState::Done,
+        "the finished job keeps its recorded state"
+    );
+    assert_eq!(daemon.wait(again.job).expect("job").state, JobState::Done);
+    assert_eq!(daemon.status(first.job).expect("job").state, JobState::Done);
+    daemon.shutdown();
+    daemon.join_workers();
+}

@@ -352,3 +352,122 @@ fn idle_round_trips_do_not_wait_for_a_poll_tick() {
     assert_eq!(status, 200);
     server.join();
 }
+
+#[test]
+fn wait_wakes_on_cancel_and_drain() {
+    let _serial = serial();
+    private_store_dir();
+    // Zero workers: the jobs stay queued until something ends them.
+    let daemon = Daemon::new(0, 4);
+    let waiter = |job| {
+        let daemon = std::sync::Arc::clone(&daemon);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let snapshot = daemon.wait(job).expect("job exists");
+            let _ = tx.send((snapshot.state, std::time::Instant::now()));
+        });
+        rx
+    };
+    let cancelled = daemon
+        .submit(grid("cancel-me", &[5]))
+        .expect("queue has room");
+    let drained = daemon
+        .submit(grid("drain-me", &[6]))
+        .expect("queue has room");
+    assert_eq!((cancelled.scheduled, drained.scheduled), (1, 1));
+    let (on_cancel, on_drain) = (waiter(cancelled.job), waiter(drained.job));
+    std::thread::sleep(Duration::from_millis(20));
+
+    let start = std::time::Instant::now();
+    assert!(daemon.cancel(cancelled.job));
+    let (state, woke) = on_cancel
+        .recv_timeout(Duration::from_secs(5))
+        .expect("wait must wake on a cancel");
+    assert_eq!(state, JobState::Cancelled);
+    let lag = woke.saturating_duration_since(start);
+    assert!(
+        lag < Duration::from_millis(10),
+        "wait saw the cancel after {lag:?}"
+    );
+
+    let start = std::time::Instant::now();
+    daemon.shutdown();
+    let (state, woke) = on_drain
+        .recv_timeout(Duration::from_secs(5))
+        .expect("wait must wake on a drain");
+    assert_eq!(state, JobState::Cancelled);
+    let lag = woke.saturating_duration_since(start);
+    assert!(
+        lag < Duration::from_millis(10),
+        "wait saw the drain after {lag:?}"
+    );
+}
+
+#[test]
+fn submit_wait_returns_when_its_job_ends_not_on_a_poll_tick() {
+    let _serial = serial();
+    private_store_dir();
+    // Every compute attempt stalls 10 ms, so the job is still running
+    // when `submit --wait` first asks about it.
+    let mut plan = FaultPlan::new(41).with_site(FaultSite::WorkerDelay, 1.0, None);
+    plan.delay = Duration::from_millis(10);
+    faults::install(plan);
+    let daemon = Daemon::with_options(1, 4, fast_supervision());
+    let server = serve_with(std::sync::Arc::clone(&daemon), "127.0.0.1:0").expect("bind");
+    let addr = server.addr().to_string();
+    let policy = RetryPolicy::default();
+
+    // The long poll rejects a query it cannot parse.
+    for query in ["wait=soon", "wait=-1", "linger=5"] {
+        let (status, doc) =
+            request_json_with(&addr, "GET", &format!("/jobs/0?{query}"), None, &policy)
+                .expect("daemon answers");
+        assert_eq!(status, 400, "?{query}: {}", doc.pretty());
+    }
+
+    // A small cold grid: a seed no other test uses.
+    let args: Vec<String> = [
+        "--addr",
+        &addr,
+        "--kernels",
+        "addblock",
+        "--isas",
+        "mom",
+        "--widths",
+        "3",
+        "--replication",
+        "64",
+        "--seed",
+        "4141",
+        "--wait",
+    ]
+    .iter()
+    .map(|s| s.to_string())
+    .collect();
+    let submitter = std::thread::spawn(move || {
+        let result = mom_serve::cli::submit_command(&args);
+        (result, std::time::Instant::now())
+    });
+    let ended = loop {
+        let finished = daemon
+            .job_ids()
+            .first()
+            .and_then(|&job| daemon.status(job))
+            .is_some_and(|snapshot| snapshot.state != JobState::Running);
+        if finished {
+            break std::time::Instant::now();
+        }
+        std::thread::sleep(Duration::from_micros(200));
+    };
+    let (result, returned) = submitter.join().expect("submitter");
+    faults::clear();
+    result.expect("the job finishes done");
+    let lag = returned.saturating_duration_since(ended);
+    assert!(
+        lag < Duration::from_millis(30),
+        "submit --wait returned {lag:?} after its job ended"
+    );
+    let (status, _) = request_json_with(&addr, "POST", "/shutdown", None, &policy).expect("drain");
+    assert_eq!(status, 200);
+    server.join();
+}

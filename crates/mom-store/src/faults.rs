@@ -17,7 +17,7 @@
 //! `/metrics` that faults actually happened.
 //!
 //! The injection sites live at the seams the rest of the workspace already
-//! has: the store's disk read / write / rename steps (this crate), worker
+//! has: the store's disk read / append / commit steps (this crate), worker
 //! compute ([`maybe_panic`] / [`maybe_delay`] in `mom-serve`'s pool), and
 //! the daemon's HTTP accept/read path.
 
@@ -31,11 +31,11 @@ use std::time::Duration;
 pub enum FaultSite {
     /// A disk-tier read degrades to a miss.
     StoreRead,
-    /// A disk-tier fill fails mid-write (a partial temp file is left for
-    /// the cleanup path to collect).
+    /// A disk-tier append fails mid-write (part of the frame lands; the
+    /// store truncates it away).
     StoreWrite,
-    /// The atomic rename publishing a finished fill fails.
-    StoreRename,
+    /// The `sync_data` committing appended frames fails.
+    StoreSync,
     /// A worker's unit compute panics.
     WorkerPanic,
     /// A worker's unit compute stalls for the plan's `delay-ms`.
@@ -55,7 +55,7 @@ impl FaultSite {
     pub const ALL: [FaultSite; SITE_COUNT] = [
         FaultSite::StoreRead,
         FaultSite::StoreWrite,
-        FaultSite::StoreRename,
+        FaultSite::StoreSync,
         FaultSite::WorkerPanic,
         FaultSite::WorkerDelay,
         FaultSite::HttpAccept,
@@ -67,7 +67,7 @@ impl FaultSite {
         match self {
             FaultSite::StoreRead => "store-read",
             FaultSite::StoreWrite => "store-write",
-            FaultSite::StoreRename => "store-rename",
+            FaultSite::StoreSync => "store-sync",
             FaultSite::WorkerPanic => "worker-panic",
             FaultSite::WorkerDelay => "worker-delay",
             FaultSite::HttpAccept => "http-accept",
@@ -79,7 +79,7 @@ impl FaultSite {
         match self {
             FaultSite::StoreRead => 0,
             FaultSite::StoreWrite => 1,
-            FaultSite::StoreRename => 2,
+            FaultSite::StoreSync => 2,
             FaultSite::WorkerPanic => 3,
             FaultSite::WorkerDelay => 4,
             FaultSite::HttpAccept => 5,
@@ -422,7 +422,7 @@ mod tests {
         assert_eq!(injected_count(FaultSite::StoreWrite), 3);
         assert!(!should_inject(FaultSite::WorkerPanic), "p=0 never injects");
         assert!(
-            !should_inject(FaultSite::StoreRename),
+            !should_inject(FaultSite::StoreSync),
             "unruled sites never inject"
         );
         assert!(injected_io_error(FaultSite::StoreRead, "x").is_none());

@@ -23,17 +23,9 @@ const FNV_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
 pub struct Key(pub u128);
 
 impl Key {
-    /// The key as 32 lowercase hex digits — used as the on-disk file stem.
+    /// The key as 32 lowercase hex digits (logs, spans, digests).
     pub fn to_hex(self) -> String {
         format!("{:032x}", self.0)
-    }
-
-    /// Parses a 32-digit hex file stem back into a key.
-    pub fn from_hex(text: &str) -> Option<Key> {
-        if text.len() != 32 {
-            return None;
-        }
-        u128::from_str_radix(text, 16).ok().map(Key)
     }
 }
 
@@ -165,8 +157,8 @@ mod tests {
     #[test]
     fn hex_round_trip() {
         let key = hash_bytes(b"momsim");
-        assert_eq!(Key::from_hex(&key.to_hex()), Some(key));
-        assert_eq!(Key::from_hex("not a key"), None);
-        assert_eq!(Key::from_hex(&key.to_hex()[1..]), None);
+        let hex = key.to_hex();
+        assert_eq!(hex.len(), 32);
+        assert_eq!(u128::from_str_radix(&hex, 16).map(Key), Ok(key));
     }
 }

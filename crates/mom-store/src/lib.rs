@@ -14,17 +14,23 @@
 //!
 //! * an **in-memory** tier (a process-wide map of raw blobs) so repeated
 //!   lookups inside one process are a hash-map read, and
-//! * an **on-disk** tier (one file per blob under
-//!   `<dir>/<namespace>/<key>.bin`) so artifacts survive the process —
-//!   a warm `momsim sweep` recomputes nothing.
+//! * an **on-disk** tier so artifacts survive the process — a warm
+//!   `momsim sweep` recomputes nothing.  Each namespace directory
+//!   (`<dir>/<namespace>/`) holds append-only **segments**
+//!   (`<pid>-<n>.log`), one per writing process, and each process indexes
+//!   a namespace's segments once, on first use.
 //!
-//! Disk blobs are wrapped in a self-validating [frame](store::FRAME_VERSION)
-//! (magic, format version, key echo, payload length, payload checksum).
-//! *Any* defect — truncation, bit flips, a stale format version, a blob
-//! stored under the wrong name — makes the read degrade to a **miss**; the
-//! caller recomputes and overwrites.  Writes are atomic (unique temp file +
-//! `rename`), so concurrent sweeps sharing one store directory never
-//! observe a half-written blob.
+//! Disk frames are self-validating ([frame](store::FRAME_VERSION): magic,
+//! format version, key echo, payload length, payload checksum).  *Any*
+//! defect — truncation, bit flips, a stale format version, a frame that
+//! is not the key's — makes the read degrade to a **miss**; the caller
+//! recomputes and appends a fresh copy.  Writes are group-committed: a
+//! batch of frames is appended and made durable by one `sync_data`,
+//! shared with concurrent committers, so a cold fill pays one cheap sync
+//! per commit instead of a new file per blob.  A process sees what other
+//! processes had committed when it indexed the namespace, plus its own
+//! writes (see the [`store`] module docs for the layout, the crash
+//! contract and `gc`/`clear`).
 //!
 //! The crate is dependency-free and knows nothing about traces or
 //! simulation results; the typed codecs live with their types
@@ -43,6 +49,6 @@ pub use faults::{FaultPlan, FaultSite};
 pub use hash::{Hasher, Key};
 pub use store::{
     bypass_guard, configure, default_dir, global, publish_gauges, BypassGuard, CacheReport,
-    GcReport, NamespaceReport, Store, StoreConfig, TierCounters, FRAME_MAGIC, FRAME_VERSION,
-    NS_RESULT, NS_TRACE,
+    GcReport, NamespaceReport, Store, StoreConfig, TierCounters, FRAME_HEADER_LEN, FRAME_MAGIC,
+    FRAME_VERSION, NS_RESULT, NS_TRACE,
 };

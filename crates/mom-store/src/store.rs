@@ -1,15 +1,60 @@
-//! The two-tier store itself: frame format, atomic disk writes, per
-//! namespace hit/miss accounting, the process-global instance and the
-//! `gc`/`clear` maintenance operations behind `momsim cache`.
+//! The two-tier store itself: frame format, the append-only segment log
+//! of the disk tier, per namespace hit/miss accounting, the process-global
+//! instance and the `gc`/`clear` maintenance operations behind
+//! `momsim cache`.
+//!
+//! # The disk tier: one segment log per namespace
+//!
+//! Every namespace directory holds **segments**, `<pid>-<n>.log` files
+//! that are nothing but runs of self-validating frames
+//! ([`encode_frame`]/[`decode_frame`]).  A process appends only to its own
+//! segment, created with `create_new` and held under an exclusive
+//! `File::try_lock` while the process lives, so two writers never share a
+//! file.
+//!
+//! * **Index.**  A namespace is indexed on first use by walking the frame
+//!   headers of every segment (a key found twice keeps the earlier copy
+//!   as a spare).  A walk stops at the first header that does not parse or
+//!   runs past the end of the file — a torn tail, counted once as
+//!   `invalid`.  The index maps a key to (segment, offset, length) only;
+//!   payloads stay on disk.
+//! * **Reads** are positioned reads followed by the full [`decode_frame`]
+//!   check, so a flipped or torn frame is never served.  A frame that
+//!   fails its check leaves the index and the key's next spare copy, if
+//!   any, is tried; without one the lookup is a miss and the caller's
+//!   recompute appends a fresh copy.
+//! * **Writes** append frames under the namespace lock.  A failed append
+//!   (an injected partial write included) truncates the segment back to the
+//!   frame's start before the lock is released, so torn bytes never hide
+//!   later frames; a segment that cannot be truncated is retired and the
+//!   next append opens a new one.
+//! * **Commits** are group commits: one `sync_data` covers every frame
+//!   appended before it started, so concurrent committers share it, and a
+//!   batch ([`Store::put_all`]) pays one.  A process's own frames enter its
+//!   index once committed; a commit that fails twice leaves them
+//!   unindexed.  A new segment also fsyncs its directory, so a committed
+//!   frame survives a machine crash, and every put that returned survives
+//!   a process kill.
+//! * **Visibility.**  A process sees what other processes had committed
+//!   when it indexed the namespace, plus its own writes; a miss never
+//!   re-scans.  The store is a cache, so a frame appended elsewhere
+//!   afterwards costs at most a recomputation.
+//! * **Maintenance.**  [`Store::gc`] rewrites one valid frame per key of
+//!   every segment no live writer holds into one new segment and deletes
+//!   the rest (legacy per-blob `*.bin` and `.tmp-*` files too);
+//!   [`Store::clear`] deletes every segment no live writer holds.  Both
+//!   retire this store's own segment first and report what live writers
+//!   kept.
 
-use std::collections::HashMap;
-use std::fs;
-use std::io::{self, Write as _};
+use std::collections::{HashMap, HashSet};
+use std::fs::{self, File, OpenOptions};
+use std::io::{self, BufReader, Read, Seek};
+use std::os::unix::fs::FileExt as _;
 use std::path::{Path, PathBuf};
-use std::process;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
+use crate::faults::{injected_io_error, should_inject, FaultSite};
 use crate::hash::{hash_bytes, Key};
 
 /// Namespace for verified functional traces (`mom-kernels`).
@@ -18,14 +63,17 @@ pub const NS_TRACE: &str = "trace";
 /// app-speedup rows).
 pub const NS_RESULT: &str = "result";
 
-/// Magic bytes opening every on-disk blob.
+/// Magic bytes opening every on-disk frame.
 pub const FRAME_MAGIC: [u8; 4] = *b"MOMS";
 /// On-disk frame format version; bump when the frame layout changes.
 /// (Payload formats carry their own versions — this one only covers the
 /// envelope.)
 pub const FRAME_VERSION: u32 = 1;
-/// magic(4) + version(4) + key(16) + payload_len(8) + payload_hash(16).
-const FRAME_HEADER_LEN: usize = 48;
+/// Bytes of a frame header: magic(4) + version(4) + key(16) +
+/// payload_len(8) + payload_hash(16).
+pub const FRAME_HEADER_LEN: usize = 48;
+/// File extension of a segment.
+const SEGMENT_EXT: &str = "log";
 
 /// Hit/miss/fill counters for one namespace, accumulated per process.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -34,14 +82,15 @@ pub struct TierCounters {
     /// tiers layered above the store, reported via
     /// [`Store::note_memory_hit`]).
     pub memory_hits: u64,
-    /// Lookups answered by a valid on-disk blob.
+    /// Lookups answered by a valid on-disk frame.
     pub disk_hits: u64,
     /// Lookups answered by neither tier.
     pub misses: u64,
     /// Artifacts computed and written this process.
     pub fills: u64,
-    /// On-disk blobs rejected as corrupt/truncated/stale (each also counts
-    /// as a miss).
+    /// On-disk frames rejected as corrupt, truncated or stale: a frame
+    /// that fails its check on read (that lookup also counts as a miss),
+    /// or a segment whose header walk stops before its end.
     pub invalid: u64,
 }
 
@@ -67,9 +116,9 @@ pub struct NamespaceReport {
     pub namespace: String,
     /// This process's hit/miss counters for the namespace.
     pub counters: TierCounters,
-    /// Valid-looking blobs currently on disk.
+    /// Keys this process's index can serve from disk.
     pub disk_blobs: u64,
-    /// Bytes those blobs occupy.
+    /// Bytes the namespace's segments occupy.
     pub disk_bytes: u64,
 }
 
@@ -145,17 +194,21 @@ impl CacheReport {
     }
 }
 
-/// Outcome of [`Store::gc`].
+/// Outcome of [`Store::gc`] and [`Store::clear`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct GcReport {
-    /// Blobs (and stray temp files) removed.
+    /// Segments and stray files removed.
     pub removed_files: u64,
-    /// Bytes reclaimed.
+    /// Bytes those files occupied.
     pub removed_bytes: u64,
-    /// Valid blobs kept.
+    /// Segments kept: the compacted one `gc` wrote (always 0 for `clear`).
     pub kept_files: u64,
-    /// Bytes still occupied.
+    /// Bytes the kept segments occupy.
     pub kept_bytes: u64,
+    /// Segments left alone because a live writer holds them.
+    pub live_files: u64,
+    /// Bytes those live segments occupy.
+    pub live_bytes: u64,
 }
 
 type MemoryTier = RwLock<HashMap<(String, Key), Arc<Vec<u8>>>>;
@@ -171,10 +224,70 @@ enum StoreEvent {
     Invalid,
 }
 
+/// Where one indexed frame sits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct FrameLoc {
+    /// Slot of the segment in [`LogState::segments`].
+    segment: u32,
+    /// Byte offset of the frame's header.
+    offset: u64,
+    /// Header plus payload bytes.
+    len: u64,
+}
+
+/// One segment this process has opened: a foreign one it indexed, or its
+/// own.
+#[derive(Debug)]
+struct Segment {
+    file: Arc<File>,
+    /// Bytes indexed (foreign) or appended (own).
+    len: u64,
+    /// Bytes a finished `sync_data` covers (own segments only).
+    synced: u64,
+}
+
+/// The in-process view of one namespace's log.
+#[derive(Debug, Default)]
+struct LogState {
+    indexed: bool,
+    index: HashMap<Key, FrameLoc>,
+    /// Other copies of keys found more than once by the header walk,
+    /// tried when the indexed copy fails its check.
+    spares: HashMap<Key, Vec<FrameLoc>>,
+    segments: Vec<Segment>,
+    /// Slot of this process's live segment, once it has appended.
+    writer: Option<u32>,
+    /// Bumped by `clear`/`gc`: a commit that started before them must not
+    /// index into the rebuilt state.
+    epoch: u64,
+}
+
+/// One namespace's log: its state, plus the lock that serialises the
+/// `sync_data` calls of a group commit.
+#[derive(Debug, Default)]
+struct Log {
+    state: Mutex<LogState>,
+    commit: Mutex<()>,
+}
+
+/// Frames one append left waiting for their commit: all in one segment.
+struct Pending {
+    epoch: u64,
+    segment: u32,
+    file: Arc<File>,
+    /// End of the last of these frames in the segment.
+    end: u64,
+    frames: Vec<(Key, FrameLoc)>,
+}
+
+/// Process-wide counter naming new segments, so two stores of one process
+/// never race for a name.
+static SEGMENT_SEQ: AtomicU64 = AtomicU64::new(0);
+
 /// A two-tier content-addressed blob store.
 ///
 /// `get`/`put` never fail: the disk tier is best-effort (an unreadable or
-/// unwritable directory degrades to the memory tier; a damaged blob
+/// unwritable directory degrades to the memory tier; a damaged frame
 /// degrades to a miss). Only the explicit maintenance operations
 /// ([`Store::clear`], [`Store::gc`]) surface I/O errors.
 #[derive(Debug)]
@@ -183,7 +296,7 @@ pub struct Store {
     enabled: bool,
     memory: MemoryTier,
     counters: Mutex<HashMap<String, TierCounters>>,
-    tmp_counter: AtomicU64,
+    logs: RwLock<HashMap<String, Arc<Log>>>,
     /// Mirror counter bumps into the `mom-obs` metrics registry.  Set only
     /// on the process-global store: throwaway test stores must not pollute
     /// process metrics, and `/metrics` must agree with the global store's
@@ -199,7 +312,7 @@ impl Store {
             enabled: true,
             memory: RwLock::new(HashMap::new()),
             counters: Mutex::new(HashMap::new()),
-            tmp_counter: AtomicU64::new(0),
+            logs: RwLock::new(HashMap::new()),
             observed: false,
         }
     }
@@ -222,12 +335,6 @@ impl Store {
     /// also [`bypass_guard`] for a scoped override).
     pub fn is_active(&self) -> bool {
         self.enabled && BYPASS_DEPTH.load(Ordering::Relaxed) == 0
-    }
-
-    fn blob_path(&self, namespace: &str, key: Key) -> Option<PathBuf> {
-        self.dir
-            .as_ref()
-            .map(|dir| dir.join(namespace).join(format!("{}.bin", key.to_hex())))
     }
 
     fn bump<F: FnOnce(&mut TierCounters)>(&self, namespace: &str, f: F) {
@@ -270,15 +377,45 @@ impl Store {
                 &[("namespace", namespace)],
             )
             .inc(),
-            StoreEvent::Invalid => {
-                mom_obs::counter_with(
-                    "momsim_store_invalid_total",
-                    "On-disk blobs rejected as corrupt, truncated or stale.",
-                    &[("namespace", namespace)],
-                )
-                .inc();
-                self.mirror(namespace, StoreEvent::Miss);
+            StoreEvent::Invalid => mom_obs::counter_with(
+                "momsim_store_invalid_total",
+                "On-disk frames rejected as corrupt, truncated or stale.",
+                &[("namespace", namespace)],
+            )
+            .inc(),
+        }
+    }
+
+    /// Counts `n` damaged frames or torn segment tails.
+    fn note_invalid(&self, namespace: &str, n: u64) {
+        if n > 0 {
+            self.bump(namespace, |c| c.invalid += n);
+            for _ in 0..n {
+                self.mirror(namespace, StoreEvent::Invalid);
             }
+        }
+    }
+
+    fn note_miss(&self, namespace: &str) {
+        self.bump(namespace, |c| c.misses += 1);
+        self.mirror(namespace, StoreEvent::Miss);
+    }
+
+    fn note_fills(&self, namespace: &str, n: u64) {
+        self.bump(namespace, |c| c.fills += n);
+        for _ in 0..n {
+            self.mirror(namespace, StoreEvent::Fill);
+        }
+    }
+
+    fn note_write_retry(&self, namespace: &str) {
+        if self.observed {
+            mom_obs::counter_with(
+                "momsim_store_write_retries_total",
+                "Disk-tier fills retried after a write failure.",
+                &[("namespace", namespace)],
+            )
+            .inc();
         }
     }
 
@@ -311,17 +448,12 @@ impl Store {
             self.mirror(namespace, StoreEvent::MemoryHit);
             return Some(blob);
         }
-        match self.read_disk(namespace, key) {
-            Some(payload) => {
-                let blob = Arc::new(payload);
-                self.memory
-                    .write()
-                    .unwrap()
-                    .insert((namespace.to_string(), key), Arc::clone(&blob));
-                Some(blob)
-            }
-            None => None,
-        }
+        let blob = Arc::new(self.read_disk(namespace, key)?);
+        self.memory
+            .write()
+            .unwrap()
+            .insert((namespace.to_string(), key), Arc::clone(&blob));
+        Some(blob)
     }
 
     /// Disk-only lookup, for callers that keep their own typed memory tier.
@@ -333,40 +465,84 @@ impl Store {
         self.read_disk(namespace, key)
     }
 
+    /// The namespace's log, created empty on first use.
+    fn log(&self, namespace: &str) -> Arc<Log> {
+        if let Some(log) = self.logs.read().expect("store log map").get(namespace) {
+            return Arc::clone(log);
+        }
+        Arc::clone(
+            self.logs
+                .write()
+                .expect("store log map")
+                .entry(namespace.to_string())
+                .or_default(),
+        )
+    }
+
+    /// Indexes the namespace's segments unless this process already has.
+    fn ensure_indexed(&self, namespace: &str, state: &mut LogState) {
+        if state.indexed {
+            return;
+        }
+        state.indexed = true;
+        let Some(dir) = &self.dir else {
+            return;
+        };
+        let torn = index_segments(&dir.join(namespace), state);
+        self.note_invalid(namespace, torn);
+    }
+
     fn read_disk(&self, namespace: &str, key: Key) -> Option<Vec<u8>> {
         let _span = mom_obs::span_fmt("store", || format!("read-disk {namespace}"));
-        let path = self.blob_path(namespace, key);
         // An injected read fault behaves like an unreadable file: the
-        // lookup degrades to a miss and the caller recomputes (the blob
+        // lookup degrades to a miss and the caller recomputes (the frame
         // itself stays on disk, untouched).
-        let faulted = crate::faults::should_inject(crate::faults::FaultSite::StoreRead);
-        let decoded = path.as_deref().filter(|_| !faulted).and_then(|p| {
-            let bytes = fs::read(p).ok()?;
-            Some(decode_frame(&bytes, key))
-        });
-        match decoded {
-            Some(Ok(payload)) => {
+        let faulted = should_inject(FaultSite::StoreRead);
+        let payload = match &self.dir {
+            Some(_) if !faulted => self.read_indexed(namespace, key),
+            _ => None,
+        };
+        match payload {
+            Some(payload) => {
                 self.bump(namespace, |c| c.disk_hits += 1);
                 self.mirror(namespace, StoreEvent::DiskHit);
                 Some(payload)
             }
-            Some(Err(())) => {
-                // Damaged blob: drop it so the rewrite starts clean, and
-                // report the corruption distinctly from a plain miss.
-                if let Some(p) = path {
-                    let _ = fs::remove_file(p);
-                }
-                self.bump(namespace, |c| {
-                    c.invalid += 1;
-                    c.misses += 1;
-                });
-                self.mirror(namespace, StoreEvent::Invalid);
+            None => {
+                self.note_miss(namespace);
                 None
             }
-            None => {
-                self.bump(namespace, |c| c.misses += 1);
-                self.mirror(namespace, StoreEvent::Miss);
-                None
+        }
+    }
+
+    /// Reads and checks the indexed copy of `key`, falling back to its
+    /// spare copies; every copy that fails its check leaves the index and
+    /// counts as `invalid`.
+    fn read_indexed(&self, namespace: &str, key: Key) -> Option<Vec<u8>> {
+        let log = self.log(namespace);
+        loop {
+            let (loc, file, epoch) = {
+                let mut state = log.state.lock().expect("store log state");
+                self.ensure_indexed(namespace, &mut state);
+                let loc = *state.index.get(&key)?;
+                let file = Arc::clone(&state.segments[loc.segment as usize].file);
+                (loc, file, state.epoch)
+            };
+            let mut frame = vec![0u8; loc.len as usize];
+            let decoded = file
+                .read_exact_at(&mut frame, loc.offset)
+                .ok()
+                .and_then(|()| decode_frame(&frame, key).ok());
+            if decoded.is_some() {
+                return decoded;
+            }
+            self.note_invalid(namespace, 1);
+            let mut state = log.state.lock().expect("store log state");
+            if state.epoch == epoch && state.index.get(&key) == Some(&loc) {
+                match state.spares.get_mut(&key).and_then(Vec::pop) {
+                    Some(spare) => state.index.insert(key, spare),
+                    None => state.index.remove(&key),
+                };
             }
         }
     }
@@ -374,17 +550,25 @@ impl Store {
     /// Stores a blob in both tiers. Disk errors are swallowed (the store
     /// is an accelerator, not a system of record).
     pub fn put(&self, namespace: &str, key: Key, payload: Vec<u8>) {
-        if !self.is_active() {
+        self.put_all(namespace, vec![(key, payload)]);
+    }
+
+    /// Stores a batch of blobs in both tiers with one disk commit: every
+    /// frame is appended, then one `sync_data` makes them all durable.
+    pub fn put_all(&self, namespace: &str, blobs: Vec<(Key, Vec<u8>)>) {
+        if !self.is_active() || blobs.is_empty() {
             return;
         }
         let _span = mom_obs::span_fmt("store", || format!("put {namespace}"));
-        self.write_disk(namespace, key, &payload);
-        self.memory
-            .write()
-            .unwrap()
-            .insert((namespace.to_string(), key), Arc::new(payload));
-        self.bump(namespace, |c| c.fills += 1);
-        self.mirror(namespace, StoreEvent::Fill);
+        let frames: Vec<(Key, &[u8])> = blobs.iter().map(|(k, p)| (*k, p.as_slice())).collect();
+        self.write_disk(namespace, &frames);
+        let filled = blobs.len() as u64;
+        let mut memory = self.memory.write().unwrap();
+        for (key, payload) in blobs {
+            memory.insert((namespace.to_string(), key), Arc::new(payload));
+        }
+        drop(memory);
+        self.note_fills(namespace, filled);
     }
 
     /// Stores a blob on disk only, for callers with their own memory tier.
@@ -393,68 +577,101 @@ impl Store {
             return;
         }
         let _span = mom_obs::span_fmt("store", || format!("put-disk {namespace}"));
-        self.write_disk(namespace, key, payload);
-        self.bump(namespace, |c| c.fills += 1);
-        self.mirror(namespace, StoreEvent::Fill);
+        self.write_disk(namespace, &[(key, payload)]);
+        self.note_fills(namespace, 1);
     }
 
-    fn write_disk(&self, namespace: &str, key: Key, payload: &[u8]) {
-        let Some(path) = self.blob_path(namespace, key) else {
+    /// Appends the frames, then commits them.
+    fn write_disk(&self, namespace: &str, frames: &[(Key, &[u8])]) {
+        let Some(dir) = &self.dir else {
             return;
         };
-        if self.try_write_disk(&path, key, payload).is_ok() {
-            return;
+        let log = self.log(namespace);
+        let pending = self.append(namespace, &dir.join(namespace), &log, frames);
+        for batch in pending {
+            self.commit(namespace, &log, batch);
         }
-        // One retry: a transient failure (a full tmpfs, an injected fault)
-        // should not silently cost the artifact its durability.  A second
-        // failure is final — the store is an accelerator, so the payload
-        // still serves from the memory tier and a later fill recomputes.
-        if self.observed {
-            mom_obs::counter_with(
-                "momsim_store_write_retries_total",
-                "Disk-tier fills retried after a write failure.",
-                &[("namespace", namespace)],
-            )
-            .inc();
-        }
-        let _ = self.try_write_disk(&path, key, payload);
     }
 
-    fn try_write_disk(&self, path: &Path, key: Key, payload: &[u8]) -> io::Result<()> {
-        let parent = path.parent().expect("blob path always has a parent");
-        fs::create_dir_all(parent)?;
-        // Unique temp name per (process, write): concurrent sweeps sharing
-        // the directory each rename a fully written file into place, so
-        // readers only ever observe complete frames (last writer wins, and
-        // both writers produced the same content-addressed bytes anyway).
-        let tmp = parent.join(format!(
-            ".tmp-{}-{}-{}",
-            key.to_hex(),
-            process::id(),
-            self.tmp_counter.fetch_add(1, Ordering::Relaxed)
-        ));
-        let result = (|| {
-            use crate::faults::{injected_io_error, FaultSite};
-            let mut file = fs::File::create(&tmp)?;
-            let frame = encode_frame(key, payload);
-            if let Some(fault) = injected_io_error(FaultSite::StoreWrite, "store write") {
-                // A realistic mid-write failure: some bytes land, then the
-                // write errors, leaving a torn temp file for cleanup.
-                let _ = file.write_all(&frame[..frame.len() / 2]);
-                return Err(fault);
+    /// Appends one frame per blob to this process's segment under the
+    /// namespace lock.  A failed append is retried once (a transient
+    /// failure — a full disk, an injected fault — should not cost the
+    /// artifact its durability); a second failure drops that frame from
+    /// the disk tier, and the payload still serves from memory.
+    fn append(
+        &self,
+        namespace: &str,
+        ns_dir: &Path,
+        log: &Log,
+        frames: &[(Key, &[u8])],
+    ) -> Vec<Pending> {
+        let mut state = log.state.lock().expect("store log state");
+        self.ensure_indexed(namespace, &mut state);
+        let mut pending: Vec<Pending> = Vec::new();
+        for &(key, payload) in frames {
+            let loc = state.append(ns_dir, key, payload).or_else(|_| {
+                self.note_write_retry(namespace);
+                state.append(ns_dir, key, payload)
+            });
+            let Ok(loc) = loc else {
+                continue;
+            };
+            let end = loc.offset + loc.len;
+            match pending.last_mut() {
+                Some(batch) if batch.segment == loc.segment => {
+                    batch.end = end;
+                    batch.frames.push((key, loc));
+                }
+                _ => pending.push(Pending {
+                    epoch: state.epoch,
+                    segment: loc.segment,
+                    file: Arc::clone(&state.segments[loc.segment as usize].file),
+                    end,
+                    frames: vec![(key, loc)],
+                }),
             }
-            file.write_all(&frame)?;
-            file.sync_all()?;
-            drop(file);
-            if let Some(fault) = injected_io_error(FaultSite::StoreRename, "store rename") {
-                return Err(fault);
-            }
-            fs::rename(&tmp, path)
-        })();
-        if result.is_err() {
-            let _ = fs::remove_file(&tmp);
         }
-        result
+        pending
+    }
+
+    /// Makes appended frames durable, then indexes them.  Group commit:
+    /// committers queue on the commit lock, and a `sync_data` covers every
+    /// byte appended before it started, so a committer whose frames an
+    /// earlier sync already covered returns without syncing.  A failed
+    /// sync is retried once; a second failure leaves the frames unindexed.
+    fn commit(&self, namespace: &str, log: &Log, batch: Pending) {
+        let _commit = log.commit.lock().expect("store commit lock");
+        let target = {
+            let mut state = log.state.lock().expect("store log state");
+            if state.epoch != batch.epoch {
+                // `clear`/`gc` retired the segment meanwhile.
+                return;
+            }
+            let segment = &state.segments[batch.segment as usize];
+            let (synced, appended) = (segment.synced, segment.len);
+            if synced >= batch.end {
+                state.index.extend(batch.frames);
+                return;
+            }
+            appended
+        };
+        let sync = || match injected_io_error(FaultSite::StoreSync, "store sync") {
+            Some(fault) => Err(fault),
+            None => batch.file.sync_data(),
+        };
+        let synced = sync().or_else(|_| {
+            self.note_write_retry(namespace);
+            sync()
+        });
+        if synced.is_err() {
+            return;
+        }
+        let mut state = log.state.lock().expect("store log state");
+        if state.epoch == batch.epoch {
+            let segment = &mut state.segments[batch.segment as usize];
+            segment.synced = segment.synced.max(target);
+            state.index.extend(batch.frames);
+        }
     }
 
     /// This process's counters for one namespace.
@@ -467,18 +684,16 @@ impl Store {
             .unwrap_or_default()
     }
 
-    /// The full diagnostic: process counters plus a disk scan.
+    /// The full diagnostic: process counters, the index's key count and
+    /// the segments' bytes per namespace.
     pub fn report(&self) -> CacheReport {
         let mut names: Vec<String> = self.counters.lock().unwrap().keys().cloned().collect();
         if let Some(dir) = &self.dir {
-            if let Ok(entries) = fs::read_dir(dir) {
-                for entry in entries.flatten() {
-                    if entry.path().is_dir() {
-                        if let Some(name) = entry.file_name().to_str() {
-                            names.push(name.to_string());
-                        }
-                    }
-                }
+            if let Ok(dirs) = namespace_dirs(dir) {
+                names.extend(
+                    dirs.iter()
+                        .filter_map(|d| d.file_name()?.to_str().map(str::to_string)),
+                );
             }
         }
         names.sort();
@@ -486,7 +701,19 @@ impl Store {
         let namespaces = names
             .into_iter()
             .map(|namespace| {
-                let (disk_blobs, disk_bytes) = self.scan_namespace(&namespace);
+                let (disk_blobs, disk_bytes) = match &self.dir {
+                    Some(dir) => {
+                        let log = self.log(&namespace);
+                        let mut state = log.state.lock().expect("store log state");
+                        self.ensure_indexed(&namespace, &mut state);
+                        let bytes = segment_files(&dir.join(&namespace))
+                            .iter()
+                            .map(|s| s.len)
+                            .sum();
+                        (state.index.len() as u64, bytes)
+                    }
+                    None => (0, 0),
+                };
                 NamespaceReport {
                     counters: self.counters(&namespace),
                     namespace,
@@ -502,74 +729,340 @@ impl Store {
         }
     }
 
-    fn scan_namespace(&self, namespace: &str) -> (u64, u64) {
-        let Some(dir) = self.dir.as_ref().map(|d| d.join(namespace)) else {
-            return (0, 0);
-        };
-        let Ok(entries) = fs::read_dir(dir) else {
-            return (0, 0);
-        };
-        let (mut blobs, mut bytes) = (0, 0);
-        for entry in entries.flatten() {
-            let path = entry.path();
-            if path.extension().is_some_and(|e| e == "bin") {
-                if let Ok(meta) = entry.metadata() {
-                    blobs += 1;
-                    bytes += meta.len();
-                }
-            }
-        }
-        (blobs, bytes)
-    }
-
-    /// Deletes every blob (both tiers). Returns (files, bytes) removed.
-    pub fn clear(&self) -> io::Result<(u64, u64)> {
-        self.memory.write().unwrap().clear();
-        let Some(dir) = &self.dir else {
-            return Ok((0, 0));
-        };
-        let (mut files, mut bytes) = (0, 0);
-        for ns in namespace_dirs(dir)? {
-            for entry in fs::read_dir(&ns)?.flatten() {
-                let path = entry.path();
-                if path.is_file() {
-                    bytes += entry.metadata().map(|m| m.len()).unwrap_or(0);
-                    fs::remove_file(&path)?;
-                    files += 1;
-                }
-            }
-        }
-        Ok((files, bytes))
-    }
-
-    /// Removes every on-disk file that is not a valid, current-version
-    /// blob stored under its own key: damaged frames, stale format
-    /// versions, misnamed files and abandoned temp files.
-    pub fn gc(&self) -> io::Result<GcReport> {
+    /// Runs `f` over every namespace directory with that namespace's log
+    /// locked and reset: this store's own segment is retired (the next put
+    /// opens a new one) and the namespace is re-indexed on next use.
+    fn maintain<F>(&self, mut f: F) -> io::Result<GcReport>
+    where
+        F: FnMut(&Path, &mut GcReport) -> io::Result<()>,
+    {
         self.memory.write().unwrap().clear();
         let mut report = GcReport::default();
         let Some(dir) = &self.dir else {
             return Ok(report);
         };
-        for ns in namespace_dirs(dir)? {
-            for entry in fs::read_dir(&ns)?.flatten() {
-                let path = entry.path();
-                if !path.is_file() {
-                    continue;
-                }
-                let len = entry.metadata().map(|m| m.len()).unwrap_or(0);
-                if blob_is_valid(&path) {
-                    report.kept_files += 1;
-                    report.kept_bytes += len;
-                } else {
-                    fs::remove_file(&path)?;
-                    report.removed_files += 1;
-                    report.removed_bytes += len;
-                }
-            }
+        for ns_dir in namespace_dirs(dir)? {
+            let Some(namespace) = ns_dir.file_name().and_then(|n| n.to_str()) else {
+                continue;
+            };
+            let log = self.log(namespace);
+            let mut state = log.state.lock().expect("store log state");
+            *state = LogState {
+                epoch: state.epoch + 1,
+                ..LogState::default()
+            };
+            f(&ns_dir, &mut report)?;
         }
         Ok(report)
     }
+
+    /// Empties both tiers: deletes every segment no live writer holds and
+    /// every stray file.
+    pub fn clear(&self) -> io::Result<GcReport> {
+        self.maintain(|ns_dir, report| {
+            let (dead, stray) = claim_dead_segments(ns_dir, report)?;
+            remove_files(ns_dir, dead.iter().map(|s| (&s.path, s.len)), report)?;
+            remove_files(ns_dir, stray.iter().map(|(p, len)| (p, *len)), report)
+        })
+    }
+
+    /// Compacts every namespace: the valid frames of every segment no live
+    /// writer holds are rewritten, one per key, into one new segment; the
+    /// old segments, damaged frames, torn tails and stray files (legacy
+    /// per-blob `*.bin` files, abandoned `.tmp-*` files) are deleted.  A
+    /// single dead segment that is already compact is kept as it is.
+    pub fn gc(&self) -> io::Result<GcReport> {
+        self.maintain(|ns_dir, report| {
+            let (dead, stray) = claim_dead_segments(ns_dir, report)?;
+            let mut keep: HashSet<Key> = HashSet::new();
+            let mut frames: Vec<u8> = Vec::new();
+            let mut clean = true;
+            for segment in &dead {
+                let mut bytes = Vec::new();
+                (&segment.file).read_to_end(&mut bytes)?;
+                let (walked, end) = walk_segment(io::Cursor::new(&bytes), bytes.len() as u64);
+                clean &= end == bytes.len() as u64;
+                for (key, offset, len) in walked {
+                    let frame = &bytes[offset as usize..(offset + len) as usize];
+                    if decode_frame(frame, key).is_err() || !keep.insert(key) {
+                        clean = false;
+                        continue;
+                    }
+                    frames.extend_from_slice(frame);
+                }
+            }
+            if dead.len() == 1 && clean {
+                report.kept_files += 1;
+                report.kept_bytes += dead[0].len;
+            } else {
+                if !frames.is_empty() {
+                    let file = create_segment(ns_dir)?;
+                    file.write_all_at(&frames, 0)?;
+                    file.sync_data()?;
+                    report.kept_files += 1;
+                    report.kept_bytes += frames.len() as u64;
+                }
+                remove_files(ns_dir, dead.iter().map(|s| (&s.path, s.len)), report)?;
+            }
+            remove_files(ns_dir, stray.iter().map(|(p, len)| (p, *len)), report)
+        })
+    }
+}
+
+impl LogState {
+    /// Appends one frame to this process's segment, opening the segment
+    /// first if there is none (an unwritable directory fails before any
+    /// frame is encoded).  On failure the segment is truncated back to the
+    /// frame's start; if even that fails the segment is retired, so torn
+    /// bytes never sit in front of a later frame.
+    fn append(&mut self, ns_dir: &Path, key: Key, payload: &[u8]) -> io::Result<FrameLoc> {
+        let slot = match self.writer {
+            Some(slot) => slot,
+            None => {
+                let file = create_segment(ns_dir)?;
+                self.segments.push(Segment {
+                    file: Arc::new(file),
+                    len: 0,
+                    synced: 0,
+                });
+                let slot = (self.segments.len() - 1) as u32;
+                self.writer = Some(slot);
+                slot
+            }
+        };
+        let frame = encode_frame(key, payload);
+        let segment = &mut self.segments[slot as usize];
+        let start = segment.len;
+        let written = match injected_io_error(FaultSite::StoreWrite, "store write") {
+            Some(fault) => {
+                // A realistic mid-write failure: some bytes land, then
+                // the write errors.
+                let _ = segment.file.write_all_at(&frame[..frame.len() / 2], start);
+                Err(fault)
+            }
+            None => segment.file.write_all_at(&frame, start),
+        };
+        match written {
+            Ok(()) => {
+                segment.len = start + frame.len() as u64;
+                Ok(FrameLoc {
+                    segment: slot,
+                    offset: start,
+                    len: frame.len() as u64,
+                })
+            }
+            Err(e) => {
+                if segment.file.set_len(start).is_err() {
+                    self.writer = None;
+                }
+                Err(e)
+            }
+        }
+    }
+}
+
+/// Creates and locks a new segment in `ns_dir` (creating the directory if
+/// needed), then fsyncs the directory so the segment's name survives a
+/// machine crash.
+fn create_segment(ns_dir: &Path) -> io::Result<File> {
+    let new_dir = match fs::create_dir(ns_dir) {
+        Ok(()) => true,
+        Err(e) if e.kind() == io::ErrorKind::AlreadyExists => false,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => {
+            fs::create_dir_all(ns_dir)?;
+            true
+        }
+        Err(e) => return Err(e),
+    };
+    let pid = std::process::id();
+    let file = loop {
+        let seq = SEGMENT_SEQ.fetch_add(1, Ordering::Relaxed);
+        let path = ns_dir.join(format!("{pid}-{seq}.{SEGMENT_EXT}"));
+        match OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create_new(true)
+            .open(&path)
+        {
+            Ok(file) => break file,
+            // A segment of an earlier process with the same pid.
+            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => continue,
+            Err(e) => return Err(e),
+        }
+    };
+    file.try_lock().map_err(io::Error::from)?;
+    sync_dir(ns_dir)?;
+    if new_dir {
+        if let Some(parent) = ns_dir.parent() {
+            sync_dir(parent)?;
+        }
+    }
+    Ok(file)
+}
+
+fn sync_dir(dir: &Path) -> io::Result<()> {
+    File::open(dir)?.sync_all()
+}
+
+/// A segment file found in a namespace directory.
+struct SegmentFile {
+    path: PathBuf,
+    len: u64,
+}
+
+/// The namespace's segments, sorted by name.
+fn segment_files(ns_dir: &Path) -> Vec<SegmentFile> {
+    let Ok(entries) = fs::read_dir(ns_dir) else {
+        return Vec::new();
+    };
+    let mut segments: Vec<SegmentFile> = entries
+        .flatten()
+        .filter(|e| e.path().extension().is_some_and(|x| x == SEGMENT_EXT))
+        .filter_map(|e| {
+            let meta = e.metadata().ok().filter(|m| m.is_file())?;
+            Some(SegmentFile {
+                path: e.path(),
+                len: meta.len(),
+            })
+        })
+        .collect();
+    segments.sort_by(|a, b| a.path.cmp(&b.path));
+    segments
+}
+
+/// Indexes every segment of `ns_dir` into `state` by walking its frame
+/// headers.  Returns how many segments stop before their end (torn or
+/// damaged tails).
+fn index_segments(ns_dir: &Path, state: &mut LogState) -> u64 {
+    let mut torn = 0;
+    for found in segment_files(ns_dir) {
+        let Ok(file) = File::open(&found.path) else {
+            continue;
+        };
+        let slot = state.segments.len() as u32;
+        let reader = BufReader::with_capacity(64 << 10, &file);
+        let (frames, end) = walk_segment(reader, found.len);
+        torn += u64::from(end < found.len);
+        for (key, offset, len) in frames {
+            let loc = FrameLoc {
+                segment: slot,
+                offset,
+                len,
+            };
+            if let Some(older) = state.index.insert(key, loc) {
+                state.spares.entry(key).or_default().push(older);
+            }
+        }
+        state.segments.push(Segment {
+            file: Arc::new(file),
+            len: end,
+            synced: end,
+        });
+    }
+    torn
+}
+
+/// Walks the frame headers of a segment of `len` bytes from its start:
+/// each frame's key, offset and length, plus where the walk stopped.  The
+/// walk stops at the first header that does not parse (a bad magic, a
+/// frame format version this build does not read) or whose frame runs
+/// past `len`.
+fn walk_segment(mut reader: impl Read + Seek, len: u64) -> (Vec<(Key, u64, u64)>, u64) {
+    let mut frames = Vec::new();
+    let mut offset = 0u64;
+    let mut header = [0u8; FRAME_HEADER_LEN];
+    while offset < len {
+        let parsed = reader
+            .read_exact(&mut header)
+            .ok()
+            .and_then(|()| parse_header(&header))
+            .filter(|&(_, frame)| frame <= len - offset);
+        let Some((key, frame)) = parsed else {
+            break;
+        };
+        let payload = frame - FRAME_HEADER_LEN as u64;
+        if reader.seek_relative(payload as i64).is_err() {
+            break;
+        }
+        frames.push((key, offset, frame));
+        offset += frame;
+    }
+    (frames, offset)
+}
+
+/// Parses a frame header: `(key, whole frame length)`, or `None` for a
+/// bad magic or a frame format version this build does not read.
+fn parse_header(header: &[u8; FRAME_HEADER_LEN]) -> Option<(Key, u64)> {
+    if header[0..4] != FRAME_MAGIC
+        || u32::from_le_bytes(header[4..8].try_into().unwrap()) != FRAME_VERSION
+    {
+        return None;
+    }
+    let key = Key(u128::from_le_bytes(header[8..24].try_into().unwrap()));
+    let payload = u64::from_le_bytes(header[24..32].try_into().unwrap());
+    Some((key, payload.checked_add(FRAME_HEADER_LEN as u64)?))
+}
+
+/// A segment whose lock this process took: no live writer holds it.
+struct DeadSegment {
+    path: PathBuf,
+    len: u64,
+    /// Holds the lock until the segment is dealt with.
+    file: File,
+}
+
+/// A file in a namespace directory that is not a segment, and its size.
+type StrayFile = (PathBuf, u64);
+
+/// Sorts a namespace directory's files into segments no live writer holds
+/// (locked by this call), live segments (counted into `report`), and stray
+/// files — anything that is not a segment: legacy `*.bin` blobs,
+/// abandoned `.tmp-*` files.
+fn claim_dead_segments(
+    ns_dir: &Path,
+    report: &mut GcReport,
+) -> io::Result<(Vec<DeadSegment>, Vec<StrayFile>)> {
+    let mut dead = Vec::new();
+    for found in segment_files(ns_dir) {
+        let file = OpenOptions::new().read(true).open(&found.path)?;
+        match file.try_lock() {
+            Ok(()) => dead.push(DeadSegment {
+                path: found.path,
+                len: found.len,
+                file,
+            }),
+            Err(fs::TryLockError::WouldBlock) => {
+                report.live_files += 1;
+                report.live_bytes += found.len;
+            }
+            Err(fs::TryLockError::Error(e)) => return Err(e),
+        }
+    }
+    let mut stray = Vec::new();
+    for entry in fs::read_dir(ns_dir)?.flatten() {
+        let path = entry.path();
+        let Ok(meta) = entry.metadata() else {
+            continue;
+        };
+        if meta.is_file() && path.extension().is_none_or(|x| x != SEGMENT_EXT) {
+            stray.push((path, meta.len()));
+        }
+    }
+    Ok((dead, stray))
+}
+
+/// Deletes files, counting them into `report`, then fsyncs the directory.
+fn remove_files<'a>(
+    ns_dir: &Path,
+    files: impl Iterator<Item = (&'a PathBuf, u64)>,
+    report: &mut GcReport,
+) -> io::Result<()> {
+    for (path, len) in files {
+        fs::remove_file(path)?;
+        report.removed_files += 1;
+        report.removed_bytes += len;
+    }
+    sync_dir(ns_dir)
 }
 
 fn namespace_dirs(dir: &Path) -> io::Result<Vec<PathBuf>> {
@@ -581,24 +1074,6 @@ fn namespace_dirs(dir: &Path) -> io::Result<Vec<PathBuf>> {
             .collect()),
         Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Vec::new()),
         Err(e) => Err(e),
-    }
-}
-
-/// Is this file a well-formed, current-version blob stored under its own
-/// key (`<key>.bin` whose frame echoes `key`)?
-fn blob_is_valid(path: &Path) -> bool {
-    let Some(stem) = path.file_stem().and_then(|s| s.to_str()) else {
-        return false;
-    };
-    if path.extension().is_none_or(|e| e != "bin") {
-        return false;
-    }
-    let Some(key) = Key::from_hex(stem) else {
-        return false;
-    };
-    match fs::read(path) {
-        Ok(bytes) => decode_frame(&bytes, key).is_ok(),
-        Err(_) => false,
     }
 }
 
@@ -775,7 +1250,7 @@ mod tests {
         static UNIQUE: AtomicU32 = AtomicU32::new(0);
         let dir = std::env::temp_dir().join(format!(
             "mom-store-test-{}-{}",
-            process::id(),
+            std::process::id(),
             UNIQUE.fetch_add(1, Ordering::Relaxed)
         ));
         (Store::new(Some(dir.clone())), dir)
@@ -851,23 +1326,58 @@ mod tests {
         let _ = fs::remove_dir_all(dir);
     }
 
+    /// The namespace directory's file names, sorted.
+    fn files_in(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(dir)
+            .map(|entries| {
+                entries
+                    .flatten()
+                    .map(|e| e.file_name().to_string_lossy().into_owned())
+                    .collect()
+            })
+            .unwrap_or_default();
+        names.sort();
+        names
+    }
+
     #[test]
     fn clear_and_gc() {
         let (store, dir) = temp_store();
         let good = key_of("good");
         store.put(NS_TRACE, good, b"keep".to_vec());
-        // A stray temp file and a misnamed copy are both garbage.
+        store.put(NS_TRACE, good, b"keep".to_vec());
+        // A stray temp file and a legacy per-blob file are both garbage;
+        // so is the duplicate frame and a torn tail.
         let ns = dir.join(NS_TRACE);
         fs::write(ns.join(".tmp-zzz-1-1"), b"junk").unwrap();
-        let wrong = ns.join(format!("{}.bin", key_of("other").to_hex()));
-        fs::copy(ns.join(format!("{}.bin", good.to_hex())), &wrong).unwrap();
+        fs::write(ns.join(format!("{}.bin", key_of("other").to_hex())), b"old").unwrap();
+        let own = files_in(&ns)
+            .into_iter()
+            .find(|n| n.ends_with(".log"))
+            .unwrap();
+        let frame = (FRAME_HEADER_LEN + 4) as u64;
+        let mut segment = OpenOptions::new().append(true).open(ns.join(&own)).unwrap();
+        std::io::Write::write_all(&mut segment, &FRAME_MAGIC).unwrap();
+        drop(segment);
         let gc = store.gc().unwrap();
-        assert_eq!(gc.removed_files, 2);
-        assert_eq!(gc.kept_files, 1);
+        assert_eq!(gc.removed_files, 3, "{gc:?}");
+        assert_eq!((gc.kept_files, gc.kept_bytes), (1, frame), "{gc:?}");
+        assert_eq!(gc.live_files, 0, "gc retires the store's own segment");
+        assert_eq!(files_in(&ns).len(), 1, "{:?}", files_in(&ns));
         assert!(store.get(NS_TRACE, good).is_some());
-        let (files, _) = store.clear().unwrap();
-        assert_eq!(files, 1);
+        // A compact segment survives a second gc untouched.
+        let again = store.gc().unwrap();
+        assert_eq!((again.removed_files, again.kept_files), (0, 1));
+        let cleared = store.clear().unwrap();
+        assert_eq!((cleared.removed_files, cleared.removed_bytes), (1, frame));
         assert!(store.get(NS_TRACE, good).is_none());
+        assert!(files_in(&ns).is_empty());
+        // The store keeps working after both.
+        store.put(NS_TRACE, good, b"keep".to_vec());
+        assert_eq!(
+            Store::new(Some(dir.clone())).get_disk(NS_TRACE, good),
+            Some(b"keep".to_vec())
+        );
         let _ = fs::remove_dir_all(dir);
     }
 }
