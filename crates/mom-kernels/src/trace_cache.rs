@@ -27,7 +27,7 @@
 //! step, and the memory accesses.  The next process starts warm: a lookup
 //! decodes the blob against the current program and **re-verifies it
 //! before first use** — the recomputed stats must match the stored stats,
-//! and the stored pcs must walk the program ([`trace_matches_program`]):
+//! and the stored pcs must walk the program (`trace_matches_program`):
 //! the first step is pc 0, each later one the successor of the one before
 //! (`pc + 1`, or the resolved target of a taken branch), the walk ends at
 //! the program's length, and only memory instructions carry an access.

@@ -8,8 +8,10 @@
 //!   exposition](https://prometheus.io/docs/instrumenting/exposition_formats/)
 //!   renderer ([`render_prometheus`]).  This absorbs the counters that used
 //!   to live as scattered statics in `mom-kernels`, `mom-pipeline` and the
-//!   `mom-serve` queue; the store's per-namespace [`TierCounters`] mirror
-//!   into it from the process-global store.
+//!   `mom-serve` queue.  The process-global artifact store keeps its
+//!   per-namespace hit, miss and fill counts nowhere else: its counters
+//!   are the registry's own `momsim_store_*` series, which `mom-store`'s
+//!   `Store::counters` reads back.
 //! * [`trace`] — lightweight scoped spans recorded into a bounded ring
 //!   buffer and exportable as Chrome trace-event JSON
 //!   (`chrome://tracing` / Perfetto), behind a single atomic flag: with
@@ -17,8 +19,6 @@
 //!   instrumented fill paths stay timing-neutral.
 //! * [`log`] — leveled, UTC-timestamped log lines on stderr for the
 //!   `momsim serve` daemon (`--log-level`).
-//!
-//! [`TierCounters`]: https://docs.rs/ (the `mom-store` counter struct)
 
 #![warn(missing_docs)]
 

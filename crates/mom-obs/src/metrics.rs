@@ -23,8 +23,9 @@ use std::time::Duration;
 /// full experiment run (~minutes).
 pub const BUCKET_BOUNDS: [f64; 9] = [0.000_1, 0.001, 0.01, 0.05, 0.25, 1.0, 5.0, 30.0, 120.0];
 
-/// A monotonically increasing counter.
-#[derive(Debug, Clone)]
+/// A monotonically increasing counter.  `Counter::default()` is a
+/// private counter outside the registry, which no render ever prints.
+#[derive(Debug, Clone, Default)]
 pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {

@@ -14,7 +14,7 @@
 //! * scan-free: the per-cycle work is event-driven (rename-time dependence
 //!   resolution, wakeup lists, a ready queue, a store-address queue, a
 //!   free-unit calendar and idle-cycle fast-forwarding — see [`ooo`]); the
-//!   original naive implementation is retained in [`reference`] as the
+//!   original naive implementation is retained in [`reference`](mod@reference) as the
 //!   executable specification the optimised engine must match
 //!   cycle-for-cycle,
 //! * fan-out: [`PipelineFanout`] drives several machine configurations (the

@@ -47,13 +47,13 @@
 //!
 //! What the model needs of an instruction apart from its dependences —
 //! the register ids it reads and writes, its unit class, flags and
-//! operation count per row — is a [`StaticEntry`].  A trace is a walk over
+//! operation count per row — is a `StaticEntry`.  A trace is a walk over
 //! an instruction table ([`mom_arch::trace`]), so a replay
 //! ([`TraceSink::retire_repeated`]) decodes the *table* once into a
 //! transient table of these (16 bytes a row) and, for every step of every
 //! invocation, only indexes it by pc and *renames* the row against the
-//! last-writer scoreboard ([`Renamer::rename`]); single entries take the
-//! same path through [`StaticEntry::of`].  Nothing decoded outlives the
+//! last-writer scoreboard (`Renamer::rename`); single entries take the
+//! same path through `StaticEntry::of`.  Nothing decoded outlives the
 //! call.
 //!
 //! The in-flight window is a ring of a power-of-two size, at least
@@ -68,16 +68,16 @@
 //! ([`Trace::replay_into`] hands it over through
 //! [`TraceSink::retire_repeated`]).  [`PipelineSim`] and [`PipelineFanout`]
 //! step it invocation by invocation.  At the first invocation boundary
-//! after every [`CHECK_ENTRIES`] entries they take a [`Mark`]: the clock,
+//! after every `CHECK_ENTRIES` entries they take a `Mark`: the clock,
 //! the next sequence number and the counters that grow linearly
 //! (instructions, operations, the media/memory mix, dispatch stalls,
 //! per-class busy cycles, cache hits and misses).  When the mark deltas
-//! repeat with some period of at most [`MAX_PERIOD`] checks — or at every
+//! repeat with some period of at most `MAX_PERIOD` checks — or at every
 //! check, when the invocations are long enough that encoding is cheap next
 //! to stepping them — the consumer encodes its full state relative to its
 //! clock and next sequence number, and compares it with the states it
-//! recorded at the last [`MAX_PERIOD`] checks.  After
-//! [`MAX_FRUITLESS_RECORDINGS`] recordings that matched nothing it stops
+//! recorded at the last `MAX_PERIOD` checks.  After
+//! `MAX_FRUITLESS_RECORDINGS` recordings that matched nothing it stops
 //! recording, so a stream that never repeats pays for a bounded number of
 //! encodings.  The state covers:
 //!
@@ -1606,7 +1606,7 @@ impl TraceSink for PipelineSim {
     }
 
     /// Steps the replay invocation by invocation, checking for a steady
-    /// state at the first boundary after each [`CHECK_ENTRIES`] entries;
+    /// state at the first boundary after each `CHECK_ENTRIES` entries;
     /// once one is found, jumps over every whole period left and steps
     /// only the remainder.
     fn retire_repeated(&mut self, trace: &Trace, times: usize) {
@@ -1635,10 +1635,10 @@ impl TraceSink for PipelineSim {
 /// How many decoded entries [`PipelineFanout`] accumulates before sweeping
 /// the batch through its consumers: large enough to amortise the per-sweep
 /// loop overhead and keep each consumer's state hot for a whole sweep,
-/// small enough that the shared batch (at most 88 bytes per entry, pinned
-/// below) stays resident in L1/L2 while every consumer reads it.
+/// small enough that the shared batch (88 bytes per entry, pinned below:
+/// 22 KiB a batch) stays resident in L1/L2 while every consumer reads it.
 const FANOUT_BATCH: usize = 256;
-const _: () = assert!(std::mem::size_of::<DecodedEntry>() <= 88);
+const _: () = assert!(std::mem::size_of::<DecodedEntry>() == 88);
 
 /// Entries a replay feeds between two steady-state checks (rounded up to
 /// the next invocation boundary).  A quarter batch: a fan-out sweeps its
@@ -1651,13 +1651,13 @@ const CHECK_ENTRIES: usize = FANOUT_BATCH / 4;
 /// instruction stream).
 ///
 /// The consumers advance in **lockstep over one decoded stream**: each
-/// entry is renamed once, appended to a shared batch of [`DecodedEntry`]s,
+/// entry is renamed once, appended to a shared batch of `DecodedEntry`s,
 /// and once the batch fills (or the run ends) it is swept through the
 /// consumers one at a time, each reading the entries by reference.  The
 /// batch sweep — rather than feeding each entry to every consumer as it
 /// arrives — touches each decoded entry's cache lines once per batch
 /// instead of once per simulator, and keeps one simulator's window, queues
-/// and cache tables hot for [`FANOUT_BATCH`] consecutive entries.  Because every consumer
+/// and cache tables hot for `FANOUT_BATCH` consecutive entries.  Because every consumer
 /// still observes the identical entry sequence, the per-configuration
 /// results are cycle-for-cycle identical to independent [`PipelineSim`]
 /// runs (the differential suite pins this); consumers simply lag the

@@ -1,5 +1,5 @@
-//! Simulation results and the speed-up decomposition of the paper's
-//! Section 4.4 (IPC × OPI × R).
+//! Simulation results and the ratios (IPC, OPI) of the paper's Section 4.4
+//! speed-up decomposition; `mom_bench::tables_from` derives R and S.
 
 use crate::cache::CacheStats;
 use mom_isa::FuClass;
@@ -100,72 +100,6 @@ impl SimResult {
     }
 }
 
-/// The paper's speed-up decomposition (Section 4.4) of one ISA relative to
-/// the scalar baseline:
-///
-/// `S = R × IPC_isa × OPI_isa / IPC_alpha`, with
-/// `R = NOPS_alpha / NOPS_isa` the operation-reduction factor.
-#[derive(Debug, Clone, Copy)]
-pub struct SpeedupBreakdown {
-    /// Committed instructions per cycle of the evaluated ISA.
-    pub ipc: f64,
-    /// Operations per instruction of the evaluated ISA.
-    pub opi: f64,
-    /// Operation-reduction factor R (baseline operations / ISA operations).
-    pub r: f64,
-    /// Speed-up over the baseline (baseline cycles / ISA cycles).
-    pub speedup: f64,
-    /// Fraction of vector (multimedia) instructions F.
-    pub f: f64,
-    /// Average sub-word vector length (dimension X).
-    pub vlx: f64,
-    /// Average dimension-Y vector length.
-    pub vly: f64,
-}
-
-impl SpeedupBreakdown {
-    /// Builds the breakdown from a baseline result and an ISA result, plus
-    /// the trace-level VLx / VLy averages (which the timing simulator does
-    /// not track).
-    pub fn from_results(
-        baseline: &SimResult,
-        isa: &SimResult,
-        vlx: f64,
-        vly: f64,
-    ) -> SpeedupBreakdown {
-        let r = if isa.operations == 0 {
-            0.0
-        } else {
-            baseline.operations as f64 / isa.operations as f64
-        };
-        let speedup = if isa.cycles == 0 {
-            0.0
-        } else {
-            baseline.cycles as f64 / isa.cycles as f64
-        };
-        SpeedupBreakdown {
-            ipc: isa.ipc(),
-            opi: isa.opi(),
-            r,
-            speedup,
-            f: isa.media_fraction(),
-            vlx,
-            vly,
-        }
-    }
-
-    /// The identity the paper derives: `S = R × IPC × OPI / IPC_baseline`.
-    /// Returns the speed-up predicted from the decomposition (should agree
-    /// with the measured `speedup` field up to rounding when the baseline
-    /// and the ISA execute the same amount of work).
-    pub fn predicted_speedup(&self, baseline_ipc: f64, baseline_opi: f64) -> f64 {
-        if baseline_ipc == 0.0 || baseline_opi == 0.0 {
-            return 0.0;
-        }
-        self.r * self.ipc * self.opi / (baseline_ipc * baseline_opi)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,23 +147,5 @@ mod tests {
         r.fu_busy_cycles.insert(FuClass::MediaAlu, 150);
         assert!((r.fu_utilisation(FuClass::MediaAlu, 2) - 0.75).abs() < 1e-12);
         assert_eq!(r.fu_utilisation(FuClass::MediaMul, 2), 0.0);
-    }
-
-    #[test]
-    fn speedup_decomposition_identity() {
-        // Baseline: 1000 ops in 500 cycles, 1000 instructions (IPC 2, OPI 1).
-        let baseline = result(500, 1000, 1000);
-        // ISA: same work expressed as 400 ops (R = 2.5), 100 instructions
-        // (OPI 4), in 125 cycles (IPC 0.8) -> speed-up 4.
-        let isa = result(125, 100, 400);
-        let b = SpeedupBreakdown::from_results(&baseline, &isa, 6.0, 4.0);
-        assert!((b.r - 2.5).abs() < 1e-12);
-        assert!((b.speedup - 4.0).abs() < 1e-12);
-        let predicted = b.predicted_speedup(baseline.ipc(), baseline.opi());
-        assert!(
-            (predicted - b.speedup).abs() < 1e-9,
-            "decomposition must reproduce the measured speed-up: {predicted} vs {}",
-            b.speedup
-        );
     }
 }

@@ -1,10 +1,9 @@
 //! The crash-safe job journal: an append-only, checksummed write-ahead
 //! log in the store directory.
 //!
-//! The journal records *intent and progress*, never payloads: a
+//! The journal records *intent and outcome*, never payloads: a
 //! [`Record::Submit`] carries the original submission JSON (a few hundred
-//! bytes), a [`Record::UnitDone`] just the finished unit's 128-bit store
-//! key, and a [`Record::JobEnd`] the job's terminal state.  Unit payloads
+//! bytes) and a [`Record::JobEnd`] the job's terminal state.  Unit payloads
 //! live in the content-addressed store, so recovery is nearly free: on
 //! startup the daemon replays the journal and re-admits every job without
 //! a `JobEnd` through the ordinary submit path, where submit-time dedup
@@ -15,11 +14,13 @@
 //! with the checksum covering kind and payload.  Replay stops at the
 //! first damaged or truncated record — exactly the crash-consistency a
 //! log needs, since a torn tail can only be the record being appended
-//! when the process died.  After a clean drain the journal is truncated;
+//! when the process died.  An intact record of the retired kind 2 (a
+//! finished unit's key, written by older daemons) is skipped.  After a
+//! clean drain the journal is truncated;
 //! after recovery it is compacted down to the still-live submissions.
 
 use mom_store::hash::hash_bytes;
-use mom_store::{ByteReader, ByteWriter, Key};
+use mom_store::{ByteReader, ByteWriter};
 use std::fs;
 use std::io::{Read, Seek, Write};
 use std::path::{Path, PathBuf};
@@ -31,6 +32,9 @@ pub const JOURNAL_FILE: &str = "journal.wal";
 /// Frame bytes around the body: `len(u32)` before, `checksum(u128)`
 /// after.  The body itself is at least one byte (the kind tag).
 const FRAME_OVERHEAD: usize = 4 + 16;
+/// Kind tag of the finished-unit record older daemons wrote after every
+/// unit: nothing reads it, so replay skips it.
+const RETIRED_UNIT_DONE: u8 = 2;
 /// Longest accepted record body (submissions are capped well below this
 /// by the HTTP layer's body limit).
 const MAX_RECORD: usize = 8 * 1024 * 1024;
@@ -45,11 +49,6 @@ pub enum Record {
         job: u64,
         /// The submission document, verbatim.
         body: String,
-    },
-    /// A unit finished and its payload reached the store.
-    UnitDone {
-        /// The unit's content-addressed store key.
-        key: Key,
     },
     /// A job reached a terminal state and needs no recovery.
     JobEnd {
@@ -69,10 +68,6 @@ impl Record {
                 w.put_u64(*job);
                 w.put_str(body);
             }
-            Record::UnitDone { key } => {
-                w.put_u8(2);
-                w.put_u128(key.0);
-            }
             Record::JobEnd { job, state } => {
                 w.put_u8(3);
                 w.put_u64(*job);
@@ -88,9 +83,6 @@ impl Record {
             1 => Record::Submit {
                 job: r.get_u64("journal job id").ok()?,
                 body: r.get_str("journal submission body").ok()?,
-            },
-            2 => Record::UnitDone {
-                key: Key(r.get_u128("journal unit key").ok()?),
             },
             3 => Record::JobEnd {
                 job: r.get_u64("journal job id").ok()?,
@@ -131,9 +123,11 @@ pub fn replay(bytes: &[u8]) -> Vec<Record> {
         if hash_bytes(body).0 != checksum {
             break;
         }
-        match Record::decode_body(body) {
-            Some(record) => records.push(record),
-            None => break,
+        if body[0] != RETIRED_UNIT_DONE {
+            match Record::decode_body(body) {
+                Some(record) => records.push(record),
+                None => break,
+            }
         }
         pos += FRAME_OVERHEAD + len;
     }
@@ -196,7 +190,6 @@ impl Journal {
                 "kind",
                 match record {
                     Record::Submit { .. } => "submit",
-                    Record::UnitDone { .. } => "unit_done",
                     Record::JobEnd { .. } => "job_end",
                 },
             )],
@@ -220,7 +213,7 @@ impl Journal {
     }
 
     /// Compacts the journal down to `live` records (run after recovery:
-    /// finished jobs' Submit/UnitDone history is dead weight, and the
+    /// finished jobs' Submit/JobEnd history is dead weight, and the
     /// still-live submissions are rewritten fresh).
     pub fn compact(&self, live: &[Record]) {
         self.truncate();
@@ -244,16 +237,13 @@ pub fn recover(
     records: &[Record],
 ) -> (RecoverySummary, Vec<Record>) {
     let mut summary = RecoverySummary::default();
-    let mut ended = std::collections::BTreeSet::new();
-    for record in records {
-        match record {
-            Record::JobEnd { job, .. } => {
-                ended.insert(*job);
-            }
-            Record::UnitDone { .. } => summary.journal_units_done += 1,
-            Record::Submit { .. } => {}
-        }
-    }
+    let ended: std::collections::BTreeSet<u64> = records
+        .iter()
+        .filter_map(|record| match record {
+            Record::JobEnd { job, .. } => Some(*job),
+            Record::Submit { .. } => None,
+        })
+        .collect();
     let mut live = Vec::new();
     for record in records {
         let Record::Submit { job, body } = record else {
@@ -312,9 +302,6 @@ pub struct RecoverySummary {
     pub units_requeued: usize,
     /// Journalled jobs skipped because a `JobEnd` proves them finished.
     pub jobs_skipped: usize,
-    /// `UnitDone` records replayed (the journal's own completion count,
-    /// cross-checkable against `units_done`).
-    pub journal_units_done: usize,
 }
 
 #[cfg(test)]
@@ -331,8 +318,9 @@ mod tests {
                 job: 0,
                 body: "{\"experiment\": \"fig4\"}".to_string(),
             },
-            Record::UnitDone {
-                key: Key(0xdead_beef),
+            Record::Submit {
+                job: 1,
+                body: "{\"experiment\": \"fig5\"}".to_string(),
             },
             Record::JobEnd {
                 job: 0,
@@ -389,6 +377,21 @@ mod tests {
         let replayed = replay(&damaged);
         assert_eq!(replayed.len(), 1, "only the intact prefix survives");
         assert_eq!(replayed[0], sample_records()[0]);
+    }
+
+    #[test]
+    fn replay_skips_the_retired_unit_done_record_of_an_older_journal() {
+        // An older daemon's journal: a submission, the finished-unit
+        // record (kind 2, a 128-bit store key) and a later submission.
+        let mut unit_done = vec![RETIRED_UNIT_DONE];
+        unit_done.extend_from_slice(&0xdead_beef_u128.to_le_bytes());
+        let [first, second, _] = sample_records().try_into().unwrap();
+        let mut bytes = first.frame();
+        bytes.extend_from_slice(&(unit_done.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&unit_done);
+        bytes.extend_from_slice(&hash_bytes(&unit_done).0.to_le_bytes());
+        bytes.extend_from_slice(&second.frame());
+        assert_eq!(replay(&bytes), [first, second]);
     }
 
     #[test]

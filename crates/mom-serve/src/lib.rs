@@ -17,7 +17,7 @@
 //! parsed documents to experiment specs and snapshots back to documents,
 //! [`queue`] is the deduplicating job queue plus worker pool (with
 //! supervised, retrying workers), [`journal`] is the crash-safe job
-//! journal recovery replays on startup, and [`serve`] binds them to a TCP
+//! journal recovery replays on startup, and [`serve`](mod@serve) binds them to a TCP
 //! listener.  [`client`] and [`cli`] are the `momsim submit` / `status` /
 //! `report` / `shutdown` side.
 

@@ -12,7 +12,7 @@
 //! The store is the daemon's only result cache: a unit records its
 //! status, never its payload, and [`Daemon::snapshot`] reads each finished
 //! row back from the store when a job document is rendered.  The daemon
-//! therefore needs an active store ([`crate::serve`] refuses to start
+//! therefore needs an active store ([`crate::serve`](fn@crate::serve) refuses to start
 //! without one).
 //!
 //! Lock discipline: the queue lock may be held while reading the store
@@ -781,13 +781,6 @@ impl Daemon {
             };
             let compute_elapsed = compute_start.elapsed();
             compute_seconds_histogram().observe(compute_elapsed);
-            if result.is_ok() {
-                // The payload is in the store; journal the completion so a
-                // crash before the job finishes recovers it for free.
-                if let Some(journal) = self.journal() {
-                    journal.append(&Record::UnitDone { key });
-                }
-            }
             let mut guard = self.state.lock().expect("queue state");
             let state = &mut *guard;
             if let Some(unit) = state.units.get_mut(&key) {

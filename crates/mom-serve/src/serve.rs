@@ -118,9 +118,9 @@ pub fn serve(config: &ServeConfig) -> std::io::Result<Server> {
                     // Recover before attaching the journal: replayed
                     // submissions must not re-journal themselves (the
                     // compaction below rewrites the live ones), and a
-                    // unit finished in this narrow window merely loses
-                    // its UnitDone record — the store still dedups it on
-                    // the next recovery.
+                    // job that ends in this narrow window merely loses
+                    // its JobEnd record — the store still dedups its
+                    // units on the next recovery.
                     let (summary, live) = journal::recover(&daemon, &records);
                     journal.compact(&live);
                     daemon.set_journal(Arc::new(journal));
@@ -233,21 +233,26 @@ fn accept_loop(
         }
         match accepted {
             Ok((stream, _)) => {
-                if faults::should_inject(FaultSite::HttpAccept) {
-                    // An injected accept fault: drop the connection on the
-                    // floor, exactly like a listener overflow would.
-                    drop(stream);
-                    continue;
-                }
-                let daemon = Arc::clone(&daemon);
-                let stop = Arc::clone(&stop);
                 connections.retain(|handle| !handle.is_finished());
-                connections.push(
-                    std::thread::Builder::new()
-                        .name("mom-serve-conn".to_string())
-                        .spawn(move || handle_connection(stream, &daemon, &stop, read_timeout))
-                        .expect("spawn connection handler"),
-                );
+                let spawned = match faults::injected_io_error(FaultSite::HttpAccept, "http accept")
+                {
+                    Some(fault) => Err(fault),
+                    None => {
+                        let daemon = Arc::clone(&daemon);
+                        let stop = Arc::clone(&stop);
+                        std::thread::Builder::new()
+                            .name("mom-serve-conn".to_string())
+                            .spawn(move || handle_connection(stream, &daemon, &stop, read_timeout))
+                    }
+                };
+                // A connection without a handler (an injected fault, or a
+                // spawn refused for want of threads) is dropped on the
+                // floor, exactly like a listener overflow would; the
+                // accept loop goes on.
+                match spawned {
+                    Ok(handle) => connections.push(handle),
+                    Err(e) => mom_obs::log::warn("serve", &format!("connection dropped: {e}")),
+                }
             }
             Err(_) => break,
         }

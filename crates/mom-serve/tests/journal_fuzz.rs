@@ -5,7 +5,6 @@
 //! never invents one.
 
 use mom_serve::journal::{replay, Journal, Record};
-use mom_store::Key;
 use proptest::prelude::*;
 
 /// Mixed-width UTF-8 text shorter than `max` characters.
@@ -18,9 +17,6 @@ fn text(max: usize) -> impl Strategy<Value = String> {
 fn record() -> impl Strategy<Value = Record> {
     prop_oneof![
         (any::<u64>(), text(200)).prop_map(|(job, body)| Record::Submit { job, body }),
-        (any::<u64>(), any::<u64>()).prop_map(|(high, low)| Record::UnitDone {
-            key: Key(u128::from(high) << 64 | u128::from(low)),
-        }),
         (any::<u64>(), text(12)).prop_map(|(job, state)| Record::JobEnd { job, state }),
     ]
 }

@@ -1,16 +1,21 @@
 //! The two-tier store itself: frame format, the append-only segment log
-//! of the disk tier, per namespace hit/miss accounting, the process-global
-//! instance and the `gc`/`clear` maintenance operations behind
-//! `momsim cache`.
+//! of the disk tier, one record per namespace (memory tier, log and
+//! counters), the process-global instance and the `gc`/`clear`
+//! maintenance operations behind `momsim cache`.
+//!
+//! A namespace's hit, miss, fill, invalid and write-retry counts live in
+//! one counter each.  On the process-global store those counters are the
+//! metrics registry's own `momsim_store_*` series, registered on their
+//! first increment, so [`Store::counters`] and `/metrics` read the same
+//! values; any other store keeps private counters the registry never sees.
 //!
 //! # The disk tier: one segment log per namespace
 //!
 //! Every namespace directory holds **segments**, `<pid>-<n>.log` files
-//! that are nothing but runs of self-validating frames
-//! ([`encode_frame`]/[`decode_frame`]).  A process appends only to its own
-//! segment, created with `create_new` and held under an exclusive
-//! `File::try_lock` while the process lives, so two writers never share a
-//! file.
+//! that are nothing but runs of self-validating frames.  A process
+//! appends only to its own segment, created with `create_new` and held
+//! under an exclusive `File::try_lock` while the process lives, so two
+//! writers never share a file.
 //!
 //! * **Index.**  A namespace is indexed on first use by walking the frame
 //!   headers of every segment (a key found twice keeps the earlier copy
@@ -18,11 +23,11 @@
 //!   runs past the end of the file — a torn tail, counted once as
 //!   `invalid`.  The index maps a key to (segment, offset, length) only;
 //!   payloads stay on disk.
-//! * **Reads** are positioned reads followed by the full [`decode_frame`]
-//!   check, so a flipped or torn frame is never served.  A frame that
-//!   fails its check leaves the index and the key's next spare copy, if
-//!   any, is tried; without one the lookup is a miss and the caller's
-//!   recompute appends a fresh copy.
+//! * **Reads** are positioned reads followed by the full frame check, so
+//!   a flipped or torn frame is never served.  A frame that fails its
+//!   check leaves the index and the key's next spare copy, if any, is
+//!   tried; without one the lookup is a miss and the caller's recompute
+//!   appends a fresh copy.
 //! * **Writes** append frames under the namespace lock.  A failed append
 //!   (an injected partial write included) truncates the segment back to the
 //!   frame's start before the lock is released, so torn bytes never hide
@@ -56,6 +61,7 @@ use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 use crate::faults::{injected_io_error, should_inject, FaultSite};
 use crate::hash::{hash_bytes, Key};
+use mom_obs::Counter;
 
 /// Namespace for verified functional traces (`mom-kernels`).
 pub const NS_TRACE: &str = "trace";
@@ -211,19 +217,6 @@ pub struct GcReport {
     pub live_bytes: u64,
 }
 
-type MemoryTier = RwLock<HashMap<(String, Key), Arc<Vec<u8>>>>;
-
-/// One accounting event, mirrored into the metrics registry for the
-/// process-global store (see [`Store::mirror`]).
-#[derive(Debug, Clone, Copy)]
-enum StoreEvent {
-    MemoryHit,
-    DiskHit,
-    Miss,
-    Fill,
-    Invalid,
-}
-
 /// Where one indexed frame sits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct FrameLoc {
@@ -262,12 +255,94 @@ struct LogState {
     epoch: u64,
 }
 
-/// One namespace's log: its state, plus the lock that serialises the
-/// `sync_data` calls of a group commit.
-#[derive(Debug, Default)]
-struct Log {
+const LOOKUPS: &str = "momsim_store_lookups_total";
+const LOOKUPS_HELP: &str = "Store lookups by namespace and which tier answered.";
+
+/// Registry family, help text and `outcome` label of each store counter,
+/// indexed by the event constants below.
+const SERIES: [(&str, &str, Option<&str>); 6] = [
+    (LOOKUPS, LOOKUPS_HELP, Some("memory_hit")),
+    (LOOKUPS, LOOKUPS_HELP, Some("disk_hit")),
+    (LOOKUPS, LOOKUPS_HELP, Some("miss")),
+    (
+        "momsim_store_fills_total",
+        "Artifacts computed and written to the store.",
+        None,
+    ),
+    (
+        "momsim_store_invalid_total",
+        "On-disk frames rejected as corrupt, truncated or stale.",
+        None,
+    ),
+    (
+        "momsim_store_write_retries_total",
+        "Disk-tier fills retried after a write failure.",
+        None,
+    ),
+];
+const MEMORY_HIT: usize = 0;
+const DISK_HIT: usize = 1;
+const MISS: usize = 2;
+const FILL: usize = 3;
+const INVALID: usize = 4;
+const WRITE_RETRY: usize = 5;
+
+/// Everything the store keeps about one namespace: its raw memory tier,
+/// its log, the lock that serialises the `sync_data` calls of a group
+/// commit, and its counters.
+#[derive(Debug)]
+struct Namespace {
+    name: String,
+    /// Counters are the metrics registry's own series (process-global
+    /// store only: throwaway stores must not pollute process metrics).
+    observed: bool,
+    memory: RwLock<HashMap<Key, Arc<Vec<u8>>>>,
     state: Mutex<LogState>,
     commit: Mutex<()>,
+    /// One counter per [`SERIES`] entry, created on its first increment so
+    /// a registry series appears only once its event has happened.
+    counters: [OnceLock<Counter>; SERIES.len()],
+}
+
+impl Namespace {
+    fn new(name: &str, observed: bool) -> Namespace {
+        Namespace {
+            name: name.to_string(),
+            observed,
+            memory: RwLock::default(),
+            state: Mutex::default(),
+            commit: Mutex::default(),
+            counters: Default::default(),
+        }
+    }
+
+    /// Adds `n` to the counter of `event`.
+    fn add(&self, event: usize, n: u64) {
+        self.counters[event]
+            .get_or_init(|| {
+                let (family, help, outcome) = SERIES[event];
+                let namespace = ("namespace", self.name.as_str());
+                match (self.observed, outcome) {
+                    (false, _) => Counter::default(),
+                    (true, None) => mom_obs::counter_with(family, help, &[namespace]),
+                    (true, Some(outcome)) => {
+                        mom_obs::counter_with(family, help, &[namespace, ("outcome", outcome)])
+                    }
+                }
+            })
+            .add(n);
+    }
+
+    fn tier_counters(&self) -> TierCounters {
+        let count = |event: usize| self.counters[event].get().map_or(0, Counter::get);
+        TierCounters {
+            memory_hits: count(MEMORY_HIT),
+            disk_hits: count(DISK_HIT),
+            misses: count(MISS),
+            fills: count(FILL),
+            invalid: count(INVALID),
+        }
+    }
 }
 
 /// Frames one append left waiting for their commit: all in one segment.
@@ -294,13 +369,9 @@ static SEGMENT_SEQ: AtomicU64 = AtomicU64::new(0);
 pub struct Store {
     dir: Option<PathBuf>,
     enabled: bool,
-    memory: MemoryTier,
-    counters: Mutex<HashMap<String, TierCounters>>,
-    logs: RwLock<HashMap<String, Arc<Log>>>,
-    /// Mirror counter bumps into the `mom-obs` metrics registry.  Set only
-    /// on the process-global store: throwaway test stores must not pollute
-    /// process metrics, and `/metrics` must agree with the global store's
-    /// [`CacheReport`].
+    namespaces: RwLock<HashMap<String, Arc<Namespace>>>,
+    /// Whether new namespace records count into the metrics registry
+    /// (the process-global store only).
     observed: bool,
 }
 
@@ -310,9 +381,7 @@ impl Store {
         Store {
             dir,
             enabled: true,
-            memory: RwLock::new(HashMap::new()),
-            counters: Mutex::new(HashMap::new()),
-            logs: RwLock::new(HashMap::new()),
+            namespaces: RwLock::new(HashMap::new()),
             observed: false,
         }
     }
@@ -337,86 +406,17 @@ impl Store {
         self.enabled && BYPASS_DEPTH.load(Ordering::Relaxed) == 0
     }
 
-    fn bump<F: FnOnce(&mut TierCounters)>(&self, namespace: &str, f: F) {
-        let mut counters = self.counters.lock().unwrap();
-        f(counters.entry(namespace.to_string()).or_default());
-    }
-
-    /// Mirrors one accounting event into the process metrics registry —
-    /// only for the [`global`] store (see the `observed` field), and only
-    /// on paths already guarded by [`Store::is_active`], so bypassed perf
-    /// measurements never touch the registry.
-    fn mirror(&self, namespace: &str, event: StoreEvent) {
-        if !self.observed {
-            return;
+    /// The namespace's record, created empty on first use.
+    fn namespace(&self, name: &str) -> Arc<Namespace> {
+        if let Some(ns) = self.namespaces.read().expect("store namespaces").get(name) {
+            return Arc::clone(ns);
         }
-        const LOOKUPS: &str = "momsim_store_lookups_total";
-        const LOOKUPS_HELP: &str = "Store lookups by namespace and which tier answered.";
-        match event {
-            StoreEvent::MemoryHit => mom_obs::counter_with(
-                LOOKUPS,
-                LOOKUPS_HELP,
-                &[("namespace", namespace), ("outcome", "memory_hit")],
-            )
-            .inc(),
-            StoreEvent::DiskHit => mom_obs::counter_with(
-                LOOKUPS,
-                LOOKUPS_HELP,
-                &[("namespace", namespace), ("outcome", "disk_hit")],
-            )
-            .inc(),
-            StoreEvent::Miss => mom_obs::counter_with(
-                LOOKUPS,
-                LOOKUPS_HELP,
-                &[("namespace", namespace), ("outcome", "miss")],
-            )
-            .inc(),
-            StoreEvent::Fill => mom_obs::counter_with(
-                "momsim_store_fills_total",
-                "Artifacts computed and written to the store.",
-                &[("namespace", namespace)],
-            )
-            .inc(),
-            StoreEvent::Invalid => mom_obs::counter_with(
-                "momsim_store_invalid_total",
-                "On-disk frames rejected as corrupt, truncated or stale.",
-                &[("namespace", namespace)],
-            )
-            .inc(),
-        }
-    }
-
-    /// Counts `n` damaged frames or torn segment tails.
-    fn note_invalid(&self, namespace: &str, n: u64) {
-        if n > 0 {
-            self.bump(namespace, |c| c.invalid += n);
-            for _ in 0..n {
-                self.mirror(namespace, StoreEvent::Invalid);
-            }
-        }
-    }
-
-    fn note_miss(&self, namespace: &str) {
-        self.bump(namespace, |c| c.misses += 1);
-        self.mirror(namespace, StoreEvent::Miss);
-    }
-
-    fn note_fills(&self, namespace: &str, n: u64) {
-        self.bump(namespace, |c| c.fills += n);
-        for _ in 0..n {
-            self.mirror(namespace, StoreEvent::Fill);
-        }
-    }
-
-    fn note_write_retry(&self, namespace: &str) {
-        if self.observed {
-            mom_obs::counter_with(
-                "momsim_store_write_retries_total",
-                "Disk-tier fills retried after a write failure.",
-                &[("namespace", namespace)],
-            )
-            .inc();
-        }
+        let mut namespaces = self.namespaces.write().expect("store namespaces");
+        Arc::clone(
+            namespaces
+                .entry(name.to_string())
+                .or_insert_with(|| Arc::new(Namespace::new(name, self.observed))),
+        )
     }
 
     /// Records a hit in a typed in-memory tier layered above this store
@@ -425,8 +425,7 @@ impl Store {
     /// tier is skipped.
     pub fn note_memory_hit(&self, namespace: &str) {
         if self.is_active() {
-            self.bump(namespace, |c| c.memory_hits += 1);
-            self.mirror(namespace, StoreEvent::MemoryHit);
+            self.namespace(namespace).add(MEMORY_HIT, 1);
         }
     }
 
@@ -437,22 +436,13 @@ impl Store {
         if !self.is_active() {
             return None;
         }
-        if let Some(blob) = self
-            .memory
-            .read()
-            .unwrap()
-            .get(&(namespace.to_string(), key))
-            .cloned()
-        {
-            self.bump(namespace, |c| c.memory_hits += 1);
-            self.mirror(namespace, StoreEvent::MemoryHit);
+        let ns = self.namespace(namespace);
+        if let Some(blob) = ns.memory.read().unwrap().get(&key).cloned() {
+            ns.add(MEMORY_HIT, 1);
             return Some(blob);
         }
-        let blob = Arc::new(self.read_disk(namespace, key)?);
-        self.memory
-            .write()
-            .unwrap()
-            .insert((namespace.to_string(), key), Arc::clone(&blob));
+        let blob = Arc::new(self.read_disk(&ns, key)?);
+        ns.memory.write().unwrap().insert(key, Arc::clone(&blob));
         Some(blob)
     }
 
@@ -462,25 +452,11 @@ impl Store {
         if !self.is_active() {
             return None;
         }
-        self.read_disk(namespace, key)
-    }
-
-    /// The namespace's log, created empty on first use.
-    fn log(&self, namespace: &str) -> Arc<Log> {
-        if let Some(log) = self.logs.read().expect("store log map").get(namespace) {
-            return Arc::clone(log);
-        }
-        Arc::clone(
-            self.logs
-                .write()
-                .expect("store log map")
-                .entry(namespace.to_string())
-                .or_default(),
-        )
+        self.read_disk(&self.namespace(namespace), key)
     }
 
     /// Indexes the namespace's segments unless this process already has.
-    fn ensure_indexed(&self, namespace: &str, state: &mut LogState) {
+    fn ensure_indexed(&self, ns: &Namespace, state: &mut LogState) {
         if state.indexed {
             return;
         }
@@ -488,42 +464,34 @@ impl Store {
         let Some(dir) = &self.dir else {
             return;
         };
-        let torn = index_segments(&dir.join(namespace), state);
-        self.note_invalid(namespace, torn);
+        let torn = index_segments(&dir.join(&ns.name), state);
+        if torn > 0 {
+            ns.add(INVALID, torn);
+        }
     }
 
-    fn read_disk(&self, namespace: &str, key: Key) -> Option<Vec<u8>> {
-        let _span = mom_obs::span_fmt("store", || format!("read-disk {namespace}"));
+    fn read_disk(&self, ns: &Namespace, key: Key) -> Option<Vec<u8>> {
+        let _span = mom_obs::span_fmt("store", || format!("read-disk {}", ns.name));
         // An injected read fault behaves like an unreadable file: the
         // lookup degrades to a miss and the caller recomputes (the frame
         // itself stays on disk, untouched).
         let faulted = should_inject(FaultSite::StoreRead);
         let payload = match &self.dir {
-            Some(_) if !faulted => self.read_indexed(namespace, key),
+            Some(_) if !faulted => self.read_indexed(ns, key),
             _ => None,
         };
-        match payload {
-            Some(payload) => {
-                self.bump(namespace, |c| c.disk_hits += 1);
-                self.mirror(namespace, StoreEvent::DiskHit);
-                Some(payload)
-            }
-            None => {
-                self.note_miss(namespace);
-                None
-            }
-        }
+        ns.add(if payload.is_some() { DISK_HIT } else { MISS }, 1);
+        payload
     }
 
     /// Reads and checks the indexed copy of `key`, falling back to its
     /// spare copies; every copy that fails its check leaves the index and
     /// counts as `invalid`.
-    fn read_indexed(&self, namespace: &str, key: Key) -> Option<Vec<u8>> {
-        let log = self.log(namespace);
+    fn read_indexed(&self, ns: &Namespace, key: Key) -> Option<Vec<u8>> {
         loop {
             let (loc, file, epoch) = {
-                let mut state = log.state.lock().expect("store log state");
-                self.ensure_indexed(namespace, &mut state);
+                let mut state = ns.state.lock().expect("store log state");
+                self.ensure_indexed(ns, &mut state);
                 let loc = *state.index.get(&key)?;
                 let file = Arc::clone(&state.segments[loc.segment as usize].file);
                 (loc, file, state.epoch)
@@ -536,8 +504,8 @@ impl Store {
             if decoded.is_some() {
                 return decoded;
             }
-            self.note_invalid(namespace, 1);
-            let mut state = log.state.lock().expect("store log state");
+            ns.add(INVALID, 1);
+            let mut state = ns.state.lock().expect("store log state");
             if state.epoch == epoch && state.index.get(&key) == Some(&loc) {
                 match state.spares.get_mut(&key).and_then(Vec::pop) {
                     Some(spare) => state.index.insert(key, spare),
@@ -560,15 +528,16 @@ impl Store {
             return;
         }
         let _span = mom_obs::span_fmt("store", || format!("put {namespace}"));
+        let ns = self.namespace(namespace);
         let frames: Vec<(Key, &[u8])> = blobs.iter().map(|(k, p)| (*k, p.as_slice())).collect();
-        self.write_disk(namespace, &frames);
+        self.write_disk(&ns, &frames);
         let filled = blobs.len() as u64;
-        let mut memory = self.memory.write().unwrap();
-        for (key, payload) in blobs {
-            memory.insert((namespace.to_string(), key), Arc::new(payload));
-        }
-        drop(memory);
-        self.note_fills(namespace, filled);
+        ns.memory.write().unwrap().extend(
+            blobs
+                .into_iter()
+                .map(|(key, payload)| (key, Arc::new(payload))),
+        );
+        ns.add(FILL, filled);
     }
 
     /// Stores a blob on disk only, for callers with their own memory tier.
@@ -577,19 +546,18 @@ impl Store {
             return;
         }
         let _span = mom_obs::span_fmt("store", || format!("put-disk {namespace}"));
-        self.write_disk(namespace, &[(key, payload)]);
-        self.note_fills(namespace, 1);
+        let ns = self.namespace(namespace);
+        self.write_disk(&ns, &[(key, payload)]);
+        ns.add(FILL, 1);
     }
 
     /// Appends the frames, then commits them.
-    fn write_disk(&self, namespace: &str, frames: &[(Key, &[u8])]) {
+    fn write_disk(&self, ns: &Namespace, frames: &[(Key, &[u8])]) {
         let Some(dir) = &self.dir else {
             return;
         };
-        let log = self.log(namespace);
-        let pending = self.append(namespace, &dir.join(namespace), &log, frames);
-        for batch in pending {
-            self.commit(namespace, &log, batch);
+        for batch in self.append(ns, &dir.join(&ns.name), frames) {
+            commit(ns, batch);
         }
     }
 
@@ -598,19 +566,13 @@ impl Store {
     /// failure — a full disk, an injected fault — should not cost the
     /// artifact its durability); a second failure drops that frame from
     /// the disk tier, and the payload still serves from memory.
-    fn append(
-        &self,
-        namespace: &str,
-        ns_dir: &Path,
-        log: &Log,
-        frames: &[(Key, &[u8])],
-    ) -> Vec<Pending> {
-        let mut state = log.state.lock().expect("store log state");
-        self.ensure_indexed(namespace, &mut state);
+    fn append(&self, ns: &Namespace, ns_dir: &Path, frames: &[(Key, &[u8])]) -> Vec<Pending> {
+        let mut state = ns.state.lock().expect("store log state");
+        self.ensure_indexed(ns, &mut state);
         let mut pending: Vec<Pending> = Vec::new();
         for &(key, payload) in frames {
             let loc = state.append(ns_dir, key, payload).or_else(|_| {
-                self.note_write_retry(namespace);
+                ns.add(WRITE_RETRY, 1);
                 state.append(ns_dir, key, payload)
             });
             let Ok(loc) = loc else {
@@ -634,60 +596,25 @@ impl Store {
         pending
     }
 
-    /// Makes appended frames durable, then indexes them.  Group commit:
-    /// committers queue on the commit lock, and a `sync_data` covers every
-    /// byte appended before it started, so a committer whose frames an
-    /// earlier sync already covered returns without syncing.  A failed
-    /// sync is retried once; a second failure leaves the frames unindexed.
-    fn commit(&self, namespace: &str, log: &Log, batch: Pending) {
-        let _commit = log.commit.lock().expect("store commit lock");
-        let target = {
-            let mut state = log.state.lock().expect("store log state");
-            if state.epoch != batch.epoch {
-                // `clear`/`gc` retired the segment meanwhile.
-                return;
-            }
-            let segment = &state.segments[batch.segment as usize];
-            let (synced, appended) = (segment.synced, segment.len);
-            if synced >= batch.end {
-                state.index.extend(batch.frames);
-                return;
-            }
-            appended
-        };
-        let sync = || match injected_io_error(FaultSite::StoreSync, "store sync") {
-            Some(fault) => Err(fault),
-            None => batch.file.sync_data(),
-        };
-        let synced = sync().or_else(|_| {
-            self.note_write_retry(namespace);
-            sync()
-        });
-        if synced.is_err() {
-            return;
-        }
-        let mut state = log.state.lock().expect("store log state");
-        if state.epoch == batch.epoch {
-            let segment = &mut state.segments[batch.segment as usize];
-            segment.synced = segment.synced.max(target);
-            state.index.extend(batch.frames);
-        }
-    }
-
     /// This process's counters for one namespace.
     pub fn counters(&self, namespace: &str) -> TierCounters {
-        self.counters
-            .lock()
-            .unwrap()
+        self.namespaces
+            .read()
+            .expect("store namespaces")
             .get(namespace)
-            .copied()
-            .unwrap_or_default()
+            .map_or_else(TierCounters::default, |ns| ns.tier_counters())
     }
 
     /// The full diagnostic: process counters, the index's key count and
     /// the segments' bytes per namespace.
     pub fn report(&self) -> CacheReport {
-        let mut names: Vec<String> = self.counters.lock().unwrap().keys().cloned().collect();
+        let mut names: Vec<String> = self
+            .namespaces
+            .read()
+            .expect("store namespaces")
+            .keys()
+            .cloned()
+            .collect();
         if let Some(dir) = &self.dir {
             if let Ok(dirs) = namespace_dirs(dir) {
                 names.extend(
@@ -703,9 +630,9 @@ impl Store {
             .map(|namespace| {
                 let (disk_blobs, disk_bytes) = match &self.dir {
                     Some(dir) => {
-                        let log = self.log(&namespace);
-                        let mut state = log.state.lock().expect("store log state");
-                        self.ensure_indexed(&namespace, &mut state);
+                        let ns = self.namespace(&namespace);
+                        let mut state = ns.state.lock().expect("store log state");
+                        self.ensure_indexed(&ns, &mut state);
                         let bytes = segment_files(&dir.join(&namespace))
                             .iter()
                             .map(|s| s.len)
@@ -729,24 +656,27 @@ impl Store {
         }
     }
 
-    /// Runs `f` over every namespace directory with that namespace's log
-    /// locked and reset: this store's own segment is retired (the next put
-    /// opens a new one) and the namespace is re-indexed on next use.
+    /// Empties every namespace's memory tier, then runs `f` over every
+    /// namespace directory with that namespace's log locked and reset:
+    /// this store's own segment is retired (the next put opens a new one)
+    /// and the namespace is re-indexed on next use.
     fn maintain<F>(&self, mut f: F) -> io::Result<GcReport>
     where
         F: FnMut(&Path, &mut GcReport) -> io::Result<()>,
     {
-        self.memory.write().unwrap().clear();
+        for ns in self.namespaces.read().expect("store namespaces").values() {
+            ns.memory.write().unwrap().clear();
+        }
         let mut report = GcReport::default();
         let Some(dir) = &self.dir else {
             return Ok(report);
         };
         for ns_dir in namespace_dirs(dir)? {
-            let Some(namespace) = ns_dir.file_name().and_then(|n| n.to_str()) else {
+            let Some(name) = ns_dir.file_name().and_then(|n| n.to_str()) else {
                 continue;
             };
-            let log = self.log(namespace);
-            let mut state = log.state.lock().expect("store log state");
+            let ns = self.namespace(name);
+            let mut state = ns.state.lock().expect("store log state");
             *state = LogState {
                 epoch: state.epoch + 1,
                 ..LogState::default()
@@ -806,6 +736,46 @@ impl Store {
             }
             remove_files(ns_dir, stray.iter().map(|(p, len)| (p, *len)), report)
         })
+    }
+}
+
+/// Makes appended frames durable, then indexes them.  Group commit:
+/// committers queue on the commit lock, and a `sync_data` covers every
+/// byte appended before it started, so a committer whose frames an
+/// earlier sync already covered returns without syncing.  A failed sync
+/// is retried once; a second failure leaves the frames unindexed.
+fn commit(ns: &Namespace, batch: Pending) {
+    let _commit = ns.commit.lock().expect("store commit lock");
+    let target = {
+        let mut state = ns.state.lock().expect("store log state");
+        if state.epoch != batch.epoch {
+            // `clear`/`gc` retired the segment meanwhile.
+            return;
+        }
+        let segment = &state.segments[batch.segment as usize];
+        let (synced, appended) = (segment.synced, segment.len);
+        if synced >= batch.end {
+            state.index.extend(batch.frames);
+            return;
+        }
+        appended
+    };
+    let sync = || match injected_io_error(FaultSite::StoreSync, "store sync") {
+        Some(fault) => Err(fault),
+        None => batch.file.sync_data(),
+    };
+    let synced = sync().or_else(|_| {
+        ns.add(WRITE_RETRY, 1);
+        sync()
+    });
+    if synced.is_err() {
+        return;
+    }
+    let mut state = ns.state.lock().expect("store log state");
+    if state.epoch == batch.epoch {
+        let segment = &mut state.segments[batch.segment as usize];
+        segment.synced = segment.synced.max(target);
+        state.index.extend(batch.frames);
     }
 }
 

@@ -4,15 +4,21 @@
 //! plane — leaves no torn bytes, is retried, never hides a later frame and
 //! never poisons the memory tier.
 //!
-//! The fault plane is process-global, so every test serialises on one
-//! mutex and clears the plan before returning.
+//! The same run of events also pins where the store counts them: the
+//! process-global store's counters are the registry's `momsim_store_*`
+//! series, and a private store's never reach the registry.
+//!
+//! The fault plane and the metrics registry are process-global, so every
+//! test serialises on one mutex and clears the plan before returning.
 
 mod common;
 
 use common::{assert_no_litter, frames, key_of, only_segment, payload, temp_dir};
 use mom_store::faults::{self, FaultPlan, FaultSite};
-use mom_store::{Store, NS_RESULT};
+use mom_store::{Store, StoreConfig, TierCounters, NS_RESULT};
 use std::fs;
+use std::os::unix::fs::FileExt as _;
+use std::path::Path;
 use std::sync::{Mutex, MutexGuard};
 
 fn serial() -> MutexGuard<'static, ()> {
@@ -191,6 +197,105 @@ fn injected_read_faults_degrade_to_misses_and_recover() {
         fresh.get_disk(NS_RESULT, key).as_deref(),
         Some(b"present".as_slice()),
         "service recovers the moment the fault clears"
+    );
+    let _ = fs::remove_dir_all(dir);
+}
+
+/// Flips the last byte of the namespace's only segment: the payload of
+/// the frame appended last.
+fn damage_last_frame(dir: &Path, namespace: &str) {
+    let segment = only_segment(dir, namespace);
+    let len = fs::metadata(&segment).unwrap().len();
+    let file = fs::OpenOptions::new().write(true).open(&segment).unwrap();
+    file.write_all_at(&[0xff], len - 1).unwrap();
+}
+
+#[test]
+fn a_private_stores_events_leave_the_registry_untouched() {
+    let _serial = serial();
+    let before = mom_obs::render_prometheus();
+    let dir = temp_dir("faults");
+    let store = Store::new(Some(dir.clone()));
+    let (good, bad) = (key_of("private good"), key_of("private bad"));
+    store.put(NS_RESULT, good, b"good".to_vec());
+    assert!(store.get(NS_RESULT, good).is_some());
+    store.put_disk(NS_RESULT, bad, b"bad");
+    damage_last_frame(&dir, NS_RESULT);
+    let reader = Store::new(Some(dir.clone()));
+    assert!(reader.get_disk(NS_RESULT, good).is_some());
+    assert!(reader.get_disk(NS_RESULT, bad).is_none());
+    // A disk tier under a regular file: the append fails and is retried.
+    Store::new(Some(only_segment(&dir, NS_RESULT))).put(NS_RESULT, bad, b"bad".to_vec());
+
+    let (wrote, read) = (store.counters(NS_RESULT), reader.counters(NS_RESULT));
+    assert_eq!((wrote.fills, wrote.memory_hits), (2, 1));
+    assert_eq!((read.disk_hits, read.misses, read.invalid), (1, 1, 1));
+    assert_eq!(mom_obs::render_prometheus(), before);
+    let _ = fs::remove_dir_all(dir);
+}
+
+#[test]
+fn the_global_stores_counters_are_its_registry_series() {
+    const NS: &str = "registry-probe";
+    let _serial = serial();
+    let dir = temp_dir("faults");
+    let config = StoreConfig {
+        dir: Some(dir.clone()),
+        cold: false,
+    };
+    mom_store::configure(config).unwrap();
+    let store = mom_store::global();
+    let series = |family: &str, labels: &str| format!("{family}{{namespace=\"{NS}\"{labels}}}");
+    let fills = series("momsim_store_fills_total", "");
+
+    // A namespace's fill series is absent until its first fill.
+    assert!(store.get(NS, key_of("absent")).is_none());
+    assert!(!mom_obs::render_prometheus().contains(&fills));
+    let (memory, disk, damaged) = (key_of("memory"), key_of("disk"), key_of("damaged"));
+    store.put(NS, memory, b"memory".to_vec());
+    assert!(mom_obs::render_prometheus().contains(&format!("{fills} 1\n")));
+
+    // Memory hits from both tiers, a disk hit, a damaged frame (invalid,
+    // and its lookup a miss) and a write that fails once.
+    assert!(store.get(NS, memory).is_some());
+    store.note_memory_hit(NS);
+    store.put_disk(NS, disk, b"disk");
+    assert!(store.get_disk(NS, disk).is_some());
+    store.put_disk(NS, damaged, b"damaged");
+    damage_last_frame(&dir, NS);
+    assert!(store.get_disk(NS, damaged).is_none());
+    faults::install(FaultPlan::new(16).with_site(FaultSite::StoreWrite, 1.0, Some(1)));
+    store.put(NS, key_of("retried"), b"retried".to_vec());
+    faults::clear();
+
+    let c = store.counters(NS);
+    let expected = TierCounters {
+        memory_hits: 2,
+        disk_hits: 1,
+        misses: 2,
+        fills: 4,
+        invalid: 1,
+    };
+    assert_eq!(c, expected);
+    let lookups = |outcome: &str| {
+        let labels = format!(",outcome=\"{outcome}\"");
+        series("momsim_store_lookups_total", &labels)
+    };
+    let rendered: Vec<String> = mom_obs::render_prometheus()
+        .lines()
+        .filter(|line| line.starts_with("momsim_store_") && line.contains(NS))
+        .map(str::to_string)
+        .collect();
+    assert_eq!(
+        rendered,
+        [
+            format!("{fills} {}", c.fills),
+            format!("{} {}", series("momsim_store_invalid_total", ""), c.invalid),
+            format!("{} {}", lookups("disk_hit"), c.disk_hits),
+            format!("{} {}", lookups("memory_hit"), c.memory_hits),
+            format!("{} {}", lookups("miss"), c.misses),
+            format!("{} 1", series("momsim_store_write_retries_total", "")),
+        ]
     );
     let _ = fs::remove_dir_all(dir);
 }

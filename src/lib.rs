@@ -16,7 +16,7 @@
 //! * [`apps`] — the six whole Mediabench applications as declarative
 //!   multi-kernel pipelines, with the data cache carried across phase
 //!   boundaries and Amdahl-combined whole-application speed-ups,
-//! * [`bench`] — the declarative experiment layer: [`ExperimentSpec`]
+//! * [`bench`](mod@bench) — the declarative experiment layer: [`ExperimentSpec`]
 //!   scenario grids, the registered paper experiments, and the reporting
 //!   behind the `momsim` CLI,
 //! * [`serve`] — the job-queue simulation daemon (`momsim serve`): HTTP
