@@ -1,5 +1,7 @@
-//! The crash-safe job journal: an append-only, checksummed write-ahead
-//! log in the store directory.
+//! The crash-safe job journal: `journal.wal` in the store directory,
+//! written through the store's log ([`mom_store::LogFile`]), so the store
+//! and the journal share one frame format, one append, one group commit
+//! and one crash contract.
 //!
 //! The journal records *intent and outcome*, never payloads: a
 //! [`Record::Submit`] carries the original submission JSON (a few hundred
@@ -10,34 +12,24 @@
 //! answers the already-finished units from the store instantly and only
 //! genuinely lost work is rescheduled.
 //!
-//! Each record is framed `len(u32) | kind(u8) payload | checksum(u128)`
-//! with the checksum covering kind and payload.  Replay stops at the
-//! first damaged or truncated record — exactly the crash-consistency a
-//! log needs, since a torn tail can only be the record being appended
-//! when the process died.  An intact record of the retired kind 2 (a
-//! finished unit's key, written by older daemons) is skipped.  After a
-//! clean drain the journal is truncated;
-//! after recovery it is compacted down to the still-live submissions.
+//! Every record is one frame under one fixed key.  Replay keeps the
+//! intact prefix (a torn tail can only be the record being appended when
+//! the process died) and [`Journal::open`] truncates the rest, so a
+//! journal in an older format replays nothing.  An appended record
+//! survives a process kill, a committed one a machine crash: `POST /jobs`
+//! commits its `Submit` before the 202 (unless dedup finished the job on
+//! the spot), and the queue commits `JobEnd` records once it has released
+//! its lock.  A clean drain truncates the
+//! journal; recovery compacts it down to the still-live submissions.
 
-use mom_store::hash::hash_bytes;
-use mom_store::{ByteReader, ByteWriter};
-use std::fs;
-use std::io::{Read, Seek, Write};
+use mom_store::{ByteReader, ByteWriter, Key, LogFile};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 /// The journal's file name inside the store directory.
 pub const JOURNAL_FILE: &str = "journal.wal";
 
-/// Frame bytes around the body: `len(u32)` before, `checksum(u128)`
-/// after.  The body itself is at least one byte (the kind tag).
-const FRAME_OVERHEAD: usize = 4 + 16;
-/// Kind tag of the finished-unit record older daemons wrote after every
-/// unit: nothing reads it, so replay skips it.
-const RETIRED_UNIT_DONE: u8 = 2;
-/// Longest accepted record body (submissions are capped well below this
-/// by the HTTP layer's body limit).
-const MAX_RECORD: usize = 8 * 1024 * 1024;
+/// The key every journal frame carries (the ASCII of `momsim-journal-1`).
+const JOURNAL_KEY: Key = Key(u128::from_le_bytes(*b"momsim-journal-1"));
 
 /// One journal record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,109 +52,60 @@ pub enum Record {
 }
 
 impl Record {
-    fn encode_body(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
+    /// Kind tag, metric label, job id and text of the record.
+    fn parts(&self) -> (u8, &'static str, u64, &str) {
         match self {
-            Record::Submit { job, body } => {
-                w.put_u8(1);
-                w.put_u64(*job);
-                w.put_str(body);
-            }
-            Record::JobEnd { job, state } => {
-                w.put_u8(3);
-                w.put_u64(*job);
-                w.put_str(state);
-            }
+            Record::Submit { job, body } => (1, "submit", *job, body),
+            Record::JobEnd { job, state } => (3, "job_end", *job, state),
         }
+    }
+
+    fn encode_body(&self) -> Vec<u8> {
+        let (kind, _, job, text) = self.parts();
+        let mut w = ByteWriter::new();
+        w.put_u8(kind);
+        w.put_u64(job);
+        w.put_str(text);
         w.into_bytes()
     }
 
     fn decode_body(body: &[u8]) -> Option<Record> {
         let mut r = ByteReader::new(body);
-        let record = match r.get_u8("journal record kind").ok()? {
-            1 => Record::Submit {
-                job: r.get_u64("journal job id").ok()?,
-                body: r.get_str("journal submission body").ok()?,
-            },
-            3 => Record::JobEnd {
-                job: r.get_u64("journal job id").ok()?,
-                state: r.get_str("journal job state").ok()?,
-            },
-            _ => return None,
-        };
+        let kind = r.get_u8("journal record kind").ok()?;
+        let job = r.get_u64("journal job id").ok()?;
+        let text = r.get_str("journal record text").ok()?;
         r.finish().ok()?;
-        Some(record)
-    }
-
-    fn frame(&self) -> Vec<u8> {
-        let body = self.encode_body();
-        let mut frame = Vec::with_capacity(body.len() + FRAME_OVERHEAD);
-        frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&body);
-        frame.extend_from_slice(&hash_bytes(&body).0.to_le_bytes());
-        frame
+        match kind {
+            1 => Some(Record::Submit { job, body: text }),
+            3 => Some(Record::JobEnd { job, state: text }),
+            _ => None,
+        }
     }
 }
 
-/// Decodes every intact record from raw journal bytes, stopping at the
-/// first truncated or corrupt frame (the torn tail of a crash).
+/// Decodes the records of raw journal bytes: the intact prefix of frames,
+/// up to the first truncated or corrupt one (the torn tail of a crash).
 pub fn replay(bytes: &[u8]) -> Vec<Record> {
-    let mut records = Vec::new();
-    let mut pos = 0usize;
-    while bytes.len() - pos > FRAME_OVERHEAD {
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        if len == 0 || len > MAX_RECORD || bytes.len() - pos < FRAME_OVERHEAD + len {
-            break;
-        }
-        let body = &bytes[pos + 4..pos + 4 + len];
-        let checksum = u128::from_le_bytes(
-            bytes[pos + 4 + len..pos + FRAME_OVERHEAD + len]
-                .try_into()
-                .unwrap(),
-        );
-        if hash_bytes(body).0 != checksum {
-            break;
-        }
-        if body[0] != RETIRED_UNIT_DONE {
-            match Record::decode_body(body) {
-                Some(record) => records.push(record),
-                None => break,
-            }
-        }
-        pos += FRAME_OVERHEAD + len;
-    }
-    records
+    mom_store::log::intact_frames(bytes, JOURNAL_KEY)
+        .filter_map(|(body, _)| Record::decode_body(body))
+        .collect()
 }
 
-/// The open journal file, append-serialised behind a mutex.
+/// The open journal.
 #[derive(Debug)]
 pub struct Journal {
     path: PathBuf,
-    file: Mutex<fs::File>,
+    log: LogFile,
 }
 
 impl Journal {
     /// Opens (creating if needed) the journal at `path`, returning the
-    /// handle and every intact record already on disk.
+    /// handle and every intact record already on disk; whatever follows
+    /// them is truncated away.
     pub fn open(path: &Path) -> std::io::Result<(Journal, Vec<Record>)> {
-        if let Some(parent) = path.parent() {
-            fs::create_dir_all(parent)?;
-        }
-        let mut file = fs::OpenOptions::new()
-            .read(true)
-            .create(true)
-            .append(true)
-            .open(path)?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
-        let records = replay(&bytes);
-        Ok((
-            Journal {
-                path: path.to_path_buf(),
-                file: Mutex::new(file),
-            },
-            records,
-        ))
+        let (log, bytes) = LogFile::open(path, JOURNAL_KEY)?;
+        let path = path.to_path_buf();
+        Ok((Journal { path, log }, replay(&bytes)))
     }
 
     /// The journal file's location.
@@ -170,56 +113,46 @@ impl Journal {
         &self.path
     }
 
-    /// Appends one record.  Best-effort by design: journalling failures
-    /// degrade crash recovery, not live service, so they are logged and
-    /// swallowed (the same stance the store takes on its disk tier).
+    /// Appends one record; a machine crash can lose it until a
+    /// [`Journal::commit`] covers it.  Best-effort by design: journalling
+    /// failures degrade crash recovery, not live service, so they are
+    /// logged and swallowed (the same stance the store takes on its disk
+    /// tier).
     pub fn append(&self, record: &Record) {
-        let frame = record.frame();
-        let mut file = self
-            .file
-            .lock()
-            .unwrap_or_else(|poison| poison.into_inner());
-        if let Err(e) = file.write_all(&frame).and_then(|()| file.flush()) {
+        if let Err(e) = self.log.append(JOURNAL_KEY, &record.encode_body(), || ()) {
             mom_obs::log::warn("journal", &format!("append failed: {e}"));
             return;
         }
-        mom_obs::counter_with(
-            "momsim_journal_records_total",
-            "Records appended to the job journal.",
-            &[(
-                "kind",
-                match record {
-                    Record::Submit { .. } => "submit",
-                    Record::JobEnd { .. } => "job_end",
-                },
-            )],
-        )
-        .inc();
+        let (_, kind, ..) = record.parts();
+        let help = "Records appended to the job journal.";
+        mom_obs::counter_with("momsim_journal_records_total", help, &[("kind", kind)]).inc();
+    }
+
+    /// Makes every record appended so far durable: one `sync_data`, shared
+    /// with concurrent committers.  Failures are logged and swallowed.
+    pub fn commit(&self) {
+        if let Err(e) = self.log.commit(self.log.appended(), || ()) {
+            mom_obs::log::warn("journal", &format!("commit failed: {e}"));
+        }
     }
 
     /// Truncates the journal to zero length (a clean drain: nothing left
     /// to recover).
     pub fn truncate(&self) {
-        let file = self
-            .file
-            .lock()
-            .unwrap_or_else(|poison| poison.into_inner());
-        if let Err(e) = file.set_len(0).and_then(|()| {
-            let mut f = &*file;
-            f.seek(std::io::SeekFrom::Start(0)).map(|_| ())
-        }) {
+        if let Err(e) = self.log.truncate() {
             mom_obs::log::warn("journal", &format!("truncate failed: {e}"));
         }
     }
 
     /// Compacts the journal down to `live` records (run after recovery:
     /// finished jobs' Submit/JobEnd history is dead weight, and the
-    /// still-live submissions are rewritten fresh).
+    /// still-live submissions are rewritten fresh), with one commit.
     pub fn compact(&self, live: &[Record]) {
         self.truncate();
         for record in live {
             self.append(record);
         }
+        self.commit();
     }
 }
 
@@ -227,8 +160,11 @@ impl Journal {
 /// without a terminal `JobEnd` is re-admitted under its original id
 /// through the ordinary submit path, where store-backed dedup answers the
 /// units that finished before the crash and only genuinely lost work is
-/// rescheduled.  Returns the summary and the still-live `Submit` records
-/// (jobs not instantly finished by dedup) for [`Journal::compact`].
+/// rescheduled.  Every journalled id, skipped and unparsable ones
+/// included, is reserved: a new job never reuses one, so a client still
+/// polling an old id never reads another job's rows.  Returns the summary
+/// and the still-live `Submit` records (jobs not instantly finished by
+/// dedup) for [`Journal::compact`].
 ///
 /// Call *before* attaching the journal to the daemon — recovery must not
 /// re-journal the submissions it replays (compaction rewrites them).
@@ -244,6 +180,9 @@ pub fn recover(
             Record::Submit { .. } => None,
         })
         .collect();
+    if let Some(last) = records.iter().map(|record| record.parts().2).max() {
+        daemon.reserve_job_ids(last);
+    }
     let mut live = Vec::new();
     for record in records {
         let Record::Submit { job, body } = record else {
@@ -307,6 +246,7 @@ pub struct RecoverySummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs;
 
     fn temp_path(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("mom-journal-{}-{tag}.wal", std::process::id()))
@@ -338,6 +278,7 @@ mod tests {
         for record in sample_records() {
             journal.append(&record);
         }
+        journal.commit();
         drop(journal);
         let (journal, replayed) = Journal::open(&path).unwrap();
         assert_eq!(replayed, sample_records());
@@ -350,48 +291,54 @@ mod tests {
 
     #[test]
     fn replay_stops_at_a_torn_tail_but_keeps_the_intact_prefix() {
-        let mut bytes = Vec::new();
-        for record in sample_records() {
-            bytes.extend_from_slice(&record.frame());
-        }
+        let path = temp_path("torn");
+        let _ = fs::remove_file(&path);
+        let (journal, _) = Journal::open(&path).unwrap();
+        let ends: Vec<usize> = sample_records()
+            .iter()
+            .map(|record| {
+                journal.append(record);
+                fs::metadata(&path).unwrap().len() as usize
+            })
+            .collect();
+        drop(journal);
+        let bytes = fs::read(&path).unwrap();
         // Every truncation point keeps exactly the records whose frames
         // fit entirely before it.
-        let frames: Vec<usize> = sample_records().iter().map(|r| r.frame().len()).collect();
         for cut in 0..bytes.len() {
-            let replayed = replay(&bytes[..cut]);
-            let mut expect = 0;
-            let mut consumed = 0;
-            for len in &frames {
-                if consumed + len > cut {
-                    break;
-                }
-                expect += 1;
-                consumed += len;
-            }
-            assert_eq!(replayed.len(), expect, "cut at {cut}");
+            let expect = ends.iter().take_while(|&&end| end <= cut).count();
+            assert_eq!(replay(&bytes[..cut]).len(), expect, "cut at {cut}");
         }
-        // A flipped bit in the middle record kills it and everything after.
-        let mut damaged = bytes.clone();
-        let mid = frames[0] + frames[1] / 2;
-        damaged[mid] ^= 0x40;
-        let replayed = replay(&damaged);
-        assert_eq!(replayed.len(), 1, "only the intact prefix survives");
-        assert_eq!(replayed[0], sample_records()[0]);
+        // A flipped bit in the middle record kills it and everything after,
+        // and reopening truncates the journal back to the intact prefix.
+        let mut damaged = bytes;
+        damaged[(ends[0] + ends[1]) / 2] ^= 0x40;
+        assert_eq!(replay(&damaged), sample_records()[..1]);
+        fs::write(&path, &damaged).unwrap();
+        let (_, replayed) = Journal::open(&path).unwrap();
+        assert_eq!(replayed, sample_records()[..1]);
+        assert_eq!(fs::metadata(&path).unwrap().len() as usize, ends[0]);
+        let _ = fs::remove_file(&path);
     }
 
     #[test]
-    fn replay_skips_the_retired_unit_done_record_of_an_older_journal() {
-        // An older daemon's journal: a submission, the finished-unit
-        // record (kind 2, a 128-bit store key) and a later submission.
-        let mut unit_done = vec![RETIRED_UNIT_DONE];
-        unit_done.extend_from_slice(&0xdead_beef_u128.to_le_bytes());
-        let [first, second, _] = sample_records().try_into().unwrap();
-        let mut bytes = first.frame();
-        bytes.extend_from_slice(&(unit_done.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&unit_done);
-        bytes.extend_from_slice(&hash_bytes(&unit_done).0.to_le_bytes());
-        bytes.extend_from_slice(&second.frame());
-        assert_eq!(replay(&bytes), [first, second]);
+    fn an_old_format_journal_replays_nothing_and_compaction_empties_it() {
+        // The format older daemons wrote: `len(u32) | body | checksum(u128)`.
+        let mut bytes = Vec::new();
+        for record in sample_records() {
+            let body = record.encode_body();
+            bytes.extend_from_slice(&(body.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(&body);
+            bytes.extend_from_slice(&mom_store::hash::hash_bytes(&body).0.to_le_bytes());
+        }
+        assert!(replay(&bytes).is_empty());
+        let path = temp_path("old-format");
+        fs::write(&path, &bytes).unwrap();
+        let (journal, records) = Journal::open(&path).unwrap();
+        assert!(records.is_empty());
+        journal.compact(&records);
+        assert_eq!(fs::metadata(&path).unwrap().len(), 0);
+        let _ = fs::remove_file(&path);
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //! parsed documents to experiment specs and snapshots back to documents,
 //! [`queue`] is the deduplicating job queue plus worker pool (with
 //! supervised, retrying workers), [`journal`] is the crash-safe job
-//! journal recovery replays on startup, and [`serve`](mod@serve) binds them to a TCP
-//! listener.  [`client`] and [`cli`] are the `momsim submit` / `status` /
+//! journal recovery replays on startup (written through the store's log,
+//! so the store and the journal share one crash contract), and
+//! [`serve`](mod@serve) binds them to a TCP listener.  [`client`] and [`cli`] are the `momsim submit` / `status` /
 //! `report` / `shutdown` side.
 
 #![warn(missing_docs)]

@@ -28,7 +28,7 @@ use mom_pipeline::PipelineConfig;
 use mom_store::faults::{self, FaultSite};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
-use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 fn jobs_submitted_counter() -> &'static mom_obs::Counter {
@@ -544,8 +544,8 @@ impl Daemon {
         daemon
     }
 
-    /// Attaches the crash journal: workers append unit completions, the
-    /// daemon appends job terminations, and a clean drain truncates it.
+    /// Attaches the crash journal: the daemon appends and commits job
+    /// terminations, and a clean drain truncates it.
     pub fn set_journal(&self, journal: Arc<Journal>) {
         *self.journal.lock().expect("journal handle") = Some(journal);
     }
@@ -565,26 +565,36 @@ impl Daemon {
         *self.recovery.lock().expect("recovery summary")
     }
 
-    /// Appends `JobEnd` records for newly terminal jobs.  Journal appends
-    /// are cheap (one buffered write) and the journal has its own lock, so
-    /// callers may hold the state lock.
-    fn journal_job_ends(&self, finished: &[(JobId, JobState)]) {
-        if finished.is_empty() {
+    /// Marks newly terminal jobs ended and journals a `JobEnd` for each,
+    /// appended under the state lock, then releases `guard` and, when
+    /// `commit`, commits them: no sync is ever held under the lock.
+    fn end_jobs(&self, mut guard: MutexGuard<'_, State>, commit: bool) {
+        let finished = guard.record_finished_jobs();
+        self.idle.notify_all();
+        let Some(journal) = self.journal().filter(|_| !finished.is_empty()) else {
             return;
+        };
+        for (job, state) in finished {
+            let state = state.name().to_string();
+            journal.append(&Record::JobEnd { job, state });
         }
-        if let Some(journal) = self.journal() {
-            for (job, state) in finished {
-                journal.append(&Record::JobEnd {
-                    job: *job,
-                    state: state.name().to_string(),
-                });
-            }
+        drop(guard);
+        if commit {
+            journal.commit();
         }
+    }
+
+    /// Makes every later job id exceed `id` (crash recovery reserves each
+    /// journalled id, so none is issued twice).
+    pub(crate) fn reserve_job_ids(&self, id: JobId) {
+        let mut state = self.state.lock().expect("queue state");
+        state.next_job = state.next_job.max(id.saturating_add(1));
     }
 
     /// Accepts a submission: decomposes it into units, answers what the
     /// store already holds, subscribes to what other jobs are computing,
-    /// and schedules the rest.
+    /// and schedules the rest.  A job dedup finishes on the spot has its
+    /// `JobEnd` journalled but not committed: it leaves nothing to recover.
     pub fn submit(&self, request: JobRequest) -> Result<SubmitOutcome, SubmitError> {
         self.admit(request, None)
     }
@@ -731,12 +741,11 @@ impl Daemon {
         units_counter("scheduled").add(outcome.scheduled as u64);
         units_counter("deduped").add(outcome.deduped as u64);
         units_counter("shared").add(outcome.shared as u64);
-        // A fully store-answered job is terminal right now.
-        let finished = state.record_finished_jobs();
-        self.journal_job_ends(&finished);
         if outcome.scheduled > 0 {
             self.work.notify_all();
         }
+        // A fully store-answered job is terminal right now.
+        self.end_jobs(guard, false);
         Ok(outcome)
     }
 
@@ -791,9 +800,7 @@ impl Daemon {
                 };
             }
             state.running -= 1;
-            let finished = state.record_finished_jobs();
-            self.journal_job_ends(&finished);
-            self.idle.notify_all();
+            self.end_jobs(guard, true);
         }
     }
 
@@ -859,9 +866,7 @@ impl Daemon {
         state.prune_queue(false);
         // The cancelled job is terminal now, and dropping queued units may
         // have finished (as Cancelled) other jobs that shared them.
-        let finished = state.record_finished_jobs();
-        self.journal_job_ends(&finished);
-        self.idle.notify_all();
+        self.end_jobs(guard, true);
         true
     }
 
@@ -954,11 +959,7 @@ impl Daemon {
         while state.running > 0 {
             state = self.idle.wait(state).expect("queue state");
         }
-        // Dropping queued units finished (as Cancelled) the jobs that
-        // wanted them.
-        let finished = state.record_finished_jobs();
-        self.journal_job_ends(&finished);
-        ShutdownSummary {
+        let summary = ShutdownSummary {
             jobs: state.jobs.len(),
             completed_units: state
                 .units
@@ -966,7 +967,11 @@ impl Daemon {
                 .filter(|unit| matches!(unit.status, UnitStatus::Done))
                 .count(),
             dropped_queued,
-        }
+        };
+        // Dropping queued units finished (as Cancelled) the jobs that
+        // wanted them.
+        self.end_jobs(state, true);
+        summary
     }
 
     /// Refreshes the registry's queue gauges (`momsim_serve_queue_depth`,

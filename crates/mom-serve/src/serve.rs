@@ -175,8 +175,7 @@ pub fn serve_with_timeout(
         let stop = Arc::clone(&stop);
         std::thread::Builder::new()
             .name("mom-serve-accept".to_string())
-            .spawn(move || accept_loop(listener, daemon, stop, read_timeout))
-            .expect("spawn accept loop")
+            .spawn(move || accept_loop(listener, daemon, stop, read_timeout))?
     };
     Ok(Server {
         addr,
@@ -449,13 +448,19 @@ fn submit_route(body: &[u8], daemon: &Daemon) -> Response {
     };
     match daemon.submit(request) {
         Ok(outcome) => {
-            // Journal the acceptance (body verbatim) before answering, so
-            // a crash after the 202 cannot lose the job.
+            // Journal the acceptance (body verbatim) and commit it before
+            // answering, so not even a machine crash after the 202 loses
+            // the job.  A job dedup finished on the spot leaves nothing to
+            // recover: its records only reserve its id, so they skip the
+            // sync and the next commit covers them.
             if let Some(journal) = daemon.journal() {
                 journal.append(&Record::Submit {
                     job: outcome.job,
                     body: text.to_string(),
                 });
+                if outcome.deduped < outcome.total {
+                    journal.commit();
+                }
             }
             Response::json(
                 202,

@@ -244,6 +244,63 @@ fn a_journaled_sampled_submission_is_skipped_and_the_rest_recovers() {
 }
 
 #[test]
+fn recovery_never_reissues_a_journaled_job_id() {
+    let _serial = serial();
+    private_store_dir();
+    // A journal whose only job already ended: nothing is re-admitted, yet
+    // its id stays taken, so a client still polling job 5 never reads a
+    // new job's rows.
+    let ended = [
+        Record::Submit {
+            job: 5,
+            body: r#"{"kernels": ["addblock"], "isas": ["mom"], "widths": [4], "replication": 64}"#
+                .to_string(),
+        },
+        Record::JobEnd {
+            job: 5,
+            state: "done".to_string(),
+        },
+    ];
+    let daemon = Daemon::with_options(0, 4, fast_supervision());
+    let (summary, _) = journal::recover(&daemon, &ended);
+    assert_eq!((summary.jobs, summary.jobs_skipped), (0, 1));
+    let next = daemon.submit(grid("after-recovery", &[2])).unwrap();
+    assert_eq!(next.job, 6, "the journaled id 5 is not issued again");
+    daemon.shutdown();
+    daemon.join_workers();
+}
+
+#[test]
+fn a_torn_journal_append_hides_no_later_record() {
+    let _serial = serial();
+    let path =
+        std::env::temp_dir().join(format!("mom-serve-robust-torn-{}.wal", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let records: Vec<Record> = (0..4)
+        .map(|job| Record::Submit {
+            job,
+            body: format!("{{\"experiment\": \"fig4\", \"n\": {job}}}"),
+        })
+        .collect();
+    {
+        let (journal, _) = Journal::open(&path).unwrap();
+        // The first append tears twice (the write and its retry) and is
+        // dropped; the appends after it land where its torn bytes were.
+        faults::install(FaultPlan::new(28).with_site(FaultSite::StoreWrite, 1.0, Some(2)));
+        for record in &records {
+            journal.append(record);
+        }
+        let injected = faults::injected_count(FaultSite::StoreWrite);
+        faults::clear();
+        assert_eq!(injected, 2, "journal appends fire the store-write site");
+        journal.commit();
+    }
+    let (_, replayed) = Journal::open(&path).unwrap();
+    assert_eq!(replayed, records[1..], "every record after the torn one");
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
 fn a_stalled_request_head_gets_408() {
     let _serial = serial();
     let server = serve_with_timeout(Daemon::new(0, 1), "127.0.0.1:0", Duration::from_millis(150))

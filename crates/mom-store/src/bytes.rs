@@ -116,16 +116,6 @@ impl ByteWriter {
         self.buf.extend_from_slice(&value.to_le_bytes());
     }
 
-    /// Appends a `u128` little-endian.
-    pub fn put_u128(&mut self, value: u128) {
-        self.buf.extend_from_slice(&value.to_le_bytes());
-    }
-
-    /// Appends an `i64` (two's complement, little-endian).
-    pub fn put_i64(&mut self, value: i64) {
-        self.buf.extend_from_slice(&value.to_le_bytes());
-    }
-
     /// Appends a `usize` widened to `u64`.
     pub fn put_usize(&mut self, value: usize) {
         self.put_u64(value as u64);
@@ -209,18 +199,6 @@ impl<'a> ByteReader<'a> {
         Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
     }
 
-    /// Reads a `u128` little-endian.
-    pub fn get_u128(&mut self, what: &'static str) -> Result<u128, CodecError> {
-        Ok(u128::from_le_bytes(
-            self.take(16, what)?.try_into().unwrap(),
-        ))
-    }
-
-    /// Reads an `i64`.
-    pub fn get_i64(&mut self, what: &'static str) -> Result<i64, CodecError> {
-        Ok(i64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
-    }
-
     /// Reads a `usize` stored as `u64`.
     pub fn get_usize(&mut self, what: &'static str) -> Result<usize, CodecError> {
         Ok(self.get_u64(what)? as usize)
@@ -251,8 +229,6 @@ mod tests {
         w.put_u16(0x1234);
         w.put_u32(0xdead_beef);
         w.put_u64(u64::MAX - 7);
-        w.put_u128(u128::MAX - 9);
-        w.put_i64(-42);
         w.put_usize(99);
         w.put_f64(-0.125);
         w.put_str("méta");
@@ -264,8 +240,6 @@ mod tests {
         assert_eq!(r.get_u16("c").unwrap(), 0x1234);
         assert_eq!(r.get_u32("d").unwrap(), 0xdead_beef);
         assert_eq!(r.get_u64("e").unwrap(), u64::MAX - 7);
-        assert_eq!(r.get_u128("f").unwrap(), u128::MAX - 9);
-        assert_eq!(r.get_i64("g").unwrap(), -42);
         assert_eq!(r.get_usize("h").unwrap(), 99);
         assert_eq!(r.get_f64("i").unwrap().to_bits(), (-0.125f64).to_bits());
         assert_eq!(r.get_str("j").unwrap(), "méta");

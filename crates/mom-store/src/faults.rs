@@ -17,7 +17,8 @@
 //! `/metrics` that faults actually happened.
 //!
 //! The injection sites live at the seams the rest of the workspace already
-//! has: the store's disk read / append / commit steps (this crate), worker
+//! has: the store's disk read and the log's append / commit steps (this
+//! crate; the log also writes the daemon's job journal), worker
 //! compute ([`maybe_panic`] / [`maybe_delay`] in `mom-serve`'s pool), and
 //! the daemon's HTTP accept/read path.
 
@@ -31,10 +32,10 @@ use std::time::Duration;
 pub enum FaultSite {
     /// A disk-tier read degrades to a miss.
     StoreRead,
-    /// A disk-tier append fails mid-write (part of the frame lands; the
-    /// store truncates it away).
+    /// A log append — a store segment's or the job journal's — fails
+    /// mid-write (part of the frame lands; the log truncates it away).
     StoreWrite,
-    /// The `sync_data` committing appended frames fails.
+    /// The `sync_data` committing a log's appended frames fails.
     StoreSync,
     /// A worker's unit compute panics.
     WorkerPanic,

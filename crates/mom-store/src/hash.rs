@@ -88,11 +88,6 @@ impl Hasher {
         self.write_raw(&value.to_le_bytes());
     }
 
-    /// Feeds an `i64` (two's complement, little-endian).
-    pub fn write_i64(&mut self, value: i64) {
-        self.write_raw(&value.to_le_bytes());
-    }
-
     /// Feeds a `usize` widened to `u64` so 32- and 64-bit hosts agree.
     pub fn write_usize(&mut self, value: usize) {
         self.write_u64(value as u64);

@@ -20,17 +20,17 @@
 //!   (`<pid>-<n>.log`), one per writing process, and each process indexes
 //!   a namespace's segments once, on first use.
 //!
-//! Disk frames are self-validating ([frame](store::FRAME_VERSION): magic,
-//! format version, key echo, payload length, payload checksum).  *Any*
-//! defect — truncation, bit flips, a stale format version, a frame that
-//! is not the key's — makes the read degrade to a **miss**; the caller
-//! recomputes and appends a fresh copy.  Writes are group-committed: a
-//! batch of frames is appended and made durable by one `sync_data`,
-//! shared with concurrent committers, so a cold fill pays one cheap sync
-//! per commit instead of a new file per blob.  A process sees what other
-//! processes had committed when it indexed the namespace, plus its own
-//! writes (see the [`store`] module docs for the layout, the crash
-//! contract and `gc`/`clear`).
+//! Segments are written through [`log`], the crate's one append-only log
+//! of self-validating frames ([frame](log::FRAME_VERSION): magic, format
+//! version, key echo, payload length, payload checksum).  *Any* defect —
+//! truncation, bit flips, a stale format version, a frame that is not the
+//! key's — makes the read degrade to a **miss**; the caller recomputes
+//! and appends a fresh copy.  Writes are group-committed: a batch of
+//! frames is appended and made durable by one `sync_data`, shared with
+//! concurrent committers.  A process sees what other processes had
+//! committed when it indexed the namespace, plus its own writes (see the
+//! [`store`] module docs).  The daemon's job journal is a second
+//! [`LogFile`], so the store and the journal share one crash contract.
 //!
 //! The crate is dependency-free and knows nothing about traces or
 //! simulation results; the typed codecs live with their types
@@ -42,13 +42,14 @@
 pub mod bytes;
 pub mod faults;
 pub mod hash;
+pub mod log;
 pub mod store;
 
 pub use bytes::{ByteReader, ByteWriter, CodecError};
 pub use faults::{FaultPlan, FaultSite};
 pub use hash::{Hasher, Key};
+pub use log::{LogFile, FRAME_HEADER_LEN, FRAME_MAGIC, FRAME_VERSION};
 pub use store::{
     bypass_guard, configure, default_dir, global, publish_gauges, BypassGuard, CacheReport,
-    GcReport, NamespaceReport, Store, StoreConfig, TierCounters, FRAME_HEADER_LEN, FRAME_MAGIC,
-    FRAME_VERSION, NS_RESULT, NS_TRACE,
+    GcReport, NamespaceReport, Store, StoreConfig, TierCounters, NS_RESULT, NS_TRACE,
 };

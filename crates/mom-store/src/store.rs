@@ -1,7 +1,7 @@
-//! The two-tier store itself: frame format, the append-only segment log
-//! of the disk tier, one record per namespace (memory tier, log and
-//! counters), the process-global instance and the `gc`/`clear`
-//! maintenance operations behind `momsim cache`.
+//! The two-tier store itself: the segment logs of the disk tier, one
+//! record per namespace (memory tier, log and counters), the
+//! process-global instance and the `gc`/`clear` maintenance operations
+//! behind `momsim cache`.
 //!
 //! A namespace's hit, miss, fill, invalid and write-retry counts live in
 //! one counter each.  On the process-global store those counters are the
@@ -12,34 +12,26 @@
 //! # The disk tier: one segment log per namespace
 //!
 //! Every namespace directory holds **segments**, `<pid>-<n>.log` files
-//! that are nothing but runs of self-validating frames.  A process
-//! appends only to its own segment, created with `create_new` and held
-//! under an exclusive `File::try_lock` while the process lives, so two
-//! writers never share a file.
+//! written through [`crate::log`], as the daemon's job journal is.  A
+//! process appends only to its own segment, created with `create_new`
+//! and held under an exclusive `File::try_lock` while the process lives,
+//! so two writers never share a file.
 //!
 //! * **Index.**  A namespace is indexed on first use by walking the frame
 //!   headers of every segment (a key found twice keeps the earlier copy
-//!   as a spare).  A walk stops at the first header that does not parse or
-//!   runs past the end of the file — a torn tail, counted once as
-//!   `invalid`.  The index maps a key to (segment, offset, length) only;
-//!   payloads stay on disk.
+//!   as a spare).  A walk that stops before the end of its segment — a
+//!   torn tail — counts once as `invalid`.  The index maps a key to
+//!   (segment, offset, length) only; payloads stay on disk.
 //! * **Reads** are positioned reads followed by the full frame check, so
 //!   a flipped or torn frame is never served.  A frame that fails its
 //!   check leaves the index and the key's next spare copy, if any, is
 //!   tried; without one the lookup is a miss and the caller's recompute
 //!   appends a fresh copy.
-//! * **Writes** append frames under the namespace lock.  A failed append
-//!   (an injected partial write included) truncates the segment back to the
-//!   frame's start before the lock is released, so torn bytes never hide
-//!   later frames; a segment that cannot be truncated is retired and the
-//!   next append opens a new one.
-//! * **Commits** are group commits: one `sync_data` covers every frame
-//!   appended before it started, so concurrent committers share it, and a
-//!   batch ([`Store::put_all`]) pays one.  A process's own frames enter its
+//! * **Writes** append frames under the namespace lock, and a batch
+//!   ([`Store::put_all`]) pays one commit; a put returns once committed.
+//!   Retries count as write retries.  A process's own frames enter its
 //!   index once committed; a commit that fails twice leaves them
-//!   unindexed.  A new segment also fsyncs its directory, so a committed
-//!   frame survives a machine crash, and every put that returned survives
-//!   a process kill.
+//!   unindexed.
 //! * **Visibility.**  A process sees what other processes had committed
 //!   when it indexed the namespace, plus its own writes; a miss never
 //!   re-scans.  The store is a cache, so a frame appended elsewhere
@@ -53,14 +45,15 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, BufReader, Read, Seek};
+use std::io::{self, BufReader, Read};
 use std::os::unix::fs::FileExt as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
-use crate::faults::{injected_io_error, should_inject, FaultSite};
-use crate::hash::{hash_bytes, Key};
+use crate::faults::{should_inject, FaultSite};
+use crate::hash::Key;
+use crate::log::{check_frame, retry_once, sync_dir, walk_frames, LogFile};
 use mom_obs::Counter;
 
 /// Namespace for verified functional traces (`mom-kernels`).
@@ -69,15 +62,6 @@ pub const NS_TRACE: &str = "trace";
 /// app-speedup rows).
 pub const NS_RESULT: &str = "result";
 
-/// Magic bytes opening every on-disk frame.
-pub const FRAME_MAGIC: [u8; 4] = *b"MOMS";
-/// On-disk frame format version; bump when the frame layout changes.
-/// (Payload formats carry their own versions — this one only covers the
-/// envelope.)
-pub const FRAME_VERSION: u32 = 1;
-/// Bytes of a frame header: magic(4) + version(4) + key(16) +
-/// payload_len(8) + payload_hash(16).
-pub const FRAME_HEADER_LEN: usize = 48;
 /// File extension of a segment.
 const SEGMENT_EXT: &str = "log";
 
@@ -228,17 +212,6 @@ struct FrameLoc {
     len: u64,
 }
 
-/// One segment this process has opened: a foreign one it indexed, or its
-/// own.
-#[derive(Debug)]
-struct Segment {
-    file: Arc<File>,
-    /// Bytes indexed (foreign) or appended (own).
-    len: u64,
-    /// Bytes a finished `sync_data` covers (own segments only).
-    synced: u64,
-}
-
 /// The in-process view of one namespace's log.
 #[derive(Debug, Default)]
 struct LogState {
@@ -247,7 +220,9 @@ struct LogState {
     /// Other copies of keys found more than once by the header walk,
     /// tried when the indexed copy fails its check.
     spares: HashMap<Key, Vec<FrameLoc>>,
-    segments: Vec<Segment>,
+    /// Every segment this process has opened: foreign ones it indexed, and
+    /// its own.
+    segments: Vec<Arc<LogFile>>,
     /// Slot of this process's live segment, once it has appended.
     writer: Option<u32>,
     /// Bumped by `clear`/`gc`: a commit that started before them must not
@@ -288,8 +263,7 @@ const INVALID: usize = 4;
 const WRITE_RETRY: usize = 5;
 
 /// Everything the store keeps about one namespace: its raw memory tier,
-/// its log, the lock that serialises the `sync_data` calls of a group
-/// commit, and its counters.
+/// its log and its counters.
 #[derive(Debug)]
 struct Namespace {
     name: String,
@@ -298,7 +272,6 @@ struct Namespace {
     observed: bool,
     memory: RwLock<HashMap<Key, Arc<Vec<u8>>>>,
     state: Mutex<LogState>,
-    commit: Mutex<()>,
     /// One counter per [`SERIES`] entry, created on its first increment so
     /// a registry series appears only once its event has happened.
     counters: [OnceLock<Counter>; SERIES.len()],
@@ -311,7 +284,6 @@ impl Namespace {
             observed,
             memory: RwLock::default(),
             state: Mutex::default(),
-            commit: Mutex::default(),
             counters: Default::default(),
         }
     }
@@ -343,16 +315,6 @@ impl Namespace {
             invalid: count(INVALID),
         }
     }
-}
-
-/// Frames one append left waiting for their commit: all in one segment.
-struct Pending {
-    epoch: u64,
-    segment: u32,
-    file: Arc<File>,
-    /// End of the last of these frames in the segment.
-    end: u64,
-    frames: Vec<(Key, FrameLoc)>,
 }
 
 /// Process-wide counter naming new segments, so two stores of one process
@@ -489,18 +451,14 @@ impl Store {
     /// counts as `invalid`.
     fn read_indexed(&self, ns: &Namespace, key: Key) -> Option<Vec<u8>> {
         loop {
-            let (loc, file, epoch) = {
+            let (loc, log, epoch) = {
                 let mut state = ns.state.lock().expect("store log state");
                 self.ensure_indexed(ns, &mut state);
                 let loc = *state.index.get(&key)?;
-                let file = Arc::clone(&state.segments[loc.segment as usize].file);
-                (loc, file, state.epoch)
+                let log = Arc::clone(&state.segments[loc.segment as usize]);
+                (loc, log, state.epoch)
             };
-            let mut frame = vec![0u8; loc.len as usize];
-            let decoded = file
-                .read_exact_at(&mut frame, loc.offset)
-                .ok()
-                .and_then(|()| decode_frame(&frame, key).ok());
+            let decoded = log.read(loc.offset, loc.len, key);
             if decoded.is_some() {
                 return decoded;
             }
@@ -551,49 +509,49 @@ impl Store {
         ns.add(FILL, 1);
     }
 
-    /// Appends the frames, then commits them.
+    /// Appends one frame per blob to this process's segment under the
+    /// namespace lock (opening the segment first if there is none), then
+    /// commits them and indexes them.  A frame whose append fails twice is
+    /// dropped from the disk tier; its payload still serves from memory.
     fn write_disk(&self, ns: &Namespace, frames: &[(Key, &[u8])]) {
         let Some(dir) = &self.dir else {
             return;
         };
-        for batch in self.append(ns, &dir.join(&ns.name), frames) {
-            commit(ns, batch);
-        }
-    }
-
-    /// Appends one frame per blob to this process's segment under the
-    /// namespace lock.  A failed append is retried once (a transient
-    /// failure — a full disk, an injected fault — should not cost the
-    /// artifact its durability); a second failure drops that frame from
-    /// the disk tier, and the payload still serves from memory.
-    fn append(&self, ns: &Namespace, ns_dir: &Path, frames: &[(Key, &[u8])]) -> Vec<Pending> {
-        let mut state = ns.state.lock().expect("store log state");
-        self.ensure_indexed(ns, &mut state);
-        let mut pending: Vec<Pending> = Vec::new();
-        for &(key, payload) in frames {
-            let loc = state.append(ns_dir, key, payload).or_else(|_| {
-                ns.add(WRITE_RETRY, 1);
-                state.append(ns_dir, key, payload)
-            });
-            let Ok(loc) = loc else {
-                continue;
-            };
-            let end = loc.offset + loc.len;
-            match pending.last_mut() {
-                Some(batch) if batch.segment == loc.segment => {
-                    batch.end = end;
-                    batch.frames.push((key, loc));
+        let ns_dir = dir.join(&ns.name);
+        let retry = || ns.add(WRITE_RETRY, 1);
+        let mut appended = Vec::new();
+        let (epoch, log, end) = {
+            let mut state = ns.state.lock().expect("store log state");
+            self.ensure_indexed(ns, &mut state);
+            for &(key, payload) in frames {
+                let Ok(segment) = retry_once(retry, || state.writer(&ns_dir)) else {
+                    continue;
+                };
+                let log = &state.segments[segment as usize];
+                if let Ok((offset, len)) = log.append(key, payload, retry) {
+                    appended.push((
+                        key,
+                        FrameLoc {
+                            segment,
+                            offset,
+                            len,
+                        },
+                    ));
                 }
-                _ => pending.push(Pending {
-                    epoch: state.epoch,
-                    segment: loc.segment,
-                    file: Arc::clone(&state.segments[loc.segment as usize].file),
-                    end,
-                    frames: vec![(key, loc)],
-                }),
+            }
+            let Some(&(_, last)) = appended.last() else {
+                return;
+            };
+            let log = Arc::clone(&state.segments[last.segment as usize]);
+            (state.epoch, log, last.offset + last.len)
+        };
+        if log.commit(end, retry).is_ok() {
+            let mut state = ns.state.lock().expect("store log state");
+            // `clear`/`gc` may have retired the segment meanwhile.
+            if state.epoch == epoch {
+                state.index.extend(appended);
             }
         }
-        pending
     }
 
     /// This process's counters for one namespace.
@@ -710,11 +668,11 @@ impl Store {
             for segment in &dead {
                 let mut bytes = Vec::new();
                 (&segment.file).read_to_end(&mut bytes)?;
-                let (walked, end) = walk_segment(io::Cursor::new(&bytes), bytes.len() as u64);
+                let (walked, end) = walk_frames(io::Cursor::new(&bytes), bytes.len() as u64);
                 clean &= end == bytes.len() as u64;
                 for (key, offset, len) in walked {
                     let frame = &bytes[offset as usize..(offset + len) as usize];
-                    if decode_frame(frame, key).is_err() || !keep.insert(key) {
+                    if check_frame(frame, key).is_none() || !keep.insert(key) {
                         clean = false;
                         continue;
                     }
@@ -739,95 +697,18 @@ impl Store {
     }
 }
 
-/// Makes appended frames durable, then indexes them.  Group commit:
-/// committers queue on the commit lock, and a `sync_data` covers every
-/// byte appended before it started, so a committer whose frames an
-/// earlier sync already covered returns without syncing.  A failed sync
-/// is retried once; a second failure leaves the frames unindexed.
-fn commit(ns: &Namespace, batch: Pending) {
-    let _commit = ns.commit.lock().expect("store commit lock");
-    let target = {
-        let mut state = ns.state.lock().expect("store log state");
-        if state.epoch != batch.epoch {
-            // `clear`/`gc` retired the segment meanwhile.
-            return;
-        }
-        let segment = &state.segments[batch.segment as usize];
-        let (synced, appended) = (segment.synced, segment.len);
-        if synced >= batch.end {
-            state.index.extend(batch.frames);
-            return;
-        }
-        appended
-    };
-    let sync = || match injected_io_error(FaultSite::StoreSync, "store sync") {
-        Some(fault) => Err(fault),
-        None => batch.file.sync_data(),
-    };
-    let synced = sync().or_else(|_| {
-        ns.add(WRITE_RETRY, 1);
-        sync()
-    });
-    if synced.is_err() {
-        return;
-    }
-    let mut state = ns.state.lock().expect("store log state");
-    if state.epoch == batch.epoch {
-        let segment = &mut state.segments[batch.segment as usize];
-        segment.synced = segment.synced.max(target);
-        state.index.extend(batch.frames);
-    }
-}
-
 impl LogState {
-    /// Appends one frame to this process's segment, opening the segment
-    /// first if there is none (an unwritable directory fails before any
-    /// frame is encoded).  On failure the segment is truncated back to the
-    /// frame's start; if even that fails the segment is retired, so torn
-    /// bytes never sit in front of a later frame.
-    fn append(&mut self, ns_dir: &Path, key: Key, payload: &[u8]) -> io::Result<FrameLoc> {
-        let slot = match self.writer {
-            Some(slot) => slot,
-            None => {
-                let file = create_segment(ns_dir)?;
-                self.segments.push(Segment {
-                    file: Arc::new(file),
-                    len: 0,
-                    synced: 0,
-                });
-                let slot = (self.segments.len() - 1) as u32;
-                self.writer = Some(slot);
-                slot
-            }
-        };
-        let frame = encode_frame(key, payload);
-        let segment = &mut self.segments[slot as usize];
-        let start = segment.len;
-        let written = match injected_io_error(FaultSite::StoreWrite, "store write") {
-            Some(fault) => {
-                // A realistic mid-write failure: some bytes land, then
-                // the write errors.
-                let _ = segment.file.write_all_at(&frame[..frame.len() / 2], start);
-                Err(fault)
-            }
-            None => segment.file.write_all_at(&frame, start),
-        };
-        match written {
-            Ok(()) => {
-                segment.len = start + frame.len() as u64;
-                Ok(FrameLoc {
-                    segment: slot,
-                    offset: start,
-                    len: frame.len() as u64,
-                })
-            }
-            Err(e) => {
-                if segment.file.set_len(start).is_err() {
-                    self.writer = None;
-                }
-                Err(e)
-            }
+    /// The slot of this process's segment, created on first use (an
+    /// unwritable directory fails here, before any frame is encoded).
+    fn writer(&mut self, ns_dir: &Path) -> io::Result<u32> {
+        if let Some(slot) = self.writer {
+            return Ok(slot);
         }
+        self.segments
+            .push(Arc::new(LogFile::new(create_segment(ns_dir)?, 0)));
+        let slot = (self.segments.len() - 1) as u32;
+        self.writer = Some(slot);
+        Ok(slot)
     }
 }
 
@@ -870,10 +751,6 @@ fn create_segment(ns_dir: &Path) -> io::Result<File> {
     Ok(file)
 }
 
-fn sync_dir(dir: &Path) -> io::Result<()> {
-    File::open(dir)?.sync_all()
-}
-
 /// A segment file found in a namespace directory.
 struct SegmentFile {
     path: PathBuf,
@@ -911,7 +788,7 @@ fn index_segments(ns_dir: &Path, state: &mut LogState) -> u64 {
         };
         let slot = state.segments.len() as u32;
         let reader = BufReader::with_capacity(64 << 10, &file);
-        let (frames, end) = walk_segment(reader, found.len);
+        let (frames, end) = walk_frames(reader, found.len);
         torn += u64::from(end < found.len);
         for (key, offset, len) in frames {
             let loc = FrameLoc {
@@ -923,54 +800,9 @@ fn index_segments(ns_dir: &Path, state: &mut LogState) -> u64 {
                 state.spares.entry(key).or_default().push(older);
             }
         }
-        state.segments.push(Segment {
-            file: Arc::new(file),
-            len: end,
-            synced: end,
-        });
+        state.segments.push(Arc::new(LogFile::new(file, end)));
     }
     torn
-}
-
-/// Walks the frame headers of a segment of `len` bytes from its start:
-/// each frame's key, offset and length, plus where the walk stopped.  The
-/// walk stops at the first header that does not parse (a bad magic, a
-/// frame format version this build does not read) or whose frame runs
-/// past `len`.
-fn walk_segment(mut reader: impl Read + Seek, len: u64) -> (Vec<(Key, u64, u64)>, u64) {
-    let mut frames = Vec::new();
-    let mut offset = 0u64;
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    while offset < len {
-        let parsed = reader
-            .read_exact(&mut header)
-            .ok()
-            .and_then(|()| parse_header(&header))
-            .filter(|&(_, frame)| frame <= len - offset);
-        let Some((key, frame)) = parsed else {
-            break;
-        };
-        let payload = frame - FRAME_HEADER_LEN as u64;
-        if reader.seek_relative(payload as i64).is_err() {
-            break;
-        }
-        frames.push((key, offset, frame));
-        offset += frame;
-    }
-    (frames, offset)
-}
-
-/// Parses a frame header: `(key, whole frame length)`, or `None` for a
-/// bad magic or a frame format version this build does not read.
-fn parse_header(header: &[u8; FRAME_HEADER_LEN]) -> Option<(Key, u64)> {
-    if header[0..4] != FRAME_MAGIC
-        || u32::from_le_bytes(header[4..8].try_into().unwrap()) != FRAME_VERSION
-    {
-        return None;
-    }
-    let key = Key(u128::from_le_bytes(header[8..24].try_into().unwrap()));
-    let payload = u64::from_le_bytes(header[24..32].try_into().unwrap());
-    Some((key, payload.checked_add(FRAME_HEADER_LEN as u64)?))
 }
 
 /// A segment whose lock this process took: no live writer holds it.
@@ -1045,47 +877,6 @@ fn namespace_dirs(dir: &Path) -> io::Result<Vec<PathBuf>> {
         Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Vec::new()),
         Err(e) => Err(e),
     }
-}
-
-/// Wraps a payload in the self-validating frame.
-fn encode_frame(key: Key, payload: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-    frame.extend_from_slice(&FRAME_MAGIC);
-    frame.extend_from_slice(&FRAME_VERSION.to_le_bytes());
-    frame.extend_from_slice(&key.0.to_le_bytes());
-    frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    frame.extend_from_slice(&hash_bytes(payload).0.to_le_bytes());
-    frame.extend_from_slice(payload);
-    frame
-}
-
-/// Validates a frame read for `expected_key` and extracts the payload.
-/// Any defect — truncation, bad magic, stale version, key mismatch,
-/// checksum mismatch, trailing bytes — is an `Err(())`, which the store
-/// turns into a miss.
-fn decode_frame(bytes: &[u8], expected_key: Key) -> Result<Vec<u8>, ()> {
-    if bytes.len() < FRAME_HEADER_LEN {
-        return Err(());
-    }
-    if bytes[0..4] != FRAME_MAGIC {
-        return Err(());
-    }
-    if u32::from_le_bytes(bytes[4..8].try_into().unwrap()) != FRAME_VERSION {
-        return Err(());
-    }
-    if u128::from_le_bytes(bytes[8..24].try_into().unwrap()) != expected_key.0 {
-        return Err(());
-    }
-    let len = u64::from_le_bytes(bytes[24..32].try_into().unwrap()) as usize;
-    let checksum = u128::from_le_bytes(bytes[32..48].try_into().unwrap());
-    let payload = &bytes[FRAME_HEADER_LEN..];
-    if payload.len() != len {
-        return Err(());
-    }
-    if hash_bytes(payload).0 != checksum {
-        return Err(());
-    }
-    Ok(payload.to_vec())
 }
 
 // ---------------------------------------------------------------------------
@@ -1214,6 +1005,7 @@ impl Drop for BypassGuard {
 mod tests {
     use super::*;
     use crate::hash::Hasher;
+    use crate::log::{FRAME_HEADER_LEN, FRAME_MAGIC};
     use std::sync::atomic::AtomicU32;
 
     fn temp_store() -> (Store, PathBuf) {
