@@ -144,7 +144,7 @@ pub fn steady_state_trace(
 /// point per configuration, in order.  The arguments are the coordinates of
 /// [`store::result_key`]; this is the only simulation entry point of the
 /// grid, behind both [`ExperimentSpec::run`] and
-/// [`schedule::PointJob::compute`].
+/// [`schedule::PointJob::compute_all`].
 ///
 /// Every requested configuration is first looked up in the result store;
 /// only the **missing** configurations are fanned out over the stream, and

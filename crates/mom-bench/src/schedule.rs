@@ -8,12 +8,15 @@
 //! content key in the persistent store ([`PointJob::key`]), can answer "is
 //! this already done?" without computing anything ([`PointJob::cached`]),
 //! and computes through the same store-fronted [`crate::simulate_configs`]
-//! the grid uses ([`PointJob::compute`]), so a point computed by either side
-//! is served to the other for free.  [`plan`] decomposes a spec into jobs
-//! in grid order; the daemon's workers compute them one at a time.
+//! the grid uses ([`PointJob::compute_all`]), so a point computed by either
+//! side is served to the other for free.  [`plan`] decomposes a spec into
+//! jobs in grid order; a daemon worker claims every queued job of one
+//! [`trace`](PointJob::trace) and computes them as one fan-out, as the grid
+//! run does per (kernel, ISA) pair.
 //!
-//! Per-point timing equals fanned-out timing, since consumers are
-//! independent — pinned by `point_jobs_match_the_grid_run`.
+//! A point's timing does not depend on which other configurations share
+//! its fan-out, since consumers are independent — pinned by
+//! `point_jobs_match_the_grid_run`.
 
 use crate::spec::ExperimentSpec;
 use crate::{store, ExperimentPoint};
@@ -58,21 +61,31 @@ impl PointJob {
         crate::stored_point_lookup(self.kernel, self.isa, &self.config, self.key())
     }
 
-    /// Computes the point through the store-fronted fill path (the result
-    /// lands in the store), sharing the process-wide functional trace cache
-    /// with every other job of the same (kernel, ISA, seed).
-    pub fn compute(&self) -> Result<ExperimentPoint, KernelError> {
-        let points = crate::simulate_configs(
-            self.kernel,
-            self.isa,
-            std::slice::from_ref(&self.config),
-            self.seed,
-            self.replication,
-        )?;
-        Ok(points
-            .into_iter()
-            .next()
-            .expect("one config in, one point out"))
+    /// The recorded stream this point replays: points with equal traces
+    /// time one functional run and can share one fan-out.
+    pub fn trace(&self) -> (KernelId, IsaKind, u64, usize) {
+        (self.kernel, self.isa, self.seed, self.replication)
+    }
+
+    /// Computes points through the store-fronted fill path (the results
+    /// land in the store), in order.  Each run of consecutive jobs sharing
+    /// a [`trace`](PointJob::trace) is one [`crate::simulate_configs`]
+    /// call: one replay into a fan-out over the run's configurations, and
+    /// one store commit for the points it fills.
+    pub fn compute_all(jobs: &[PointJob]) -> Result<Vec<ExperimentPoint>, KernelError> {
+        let mut points = Vec::with_capacity(jobs.len());
+        for run in jobs.chunk_by(|a, b| a.trace() == b.trace()) {
+            let (kernel, isa, seed, replication) = run[0].trace();
+            let configs: Vec<PipelineConfig> = run.iter().map(|job| job.config.clone()).collect();
+            points.extend(crate::simulate_configs(
+                kernel,
+                isa,
+                &configs,
+                seed,
+                replication,
+            )?);
+        }
+        Ok(points)
     }
 }
 
@@ -145,8 +158,8 @@ mod tests {
 
     #[test]
     fn point_jobs_match_the_grid_run() {
-        // The daemon computes every submission one point at a time; each
-        // point must equal the pair fan-out's.
+        // The daemon times the queued points of one trace as one fan-out;
+        // each point, alone or in a batch, must equal the pair fan-out's.
         let _lock = crate::tests::store_lock();
         let _cold = mom_store::bypass_guard();
         let spec = ExperimentSpec {
@@ -156,16 +169,20 @@ mod tests {
         let grid = spec.run().unwrap();
         let jobs = plan(&spec);
         assert_eq!(grid.points.len(), jobs.len());
-        for (want, job) in grid.points.iter().zip(&jobs) {
-            let got = job.compute().unwrap();
+        let batch = PointJob::compute_all(&jobs).unwrap();
+        assert_eq!(batch.len(), jobs.len());
+        for ((want, job), batched) in grid.points.iter().zip(&jobs).zip(&batch) {
+            let alone = PointJob::compute_all(std::slice::from_ref(job)).unwrap();
             let what = format!("{:?}/{:?}/{}", job.kernel, job.isa, want.width);
-            assert_eq!(
-                (got.kernel, got.isa, got.width),
-                (want.kernel, want.isa, want.width)
-            );
-            assert_eq!(got.result, want.result, "{what}");
-            assert_eq!(got.stats, want.stats, "{what}");
-            assert_eq!(got.invocations, want.invocations, "{what}");
+            for got in [&alone[0], batched] {
+                assert_eq!(
+                    (got.kernel, got.isa, got.width),
+                    (want.kernel, want.isa, want.width)
+                );
+                assert_eq!(got.result, want.result, "{what}");
+                assert_eq!(got.stats, want.stats, "{what}");
+                assert_eq!(got.invocations, want.invocations, "{what}");
+            }
         }
     }
 }

@@ -239,11 +239,17 @@ impl Response {
         }
     }
 
-    /// Writes the response with `Content-Length` and `Connection: close`.
+    /// Writes the response with `Content-Length` and `Connection: close`;
+    /// a `503` also says `Retry-After: 1`.
     pub fn write_to(&self, stream: &mut impl Write) -> std::io::Result<()> {
+        let retry_after = if self.status == 503 {
+            "Retry-After: 1\r\n"
+        } else {
+            ""
+        };
         write!(
             stream,
-            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n{retry_after}Connection: close\r\n\r\n",
             self.status,
             reason(self.status),
             self.content_type,

@@ -6,8 +6,17 @@
 //! a point already in the store is answered at submit time without
 //! touching the pool, a point another job is already computing is shared
 //! rather than recomputed, and only genuinely new points enter the queue.
-//! Workers drain the queue through the same store-fronted fill paths the
-//! batch sweep uses, so every computed unit lands in the persistent store.
+//!
+//! Units are the dedup identity, but a worker claims by trace: it pops the
+//! queue head and, for a point, also takes every other queued point a live
+//! job wants with the same kernel, ISA, seed and replication, whatever job
+//! queued it.  The claim is computed as one fan-out through the same
+//! store-fronted fill path the batch sweep uses ([`PointJob::compute_all`]),
+//! so one replay times every configuration and one store commit writes the
+//! results.  An apps unit is claimed alone.  Each worker computes on a
+//! thread of its own that it keeps across claims, started on its first
+//! attempt and again only after a deadline abandons one; supervision
+//! (retries, backoff, the deadline) applies per claim.
 //!
 //! The store is the daemon's only result cache: a unit records its
 //! status, never its payload, and [`Daemon::snapshot`] reads each finished
@@ -76,7 +85,8 @@ fn compute_seconds_histogram() -> &'static mom_obs::Histogram {
     HISTOGRAM.get_or_init(|| {
         mom_obs::histogram(
             "momsim_serve_unit_compute_seconds",
-            "Wall time one worker spent computing one unit.",
+            "Wall time one worker spent computing one claim: an apps unit, \
+             or every queued point of one trace.",
         )
     })
 }
@@ -125,39 +135,6 @@ impl WorkUnit {
         }
     }
 
-    /// Computes the unit through the store-fronted fill path, classifying
-    /// any failure as transient (worth a retry) or permanent.
-    pub fn compute(&self) -> Result<UnitResult, ComputeError> {
-        match self {
-            WorkUnit::Point(job) => job
-                .compute()
-                .map(|p| UnitResult::Point(Box::new(p)))
-                .map_err(|e| ComputeError {
-                    // Execution faults can be environmental (an injected
-                    // fault, a torn store write); program validation and
-                    // output mismatches are deterministic.
-                    transient: matches!(e, KernelError::Exec { .. }),
-                    message: e.to_string(),
-                }),
-            WorkUnit::Apps {
-                config,
-                seed,
-                frames,
-            } => store::stored_app_speedups(config, *seed, *frames)
-                .map(UnitResult::Apps)
-                .map_err(|e| ComputeError {
-                    transient: matches!(
-                        &e,
-                        mom_apps::AppError::Phase {
-                            source: KernelError::Exec { .. },
-                            ..
-                        }
-                    ),
-                    message: e.to_string(),
-                }),
-        }
-    }
-
     /// Human-readable coordinates for failure messages
     /// (`kernel/isa/wayN` for a grid point).
     pub fn describe(&self) -> String {
@@ -173,15 +150,15 @@ impl WorkUnit {
     }
 }
 
-/// Why one unit compute attempt failed, and whether retrying can help.
+/// Why one compute attempt failed, and whether retrying can help.
 #[derive(Debug)]
-pub struct ComputeError {
+struct ComputeError {
     /// Human-readable failure description.
-    pub message: String,
+    message: String,
     /// `true` when the failure may not repeat (an execution fault, an
     /// injected fault, a panic, a deadline); `false` for deterministic
     /// failures (invalid program, output mismatch, bad spec).
-    pub transient: bool,
+    transient: bool,
 }
 
 /// A finished unit's payload: what the store holds under its key.
@@ -211,7 +188,7 @@ struct Unit {
     enqueued_at: Option<Instant>,
     /// Time spent queued before a worker claimed it.
     wait_nanos: u64,
-    /// Time a worker spent computing it.
+    /// Its even share of the compute time of the claim that took it.
     compute_nanos: u64,
 }
 
@@ -253,6 +230,7 @@ struct State {
     open: BTreeSet<JobId>,
     units: HashMap<mom_store::Key, Unit>,
     queue: VecDeque<mom_store::Key>,
+    /// Claims being computed (one per busy worker).
     running: usize,
     shutting_down: bool,
 }
@@ -331,6 +309,85 @@ impl State {
             }
         }
         dropped
+    }
+
+    /// Whether a worker may claim the unit: queued, and wanted by a live job.
+    fn claimable(&self, key: &mom_store::Key) -> bool {
+        self.units.get(key).is_some_and(|unit| {
+            matches!(unit.status, UnitStatus::Queued) && self.subscriber_alive(unit)
+        })
+    }
+
+    /// Claims the first queued unit a live job wants and, for a point,
+    /// every other claimable point of the same trace, wherever it sits in
+    /// the queue: all of them go to `Running` together.  Units nobody wants
+    /// any more are forgotten when they reach the head.  `None` when the
+    /// queue holds nothing to claim.
+    fn claim_next(&mut self) -> Option<Claim> {
+        let head = loop {
+            let key = self.queue.pop_front()?;
+            if self.claimable(&key) {
+                break key;
+            }
+            self.units.remove(&key);
+        };
+        let trace = |unit: &Unit| match &unit.payload {
+            WorkUnit::Point(job) => Some(job.trace()),
+            WorkUnit::Apps { .. } => None,
+        };
+        let mut keys = vec![head];
+        if let Some(head_trace) = trace(&self.units[&head]) {
+            for key in std::mem::take(&mut self.queue) {
+                if self.claimable(&key) && trace(&self.units[&key]) == Some(head_trace) {
+                    keys.push(key);
+                } else {
+                    self.queue.push_back(key);
+                }
+            }
+        }
+        let mut jobs = BTreeSet::new();
+        let mut units = Vec::with_capacity(keys.len());
+        for key in &keys {
+            let unit = self.units.get_mut(key).expect("claimed unit");
+            unit.status = UnitStatus::Running;
+            unit.wait_nanos = unit.enqueued_at.map(elapsed_nanos).unwrap_or(0);
+            jobs.extend(unit.subscribers.iter().copied());
+            units.push(unit.payload.clone());
+        }
+        self.running += 1;
+        Some(Claim {
+            keys,
+            units: units.into(),
+            jobs: jobs.into_iter().collect(),
+        })
+    }
+}
+
+/// What one worker computes at a time: an apps unit alone, or every queued
+/// point of one trace, timed as one fan-out.
+struct Claim {
+    keys: Vec<mom_store::Key>,
+    /// The units' payloads, in `keys` order, shared with the compute thread.
+    units: Arc<[WorkUnit]>,
+    /// The jobs subscribed to any of the units, ascending.
+    jobs: Vec<JobId>,
+}
+
+impl Claim {
+    /// `kernel/isa xN jobs 3,4` (or `app-speedups jobs 5`): the compute
+    /// span's name and the subject of supervision log lines.
+    fn describe(&self) -> String {
+        let what = match &self.units[0] {
+            WorkUnit::Point(job) => format!(
+                "{}/{} x{}",
+                job.kernel.name(),
+                job.isa.name(),
+                self.units.len()
+            ),
+            WorkUnit::Apps { .. } => "app-speedups".to_string(),
+        };
+        let jobs: Vec<String> = self.jobs.iter().map(JobId::to_string).collect();
+        format!("{what} jobs {}", jobs.join(","))
     }
 }
 
@@ -459,7 +516,7 @@ pub struct ShutdownSummary {
     pub dropped_queued: usize,
 }
 
-/// Worker supervision policy: how often a transiently failed unit is
+/// Worker supervision policy: how often a transiently failed claim is
 /// retried, how the backoff between attempts grows, and the per-attempt
 /// compute deadline (`momsim serve --retries/--backoff/--deadline`).
 #[derive(Debug, Clone, Copy)]
@@ -470,8 +527,8 @@ pub struct Supervision {
     pub backoff: Duration,
     /// Ceiling on the jittered backoff.
     pub backoff_cap: Duration,
-    /// Per-attempt compute deadline enforced by a watchdog; a unit that
-    /// exceeds it is abandoned and counts as a transient failure.
+    /// Per-attempt compute deadline; a claim that exceeds it is abandoned
+    /// and counts as a transient failure.
     pub deadline: Duration,
 }
 
@@ -492,7 +549,7 @@ pub struct Daemon {
     /// Signalled when the queue gains work or the daemon starts draining.
     work: Condvar,
     /// Signalled on every transition that can end a job — a worker
-    /// finishing a unit, a cancel, the drain — so shutdown and job
+    /// finishing a claim, a cancel, the drain — so shutdown and job
     /// waiters wake at once.
     idle: Condvar,
     queue_limit: usize,
@@ -750,77 +807,70 @@ impl Daemon {
     }
 
     fn worker_loop(&self) {
-        loop {
-            let (key, payload) = {
-                let mut guard = self.state.lock().expect("queue state");
-                loop {
-                    let state = &mut *guard;
-                    let mut claimed = None;
-                    while let Some(key) = state.queue.pop_front() {
-                        let wanted = state.units.get(&key).is_some_and(|unit| {
-                            matches!(unit.status, UnitStatus::Queued)
-                                && state.subscriber_alive(unit)
-                        });
-                        if wanted {
-                            claimed = Some(key);
-                            break;
-                        }
-                        // Nobody wants it any more: forget the unit.
-                        state.units.remove(&key);
-                    }
-                    if let Some(key) = claimed {
-                        let unit = state.units.get_mut(&key).expect("claimed unit");
-                        unit.status = UnitStatus::Running;
-                        unit.wait_nanos = unit.enqueued_at.map(elapsed_nanos).unwrap_or(0);
-                        let payload = unit.payload.clone();
-                        state.running += 1;
-                        break (key, payload);
-                    }
-                    if state.shutting_down {
-                        return;
-                    }
-                    guard = self.work.wait(guard).expect("queue state");
-                }
-            };
+        let mut compute = None;
+        while let Some(claim) = self.claim() {
             // Compute with no lock held; the fill path writes the store.
             let compute_start = Instant::now();
             let result = {
-                let _span = mom_obs::span_fmt("job", || format!("compute {}", key.to_hex()));
-                self.supervise(key, &payload)
+                let _span = mom_obs::span_fmt("job", || format!("compute {}", claim.describe()));
+                self.supervise(&claim, &mut compute)
             };
             let compute_elapsed = compute_start.elapsed();
             compute_seconds_histogram().observe(compute_elapsed);
+            // Split evenly, so a job's simulate time still sums worker time.
+            let share = u64::try_from(compute_elapsed.as_nanos()).unwrap_or(u64::MAX)
+                / claim.keys.len() as u64;
             let mut guard = self.state.lock().expect("queue state");
             let state = &mut *guard;
-            if let Some(unit) = state.units.get_mut(&key) {
-                unit.compute_nanos = u64::try_from(compute_elapsed.as_nanos()).unwrap_or(u64::MAX);
-                unit.status = match result {
-                    Ok(()) => UnitStatus::Done,
-                    Err(message) => UnitStatus::Failed(message),
-                };
+            for (key, payload) in claim.keys.iter().zip(claim.units.iter()) {
+                if let Some(unit) = state.units.get_mut(key) {
+                    unit.compute_nanos = share;
+                    unit.status = match &result {
+                        Ok(()) => UnitStatus::Done,
+                        Err(error) => {
+                            UnitStatus::Failed(format!("{}: {error}", payload.describe()))
+                        }
+                    };
+                }
             }
             state.running -= 1;
             self.end_jobs(guard, true);
         }
+        if let Some(thread) = compute {
+            thread.join();
+        }
     }
 
-    /// Runs one unit under supervision: each attempt computes on a helper
-    /// thread (so a watchdog deadline can abandon a stuck unit) under
-    /// `catch_unwind` (so a panic — real or injected — is an error, not a
-    /// dead worker).  Transient failures are retried up to the policy's
-    /// limit with decorrelated-jitter backoff; the final error message
-    /// carries the unit's coordinates and the attempt count.
-    fn supervise(&self, key: mom_store::Key, payload: &WorkUnit) -> Result<(), String> {
+    /// Blocks until the queue holds a claim; `None` once the daemon drains.
+    fn claim(&self) -> Option<Claim> {
+        let mut state = self.state.lock().expect("queue state");
+        loop {
+            if let Some(claim) = state.claim_next() {
+                return Some(claim);
+            }
+            if state.shutting_down {
+                return None;
+            }
+            state = self.work.wait(state).expect("queue state");
+        }
+    }
+
+    /// Runs one claim under supervision on the worker's compute thread
+    /// (see [`run_attempt`]).  Transient failures are retried up to the
+    /// policy's limit with decorrelated-jitter backoff; the final error
+    /// carries the cause and the attempt count, and the caller prefixes
+    /// each unit's coordinates.
+    fn supervise(&self, claim: &Claim, compute: &mut Option<ComputeThread>) -> Result<(), String> {
         let policy = self.supervision;
         let mut backoff = policy.backoff;
         let mut attempt = 0u32;
         loop {
-            let error = match attempt_unit(payload, policy.deadline) {
+            let error = match run_attempt(compute, &claim.units, policy.deadline) {
                 Ok(()) => {
                     if attempt > 0 {
                         mom_obs::log::info(
                             "worker",
-                            &format!("unit {} recovered on attempt {}", key.to_hex(), attempt + 1),
+                            &format!("{} recovered on attempt {}", claim.describe(), attempt + 1),
                         );
                     }
                     return Ok(());
@@ -831,8 +881,7 @@ impl Daemon {
                 let attempts = attempt + 1;
                 let plural = if attempts == 1 { "" } else { "s" };
                 return Err(format!(
-                    "{}: {} (after {attempts} attempt{plural})",
-                    payload.describe(),
+                    "{} (after {attempts} attempt{plural})",
                     error.message
                 ));
             }
@@ -840,14 +889,19 @@ impl Daemon {
             mom_obs::log::warn(
                 "worker",
                 &format!(
-                    "unit {} attempt {} failed transiently: {}; retrying",
-                    key.to_hex(),
+                    "{} attempt {} failed transiently: {}; retrying",
+                    claim.describe(),
                     attempt + 1,
                     error.message
                 ),
             );
-            backoff =
-                decorrelated_jitter(policy.backoff, backoff, policy.backoff_cap, key, attempt);
+            backoff = decorrelated_jitter(
+                policy.backoff,
+                backoff,
+                policy.backoff_cap,
+                claim.keys[0],
+                attempt,
+            );
             std::thread::sleep(backoff);
             attempt += 1;
         }
@@ -986,7 +1040,7 @@ impl Daemon {
         .set(state.queue.len() as i64);
         mom_obs::gauge(
             "momsim_serve_workers_busy",
-            "Worker threads currently computing a unit.",
+            "Workers currently computing a claim.",
         )
         .set(state.running as i64);
         mom_obs::gauge(
@@ -1037,52 +1091,129 @@ impl Daemon {
     }
 }
 
-/// One supervised compute attempt: run on a helper thread so the caller
-/// can enforce a deadline, with `catch_unwind` turning a panic into a
-/// transient [`ComputeError`].  The fault plane's worker sites fire here,
-/// inside the unwind boundary, so injected panics exercise exactly the
-/// recovery path a real one would.  The result itself stays in the store;
-/// the attempt reports only whether it got there.
-fn attempt_unit(payload: &WorkUnit, deadline: Duration) -> Result<(), ComputeError> {
-    let unit = payload.clone();
-    let (tx, rx) = mpsc::channel();
-    let handle = match std::thread::Builder::new()
-        .name("mom-serve-compute".to_string())
-        .spawn(move || {
-            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                faults::maybe_delay(FaultSite::WorkerDelay);
-                faults::maybe_panic(FaultSite::WorkerPanic);
-                unit.compute().map(drop)
-            }));
-            let _ = tx.send(outcome);
-        }) {
-        Ok(handle) => handle,
-        Err(e) => {
-            return Err(ComputeError {
-                message: format!("cannot spawn compute thread: {e}"),
-                transient: true,
-            })
-        }
-    };
-    match rx.recv_timeout(deadline) {
-        Ok(outcome) => {
-            let _ = handle.join();
-            match outcome {
-                Ok(result) => result,
-                Err(panic) => Err(ComputeError {
-                    message: format!("panicked: {}", panic_message(panic.as_ref())),
-                    transient: true,
-                }),
-            }
-        }
-        // The watchdog fired: abandon the helper thread (its send fails
-        // harmlessly once it finishes) so a stuck unit cannot wedge the
-        // worker.
-        Err(_) => Err(ComputeError {
-            message: format!("deadline of {deadline:?} exceeded"),
-            transient: true,
-        }),
+/// Computes a claim through the store-fronted fill paths (the results land
+/// in the store): an apps unit alone, or points of one trace with one
+/// fan-out over their configurations.  A failure is classified transient
+/// (worth a retry) or permanent.
+fn compute_claim(units: &[WorkUnit]) -> Result<(), ComputeError> {
+    if let [WorkUnit::Apps {
+        config,
+        seed,
+        frames,
+    }] = units
+    {
+        return store::stored_app_speedups(config, *seed, *frames)
+            .map(drop)
+            .map_err(|e| ComputeError {
+                transient: matches!(
+                    &e,
+                    mom_apps::AppError::Phase {
+                        source: KernelError::Exec { .. },
+                        ..
+                    }
+                ),
+                message: e.to_string(),
+            });
     }
+    let jobs: Vec<PointJob> = units
+        .iter()
+        .filter_map(|unit| match unit {
+            WorkUnit::Point(job) => Some(PointJob::clone(job)),
+            WorkUnit::Apps { .. } => None,
+        })
+        .collect();
+    PointJob::compute_all(&jobs)
+        .map(drop)
+        .map_err(|e| ComputeError {
+            // Execution faults can be environmental (an injected fault, a
+            // torn store write); program validation and output mismatches
+            // are deterministic.
+            transient: matches!(e, KernelError::Exec { .. }),
+            message: e.to_string(),
+        })
+}
+
+/// A worker's compute thread, kept across attempts: it takes claims over a
+/// channel and answers each with the attempt's outcome.  The fault plane's
+/// worker sites fire inside its unwind boundary, so injected panics
+/// exercise exactly the recovery path a real one would.
+struct ComputeThread {
+    claims: mpsc::Sender<Arc<[WorkUnit]>>,
+    outcomes: mpsc::Receiver<Result<(), ComputeError>>,
+    handle: std::thread::JoinHandle<()>,
+}
+
+impl ComputeThread {
+    fn spawn() -> std::io::Result<ComputeThread> {
+        let (claims, work) = mpsc::channel::<Arc<[WorkUnit]>>();
+        let (reply, outcomes) = mpsc::channel();
+        let handle = std::thread::Builder::new()
+            .name("mom-serve-compute".to_string())
+            .spawn(move || {
+                for units in work {
+                    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                        faults::maybe_delay(FaultSite::WorkerDelay);
+                        faults::maybe_panic(FaultSite::WorkerPanic);
+                        compute_claim(&units)
+                    }))
+                    .unwrap_or_else(|panic| {
+                        Err(ComputeError {
+                            message: format!("panicked: {}", panic_message(panic.as_ref())),
+                            transient: true,
+                        })
+                    });
+                    // An abandoned thread finds its worker gone and stops.
+                    if reply.send(outcome).is_err() {
+                        break;
+                    }
+                }
+            })?;
+        Ok(ComputeThread {
+            claims,
+            outcomes,
+            handle,
+        })
+    }
+
+    /// Closes the thread's channel and waits for it to stop.
+    fn join(self) {
+        drop(self.claims);
+        let _ = self.handle.join();
+    }
+}
+
+/// One supervised compute attempt on the worker's compute thread, started
+/// first when the worker has none (a failed spawn is a transient error).
+/// When the deadline passes, the thread is abandoned, never joined: it
+/// stops once it finishes, so a stuck claim cannot wedge the worker, and
+/// the next attempt starts a fresh thread.  The results stay in the store;
+/// the attempt reports only whether they got there.
+fn run_attempt(
+    thread: &mut Option<ComputeThread>,
+    units: &Arc<[WorkUnit]>,
+    deadline: Duration,
+) -> Result<(), ComputeError> {
+    let current = match thread {
+        Some(current) => current,
+        None => thread.insert(ComputeThread::spawn().map_err(|e| ComputeError {
+            message: format!("cannot spawn compute thread: {e}"),
+            transient: true,
+        })?),
+    };
+    let outcome = match current.claims.send(Arc::clone(units)) {
+        Ok(()) => current.outcomes.recv_timeout(deadline),
+        Err(_) => Err(mpsc::RecvTimeoutError::Disconnected),
+    };
+    outcome.unwrap_or_else(|lost| {
+        *thread = None;
+        Err(ComputeError {
+            message: match lost {
+                mpsc::RecvTimeoutError::Timeout => format!("deadline of {deadline:?} exceeded"),
+                mpsc::RecvTimeoutError::Disconnected => "the compute thread died".to_string(),
+            },
+            transient: true,
+        })
+    })
 }
 
 fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {

@@ -2,9 +2,13 @@
 //!
 //! One thread accepts connections (a blocking `accept`; `POST /shutdown`
 //! sets the stop flag and wakes it with one loopback connection to the
-//! listener's own address), one short-lived thread handles each connection
+//! listener's own address) and hands each to a fixed set of 16 connection
+//! threads through a queue that holds at most 64 waiting connections
 //! (`Connection: close`; submissions are small and the worker pool does
-//! the real work), and the routes map directly onto [`crate::queue`]:
+//! the real work).  A connection that finds the queue full is answered
+//! `503` with `Retry-After` by the accept thread itself.  Every request
+//! holds a handler while it is served, a `?wait` long poll included.  The
+//! routes map directly onto [`crate::queue`]:
 //!
 //! | route                | behaviour                                      |
 //! |----------------------|------------------------------------------------|
@@ -26,11 +30,31 @@ use crate::wire::{job_doc, job_entry, parse_submit};
 use mom_bench::find_experiment;
 use mom_bench::json::Json;
 use mom_store::faults::{self, FaultSite};
-use std::io::BufReader;
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::io::{BufReader, Read};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Connection handler threads per daemon.
+const HANDLERS: usize = 16;
+
+/// Accepted connections that may wait for a free handler; the accept
+/// thread answers `503` to one more.
+const BACKLOG: usize = 64;
+
+fn handlers_busy_gauge() -> &'static mom_obs::Gauge {
+    static GAUGE: OnceLock<mom_obs::Gauge> = OnceLock::new();
+    GAUGE.get_or_init(|| {
+        mom_obs::gauge(
+            "momsim_serve_handlers_busy",
+            "Connection handler threads serving a request (16 per daemon).",
+        )
+    })
+}
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -64,11 +88,13 @@ impl Default for ServeConfig {
     }
 }
 
-/// A running daemon: its bound address, queue handle and accept thread.
+/// A running daemon: its bound address, queue handle, accept thread and
+/// connection handlers.
 pub struct Server {
     addr: std::net::SocketAddr,
     daemon: Arc<Daemon>,
-    accept: Option<std::thread::JoinHandle<()>>,
+    accept: Option<JoinHandle<()>>,
+    handlers: Vec<JoinHandle<()>>,
 }
 
 impl Server {
@@ -82,10 +108,13 @@ impl Server {
         &self.daemon
     }
 
-    /// Waits for the accept loop to exit (after `POST /shutdown`), then
-    /// joins the worker pool.
+    /// Waits for the accept loop to exit (after `POST /shutdown`) and the
+    /// handlers to finish their connections, then joins the worker pool.
     pub fn join(mut self) {
         if let Some(handle) = self.accept.take() {
+            let _ = handle.join();
+        }
+        for handle in self.handlers.drain(..) {
             let _ = handle.join();
         }
         self.daemon.join_workers();
@@ -161,27 +190,65 @@ pub fn serve_with(daemon: Arc<Daemon>, addr: &str) -> std::io::Result<Server> {
 }
 
 /// [`serve_with`] with an explicit head read deadline (tests shrink it to
-/// exercise the 408 path quickly).
+/// exercise the 408 path quickly).  Fails when a thread cannot be spawned.
 pub fn serve_with_timeout(
     daemon: Arc<Daemon>,
     addr: &str,
     read_timeout: Duration,
 ) -> std::io::Result<Server> {
+    start(daemon, addr, read_timeout, HANDLERS, BACKLOG)
+}
+
+/// Binds `addr` and starts the accept thread and `handlers` connection
+/// threads fed through a queue of `backlog` connections.
+fn start(
+    daemon: Arc<Daemon>,
+    addr: &str,
+    read_timeout: Duration,
+    handlers: usize,
+    backlog: usize,
+) -> std::io::Result<Server> {
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
     let stop = Arc::new(Stop::new(addr));
-    let accept = {
-        let daemon = Arc::clone(&daemon);
+    let (queue, connections) = mpsc::sync_channel(backlog);
+    let connections = Arc::new(Mutex::new(connections));
+    let mut pool = Vec::with_capacity(handlers);
+    let spawned = (0..handlers).try_for_each(|index| {
+        let (daemon, stop, connections) = (
+            Arc::clone(&daemon),
+            Arc::clone(&stop),
+            Arc::clone(&connections),
+        );
+        pool.push(
+            std::thread::Builder::new()
+                .name(format!("mom-serve-conn-{index}"))
+                .spawn(move || handler_loop(&connections, &daemon, &stop, read_timeout))?,
+        );
+        Ok(())
+    });
+    let accept = spawned.and_then(|()| {
         let stop = Arc::clone(&stop);
         std::thread::Builder::new()
             .name("mom-serve-accept".to_string())
-            .spawn(move || accept_loop(listener, daemon, stop, read_timeout))?
-    };
-    Ok(Server {
-        addr,
-        daemon,
-        accept: Some(accept),
-    })
+            .spawn(move || accept_loop(listener, queue, &stop))
+    });
+    match accept {
+        Ok(accept) => Ok(Server {
+            addr,
+            daemon,
+            accept: Some(accept),
+            handlers: pool,
+        }),
+        Err(e) => {
+            // The queue's sender is gone with the accept closure, so every
+            // handler started so far stops.
+            for handle in pool {
+                let _ = handle.join();
+            }
+            Err(e)
+        }
+    }
 }
 
 /// The accept loop's stop signal: a flag, plus the address a wake-up
@@ -218,46 +285,71 @@ impl Stop {
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    daemon: Arc<Daemon>,
-    stop: Arc<Stop>,
-    read_timeout: Duration,
-) {
-    let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
+fn accept_loop(listener: TcpListener, queue: SyncSender<TcpStream>, stop: &Stop) {
     loop {
         let accepted = listener.accept();
         if stop.is_set() {
             break;
         }
-        match accepted {
-            Ok((stream, _)) => {
-                connections.retain(|handle| !handle.is_finished());
-                let spawned = match faults::injected_io_error(FaultSite::HttpAccept, "http accept")
-                {
-                    Some(fault) => Err(fault),
-                    None => {
-                        let daemon = Arc::clone(&daemon);
-                        let stop = Arc::clone(&stop);
-                        std::thread::Builder::new()
-                            .name("mom-serve-conn".to_string())
-                            .spawn(move || handle_connection(stream, &daemon, &stop, read_timeout))
-                    }
-                };
-                // A connection without a handler (an injected fault, or a
-                // spawn refused for want of threads) is dropped on the
-                // floor, exactly like a listener overflow would; the
-                // accept loop goes on.
-                match spawned {
-                    Ok(handle) => connections.push(handle),
-                    Err(e) => mom_obs::log::warn("serve", &format!("connection dropped: {e}")),
-                }
-            }
-            Err(_) => break,
+        let Ok((stream, _)) = accepted else { break };
+        // An injected fault drops the connection on the floor, exactly
+        // like a listener overflow would; the accept loop goes on.
+        if let Some(fault) = faults::injected_io_error(FaultSite::HttpAccept, "http accept") {
+            mom_obs::log::warn("serve", &format!("connection dropped: {fault}"));
+            continue;
+        }
+        if let Err(TrySendError::Full(stream) | TrySendError::Disconnected(stream)) =
+            queue.try_send(stream)
+        {
+            refuse(stream);
         }
     }
-    for handle in connections {
-        let _ = handle.join();
+    // Dropping the queue stops the handlers once they drain it.
+}
+
+/// Answers a connection no handler can take: `503` with `Retry-After`,
+/// written without blocking the accept thread on the peer.
+fn refuse(mut stream: TcpStream) {
+    mom_obs::log::warn("serve", "every connection handler is busy -> 503");
+    if stream.set_nonblocking(true).is_err() {
+        return;
+    }
+    // Read what the request already sent (up to 64 KiB): closing a socket
+    // with unread input resets the connection, which can discard the
+    // answer before the peer reads it.
+    let mut sink = [0u8; 4096];
+    for _ in 0..16 {
+        if !matches!(stream.read(&mut sink), Ok(n) if n > 0) {
+            break;
+        }
+    }
+    let _ = Response::error(503, "every connection handler is busy; retry shortly")
+        .write_to(&mut stream);
+    let _ = stream.shutdown(Shutdown::Write);
+}
+
+/// One connection handler: serves queued connections until the accept
+/// loop drops the queue.
+fn handler_loop(
+    connections: &Mutex<Receiver<TcpStream>>,
+    daemon: &Daemon,
+    stop: &Stop,
+    read_timeout: Duration,
+) {
+    loop {
+        // The lock is held only while waiting for the next connection, and
+        // a receive cannot leave the receiver half-updated.
+        let next = connections
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .recv();
+        let Ok(stream) = next else { return };
+        handlers_busy_gauge().add(1);
+        // A panicking route costs its connection, not the handler.
+        let _ = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            handle_connection(stream, daemon, stop, read_timeout)
+        }));
+        handlers_busy_gauge().add(-1);
     }
 }
 
@@ -586,9 +678,90 @@ fn render_report(experiments: &[&'static str]) -> Result<String, String> {
     let series = experiments
         .iter()
         .map(|&name| {
-            let report = find_experiment(name)?.run().map_err(|e| e.to_string())?;
+            // Every point is a store hit: read them on this thread rather
+            // than start a pool per experiment.
+            let report = find_experiment(name)?
+                .run_with_jobs(Some(1))
+                .map_err(|e| e.to_string())?;
             Ok((name, report))
         })
         .collect::<Result<Vec<_>, String>>()?;
     Ok(mom_bench::cli::committed_doc(&series).pretty())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Write;
+
+    /// Everything the peer sends until it closes (a reset after the answer
+    /// is not an error here).
+    fn read_all(stream: &mut TcpStream) -> String {
+        let mut bytes = Vec::new();
+        let mut chunk = [0u8; 1024];
+        while let Ok(n @ 1..) = stream.read(&mut chunk) {
+            bytes.extend_from_slice(&chunk[..n]);
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+
+    #[test]
+    fn a_full_connection_queue_answers_503_until_handlers_free_up() {
+        // One handler and one queued connection: a cap of two.
+        let server = start(
+            Daemon::new(0, 1),
+            "127.0.0.1:0",
+            Duration::from_secs(20),
+            1,
+            1,
+        )
+        .expect("bind an ephemeral port");
+        let addr = server.addr();
+        let busy = handlers_busy_gauge().get();
+
+        // Two idle connections: the handler waits on the first one's
+        // request head, the second waits in the queue.
+        let first = TcpStream::connect(addr).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while handlers_busy_gauge().get() == busy {
+            assert!(
+                Instant::now() < deadline,
+                "the handler never took a connection"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let second = TcpStream::connect(addr).unwrap();
+
+        let asked = Instant::now();
+        let mut third = TcpStream::connect(addr).unwrap();
+        third
+            .write_all(b"GET /healthz HTTP/1.1\r\nContent-Length: 0\r\n\r\n")
+            .unwrap();
+        third
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let response = read_all(&mut third);
+        assert!(
+            response.starts_with("HTTP/1.1 503 Service Unavailable"),
+            "a third connection is refused: {response:?}"
+        );
+        assert!(response.contains("Retry-After: 1\r\n"), "{response:?}");
+        assert!(
+            asked.elapsed() < Duration::from_secs(5),
+            "the refusal does not wait for a handler: {:?}",
+            asked.elapsed()
+        );
+
+        // Once the idle connections close, the daemon answers again (the
+        // client retries a 503 met while the handler drains the queue).
+        drop((first, second));
+        let addr = addr.to_string();
+        let (status, _) = crate::client::request_json(&addr, "GET", "/healthz", None)
+            .expect("healthz after the idle connections close");
+        assert_eq!(status, 200);
+        let (status, _) =
+            crate::client::request_json(&addr, "POST", "/shutdown", None).expect("shutdown");
+        assert_eq!(status, 200);
+        server.join();
+    }
 }

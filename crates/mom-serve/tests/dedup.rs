@@ -1,6 +1,7 @@
 //! Cross-job dedup under concurrency: two overlapping grids submitted
 //! from two threads must perform each shared point's timing simulation
-//! **exactly once**, counter-asserted.  The assertions ride on
+//! **exactly once**, counter-asserted, and a worker claims every queued
+//! point of one trace at once.  The assertions ride on
 //! process-global counters and the process-global store, so the tests
 //! serialise on one mutex.
 
@@ -10,7 +11,7 @@ use mom_isa::IsaKind;
 use mom_kernels::KernelId;
 use mom_pipeline::PipelineConfig;
 use mom_serve::client::request_json;
-use mom_serve::queue::JobState;
+use mom_serve::queue::{JobState, UnitResult};
 use mom_serve::wire::JobRequest;
 use mom_serve::{serve_with, Daemon};
 use std::path::PathBuf;
@@ -113,6 +114,62 @@ fn overlapping_jobs_simulate_each_shared_point_once() {
         "one functional execution per (kernel, ISA) pair"
     );
 
+    daemon.shutdown();
+    daemon.join_workers();
+}
+
+/// A worker claims every queued point of one trace and times them as one
+/// fan-out: one worker computes 2 kernels x 3 widths in 2 claims, not 6,
+/// and the rows equal the in-process grid run's.
+#[test]
+fn a_worker_claims_every_queued_point_of_a_trace() {
+    let _serial = serial();
+    private_store_dir();
+    // A seed of its own, so every point is computed here.
+    let request = grid(&[2, 4, 8], 13);
+    let JobRequest::Grid { spec, .. } = &request else {
+        unreachable!("grid() builds a grid request")
+    };
+    let spec = spec.clone();
+    let claims = mom_obs::histogram(
+        "momsim_serve_unit_compute_seconds",
+        "Wall time one worker spent computing one claim.",
+    );
+    let claims_before = claims.count();
+    let daemon = Daemon::new(1, 8);
+    let outcome = daemon.submit(request).expect("queue has room");
+    assert_eq!(outcome.scheduled, 6);
+    let snapshot = daemon.wait(outcome.job).expect("job exists");
+    assert_eq!(
+        snapshot.state,
+        JobState::Done,
+        "errors: {:?}",
+        snapshot.errors
+    );
+    assert_eq!(
+        claims.count() - claims_before,
+        2,
+        "one claim per (kernel, ISA) trace"
+    );
+
+    let grid = {
+        let _cold = mom_store::bypass_guard();
+        spec.run().expect("in-process grid")
+    };
+    assert_eq!(snapshot.rows.len(), grid.points.len());
+    for (index, row) in &snapshot.rows {
+        let UnitResult::Point(got) = row else {
+            panic!("row {index} is not a grid point")
+        };
+        let want = &grid.points[*index];
+        assert_eq!(
+            (got.kernel, got.isa, got.width),
+            (want.kernel, want.isa, want.width)
+        );
+        assert_eq!(got.result, want.result, "row {index}");
+        assert_eq!(got.stats, want.stats, "row {index}");
+        assert_eq!(got.invocations, want.invocations, "row {index}");
+    }
     daemon.shutdown();
     daemon.join_workers();
 }

@@ -1,5 +1,7 @@
 //! Fault-tolerance suite: supervised workers retry injected panics to
-//! success, exhausted retries fail the job with unit coordinates, the
+//! success, exhausted retries fail the job with unit coordinates (each
+//! unit of a failed claim its own), a worker outlives a compute thread a
+//! deadline abandoned, the
 //! crash journal re-admits unfinished jobs recomputing only lost units,
 //! slow clients get 408, injected accept faults are ridden out by the
 //! client's retry policy, and the blocking accept loop neither delays
@@ -119,6 +121,86 @@ fn exhausted_retries_fail_the_job_with_unit_coordinates() {
     assert!(
         error.contains("after 4 attempts") && error.contains("panicked"),
         "the error shows the attempt count and cause: {error}"
+    );
+    daemon.shutdown();
+    daemon.join_workers();
+}
+
+#[test]
+fn a_failed_claim_fails_each_unit_with_its_own_coordinates() {
+    let _serial = serial();
+    private_store_dir();
+
+    // Both widths share one trace, so one claim fails: every attempt
+    // panics, and each unit's error names its own point.  No other test
+    // stores these widths, so neither is answered at submit time.
+    faults::install(FaultPlan::new(24).with_site(FaultSite::WorkerPanic, 1.0, None));
+    let daemon = Daemon::with_options(1, 4, fast_supervision());
+    let outcome = daemon.submit(grid("claim-exhausted", &[3, 7])).unwrap();
+    let snapshot = daemon.wait(outcome.job).expect("job exists");
+    let injected = faults::injected_count(FaultSite::WorkerPanic);
+    faults::clear();
+
+    assert_eq!(snapshot.state, JobState::Failed);
+    assert_eq!((snapshot.failed, snapshot.errors.len()), (2, 2));
+    assert_eq!(injected, 4, "one per attempt of the one claim");
+    for width in [3, 7] {
+        let coordinates = format!(
+            "{}/{}/way{width}",
+            KernelId::AddBlock.name(),
+            IsaKind::Mom.name()
+        );
+        let error = snapshot
+            .errors
+            .iter()
+            .find(|error| error.contains(&coordinates))
+            .unwrap_or_else(|| panic!("no error names {coordinates}: {:?}", snapshot.errors));
+        assert!(
+            error.contains("after 4 attempts") && error.contains("panicked"),
+            "the error shows the attempt count and cause: {error}"
+        );
+    }
+    daemon.shutdown();
+    daemon.join_workers();
+}
+
+#[test]
+fn a_worker_recovers_from_an_abandoned_compute_thread() {
+    let _serial = serial();
+    private_store_dir();
+
+    // The first attempt stalls past the deadline: its compute thread is
+    // abandoned and, with no retries, the job fails.
+    let mut plan = FaultPlan::new(25).with_site(FaultSite::WorkerDelay, 1.0, Some(1));
+    plan.delay = Duration::from_millis(500);
+    faults::install(plan);
+    let daemon = Daemon::with_options(
+        1,
+        4,
+        Supervision {
+            retries: 0,
+            deadline: Duration::from_millis(50),
+            ..fast_supervision()
+        },
+    );
+    let stalled = daemon.submit(grid("stalled", &[9])).unwrap();
+    let snapshot = daemon.wait(stalled.job).expect("job exists");
+    assert_eq!(snapshot.state, JobState::Failed);
+    let error = snapshot.errors.first().expect("a failed-point message");
+    assert!(
+        error.contains("deadline") && error.contains("after 1 attempt"),
+        "{error}"
+    );
+
+    // The next job on that worker runs on a fresh compute thread.
+    let next = daemon.submit(grid("after-abandon", &[10])).unwrap();
+    let snapshot = daemon.wait(next.job).expect("job exists");
+    faults::clear();
+    assert_eq!(
+        snapshot.state,
+        JobState::Done,
+        "errors: {:?}",
+        snapshot.errors
     );
     daemon.shutdown();
     daemon.join_workers();
